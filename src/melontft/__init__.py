@@ -40,7 +40,6 @@ from .series import (
     LogSeries,
     LogTerm,
     ansatz_order,
-    canonicalize,
     eval_partial_sum,
     eval_series,
     eval_series_transverse,
@@ -82,7 +81,6 @@ __all__ = [
     "LogSeries",
     "LogTerm",
     "ansatz_order",
-    "canonicalize",
     "eval_partial_sum",
     "eval_series",
     "eval_series_transverse",

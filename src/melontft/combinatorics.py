@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Dict, Mapping, Tuple
+from typing import Callable, Dict, Mapping, Tuple
 
 __all__ = [
     "stirling_first_signed",
@@ -110,6 +110,24 @@ def a_closed(n: int, k: int, m: int) -> Fraction:
     )
 
 
+def _generic_rhs(n: int, k: int, m: int, a: Callable[..., Fraction]) -> Fraction:
+    """Right-hand side of the generic recurrence (2 <= k <= n-3, 2 <= m <= k).
+
+    ``a(n, k, m)`` supplies the coefficients: the closed form, or the
+    recurrence's own memo.
+    """
+    val = a(n - 1, k - 1, m - 1)
+    for r in range(m - 1, k):
+        val += a(n - 1 + r - k, r, m - 1) / (k - r)
+    for l in range(1, k - m + 2):
+        val += a(n - m, k - m + 1, l) / l
+    for r in range(m - 1, k):
+        for l in range(1, k - r + 1):
+            for p in range(k - r + 1, n - 1 - r):
+                val += a(p, k - r, l) * a(n - p - 1, r, m - 1) / l
+    return val
+
+
 def _a_recur(n: int, k: int, m: int, memo: Dict[Index, Fraction]) -> Fraction:
     key = (n, k, m)
     if key in memo:
@@ -132,15 +150,7 @@ def _a_recur(n: int, k: int, m: int, memo: Dict[Index, Fraction]) -> Fraction:
             val += _a_recur(n - m, n - 1 - m, l, memo) / l
     else:
         # generic case: 2 <= k <= n-3 and 2 <= m <= k
-        val = _a_recur(n - 1, k - 1, m - 1, memo)
-        for r in range(m - 1, k):
-            val += _a_recur(n - 1 + r - k, r, m - 1, memo) / (k - r)
-        for l in range(1, k - m + 2):
-            val += _a_recur(n - m, k - m + 1, l, memo) / l
-        for r in range(m - 1, k):
-            for l in range(1, k - r + 1):
-                for p in range(k - r + 1, n - 1 - r):
-                    val += _a_recur(p, k - r, l, memo) * _a_recur(n - p - 1, r, m - 1, memo) / l
+        val = _generic_rhs(n, k, m, lambda *i: memo[i] if i in memo else _a_recur(*i, memo))
     memo[key] = val
     return val
 
@@ -294,20 +304,6 @@ class BigStirlingCheck:
         return self.recurrence_lhs == self.recurrence_rhs
 
 
-def _recrel3_rhs_closed(n: int, k: int, m: int) -> Fraction:
-    """Generic-case recurrence RHS evaluated on closed-form coefficients."""
-    val = a_closed(n - 1, k - 1, m - 1)
-    for r in range(m - 1, k):
-        val += a_closed(n - 1 + r - k, r, m - 1) / (k - r)
-    for l in range(1, k - m + 2):
-        val += a_closed(n - m, k - m + 1, l) / l
-    for r in range(m - 1, k):
-        for l in range(1, k - r + 1):
-            for p in range(k - r + 1, n - 1 - r):
-                val += a_closed(p, k - r, l) * a_closed(n - p - 1, r, m - 1) / l
-    return val
-
-
 def check_identity_big_stirling(n: int, k: int, m: int) -> BigStirlingCheck:
     """Evaluate the big Stirling/binomial identity exactly as printed.
 
@@ -354,5 +350,5 @@ def check_identity_big_stirling(n: int, k: int, m: int) -> BigStirlingCheck:
         printed_lhs=lhs,
         printed_rhs=rhs,
         recurrence_lhs=a_closed(n, k, m),
-        recurrence_rhs=_recrel3_rhs_closed(n, k, m),
+        recurrence_rhs=_generic_rhs(n, k, m, a_closed),
     )

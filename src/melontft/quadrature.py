@@ -1,12 +1,11 @@
 """Adaptive 2-D quadrature over the quarter plane [0, inf)^2.
 
-Each semi-infinite axis is mapped to the unit interval, by default with
-the rational map q = u/(1-u); the integral is then done with product
-8-point Gauss-Legendre panels under dyadic adaptive refinement.  A
-panel's error is estimated by comparing the single-panel rule against
-the sum of its four half-size subpanels, and the worst panel is split
-until the summed estimate meets the tolerance or the evaluation budget
-runs out.
+Each semi-infinite axis is mapped to the unit interval with the rational
+map q = u/(1-u); the integral is then done with product 8-point
+Gauss-Legendre panels under dyadic adaptive refinement.  A panel's error
+is estimated by comparing the single-panel rule against the sum of its
+four half-size subpanels, and the worst panel is split until the summed
+estimate meets the tolerance or the evaluation budget runs out.
 
 Integrands are called as f(q2, q3) with broadcastable numpy arrays and
 must decay at least like |q|^-4 (after any subtraction, which therefore
@@ -41,28 +40,14 @@ __all__ = [
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(8)
 
-# intermediate tail cutoffs per transform; the exponential map cannot
-# represent u(Q) for large Q, its use is limited to fast-decaying integrands
-_TAIL_CUTOFF = {"rational": 1.0e5, "exponential": 15.0}
+# intermediate tail cutoffs Q = 1e5 and 2Q, mapped to the unit interval
+_U_CUT = 1.0e5 / (1.0 + 1.0e5)
+_U_CUT2 = 2.0e5 / (1.0 + 2.0e5)
 
 
 def _map_rational(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     w = 1.0 - u
     return u / w, 1.0 / (w * w)
-
-
-def _map_exponential(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    w = 1.0 - u
-    return -np.log(w), 1.0 / w
-
-
-_MAPS = {"rational": _map_rational, "exponential": _map_exponential}
-
-
-def _cutoff_to_u(q: float, transform: str) -> float:
-    if transform == "rational":
-        return q / (1.0 + q)
-    return 1.0 - math.exp(-q)
 
 
 @dataclass(frozen=True)
@@ -73,25 +58,25 @@ class QuadResult:
     converged: bool
 
 
-def _panel_rule(f: Callable, qmap: Callable, a: float, b: float, c: float, d: float) -> float:
+def _panel_rule(f: Callable, a: float, b: float, c: float, d: float) -> float:
     """Product Gauss-Legendre on one (u, v) rectangle."""
     u = 0.5 * (b - a) * _NODES + 0.5 * (a + b)
     v = 0.5 * (d - c) * _NODES + 0.5 * (c + d)
-    qu, ju = qmap(u)
-    qv, jv = qmap(v)
+    qu, ju = _map_rational(u)
+    qv, jv = _map_rational(v)
     vals = f(qu[:, None], qv[None, :]) * (ju * _WEIGHTS)[:, None] * (jv * _WEIGHTS)[None, :]
     return float(np.sum(vals)) * 0.25 * (b - a) * (d - c)
 
 
-def _refined_panel(f, qmap, a, b, c, d) -> Tuple[float, float, int]:
+def _refined_panel(f, a, b, c, d) -> Tuple[float, float, int]:
     """Panel value from 2x2 subpanels plus a coarse-vs-fine error estimate."""
-    coarse = _panel_rule(f, qmap, a, b, c, d)
+    coarse = _panel_rule(f, a, b, c, d)
     mu, mv = 0.5 * (a + b), 0.5 * (c + d)
     fine = (
-        _panel_rule(f, qmap, a, mu, c, mv)
-        + _panel_rule(f, qmap, mu, b, c, mv)
-        + _panel_rule(f, qmap, a, mu, mv, d)
-        + _panel_rule(f, qmap, mu, b, mv, d)
+        _panel_rule(f, a, mu, c, mv)
+        + _panel_rule(f, mu, b, c, mv)
+        + _panel_rule(f, a, mu, mv, d)
+        + _panel_rule(f, mu, b, mv, d)
     )
     return fine, abs(fine - coarse), 5 * _NODES.size**2
 
@@ -100,18 +85,12 @@ def integrate_quarter_plane(
     f: Callable,
     abs_tol: float = 1.0e-8,
     max_evals: int = 10_000_000,
-    transform: str = "rational",
 ) -> QuadResult:
     """Integrate f(q2, q3) over the quarter plane to absolute tolerance."""
     if abs_tol <= 0:
         raise ValueError("abs_tol must be > 0")
-    if transform not in _MAPS:
-        raise ValueError(f"unknown transform {transform!r}")
-    qmap = _MAPS[transform]
-    u_cut = _cutoff_to_u(_TAIL_CUTOFF[transform], transform)
-    u_cut2 = _cutoff_to_u(2.0 * _TAIL_CUTOFF[transform], transform)
 
-    breaks = sorted({0.0, 0.25, 0.5, 0.75, u_cut, u_cut2, 1.0})
+    breaks = sorted({0.0, 0.25, 0.5, 0.75, _U_CUT, _U_CUT2, 1.0})
     edges = list(zip(breaks[:-1], breaks[1:]))
 
     evals = 0
@@ -120,7 +99,7 @@ def integrate_quarter_plane(
     total_err = 0.0
     for a, b in edges:
         for c, d in edges:
-            value, err, cost = _refined_panel(f, qmap, a, b, c, d)
+            value, err, cost = _refined_panel(f, a, b, c, d)
             evals += cost
             heapq.heappush(heap, (-err, counter, a, b, c, d, value))
             counter += 1
@@ -142,7 +121,7 @@ def integrate_quarter_plane(
             (a, mu, mv, d),
             (mu, b, mv, d),
         ):
-            value, err, cost = _refined_panel(f, qmap, aa, bb, cc, dd)
+            value, err, cost = _refined_panel(f, aa, bb, cc, dd)
             evals += cost
             heapq.heappush(heap, (-err, counter, aa, bb, cc, dd, value))
             counter += 1
@@ -152,8 +131,8 @@ def integrate_quarter_plane(
     panels += [(a, b, c, d, value) for (err, a, b, c, d, value) in stuck]
     panels.sort()
     value = math.fsum(p[4] for p in panels)
-    inside_cut = math.fsum(p[4] for p in panels if p[1] <= u_cut and p[3] <= u_cut)
-    inside_cut2 = math.fsum(p[4] for p in panels if p[1] <= u_cut2 and p[3] <= u_cut2)
+    inside_cut = math.fsum(p[4] for p in panels if p[1] <= _U_CUT and p[3] <= _U_CUT)
+    inside_cut2 = math.fsum(p[4] for p in panels if p[1] <= _U_CUT2 and p[3] <= _U_CUT2)
 
     tail_tol = max(10.0 * abs_tol, 4.0 * total_err)
     tail_ok = (

@@ -30,7 +30,6 @@ from .specialfn import Point3
 __all__ = [
     "LogTerm",
     "LogSeries",
-    "canonicalize",
     "free_propagator",
     "series_mul",
     "integrate_transverse",
@@ -75,10 +74,6 @@ class LogSeries:
             LogTerm(c, k, p, q) for (k, p, q), c in sorted(acc.items()) if c != 0
         )
         return cls(order, terms)
-
-
-def canonicalize(s: LogSeries) -> LogSeries:
-    return LogSeries.build(s.order, ((t.coeff,) + t.key() for t in s.terms))
 
 
 def free_propagator() -> LogSeries:

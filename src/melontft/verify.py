@@ -9,13 +9,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, Optional, Sequence
 
 from . import combinatorics as comb
 from . import greens, quadrature, series, specialfn
 from .errors import NotConvergedError
 
-__all__ = ["Check", "suite_coeffs", "suite_identities", "suite_lambert", "suite_sde", "run_suites"]
+__all__ = [
+    "Check", "orders_match_closed_form", "coefficient_routes_agree", "fixed_point_algebraic",
+    "fixed_point_numeric", "suite_coeffs", "suite_identities", "suite_lambert", "suite_sde", "run_suites",
+]
 
 
 @dataclass(frozen=True)
@@ -29,32 +32,33 @@ class Check:
         return f"[{tag}] {self.name}" + (f": {self.detail}" if self.detail else "")
 
 
-def suite_coeffs(max_order: int = 9) -> List[Check]:
-    """Recursion vs closed form vs recurrences, exactly, order by order."""
+def orders_match_closed_form(max_order: int) -> List[Check]:
+    """Recursion vs closed form, exactly, for orders 1..max_order."""
     checks: List[Check] = []
     for n in range(1, max_order + 1):
         same = series.perturbative_order(n) == series.ansatz_order(n)
-        checks.append(
-            Check(
-                f"order {n}: recursion equals closed form",
-                same,
-                "exact term multisets" if same else "term mismatch",
-            )
-        )
-    if max_order >= 2:
-        closed = comb.CoeffTable.from_closed_form(max_order)
-        recur = comb.CoeffTable.from_recurrences(max_order)
-        for n in range(2, max_order + 1):
-            row = series.extract_coefficients(series.perturbative_order(n))
-            ok = row == closed.row(n) == recur.row(n)
-            checks.append(
-                Check(
-                    f"order {n}: extracted = closed = recurrence coefficients",
-                    ok,
-                    f"{len(row)} entries",
-                )
-            )
+        detail = "exact term multisets" if same else "term mismatch"
+        checks.append(Check(f"order {n}: recursion equals closed form", same, detail))
     return checks
+
+
+def coefficient_routes_agree(max_order: int) -> List[Check]:
+    """Extracted vs closed-form vs recurrence a(n,k,m), for orders 2..max_order."""
+    if max_order < 2:
+        return []
+    closed = comb.CoeffTable.from_closed_form(max_order)
+    recur = comb.CoeffTable.from_recurrences(max_order)
+    checks: List[Check] = []
+    for n in range(2, max_order + 1):
+        row = series.extract_coefficients(series.perturbative_order(n))
+        ok = row == closed.row(n) == recur.row(n)
+        name = f"order {n}: extracted = closed = recurrence coefficients"
+        checks.append(Check(name, ok, f"{len(row)} entries"))
+    return checks
+
+
+def suite_coeffs(max_order: int = 9) -> List[Check]:
+    return orders_match_closed_form(max_order) + coefficient_routes_agree(max_order)
 
 
 def suite_identities(max_n: int = 20) -> List[Check]:
@@ -145,30 +149,66 @@ def suite_lambert() -> List[Check]:
             got = specialfn.wright_omega(w + math.log(w))
         worst = max(worst, abs(got - w) / (1.0 + abs(w)))
     checks.append(
-        Check("principal branch round trip on [-0.99/e, 1e8]", worst <= 1e-13, f"worst {worst:.2e}")
+        Check("principal branch round trip on [-0.99/e, 1e8]", worst < 1e-13, f"worst {worst:.2e}")
     )
 
     worst = 0.0
-    for y in [-1.0 / math.e + 1e-12, -0.36, -0.3, -0.2, -0.1, -0.05, -1e-3, -1e-6]:
+    for y in [-1.0 / math.e + 1e-12, -0.36, -0.3, -0.2, -0.1, -0.05, -1e-3, -1e-6, -1e-8]:
         w = specialfn.lambert_wm1(y)
         worst = max(worst, abs(w * math.exp(w) - y) / abs(y))
     checks.append(
-        Check("secondary branch defining residual on [-1/e, 0)", worst <= 1e-13, f"worst {worst:.2e}")
+        Check("secondary branch defining residual on [-1/e, 0)", worst < 1e-13, f"worst {worst:.2e}")
     )
 
     worst = 0.0
-    tgrid = [-10.0, -2.0, -0.5, 0.0, 1.0, 2.0, 10.0, 100.0, 709.0, 1300.0, 1e4, 1e6]
+    tgrid = [-10.0, -2.0, -1.0, -0.5, 0.0, 1.0, 2.0, 10.0, 100.0, 709.0, 800.0, 1300.0, 1e4, 1e5, 1e6]
     for t in tgrid:
         om = specialfn.wright_omega(t)
         worst = max(worst, abs(om + math.log(om) - t) / (1.0 + abs(t)))
     checks.append(
         Check(
             "omega defining residual up to t = 1e6 (incl. exp overflow range)",
-            worst <= 1e-12,
+            worst < 1e-12,
             f"worst {worst:.2e}",
         )
     )
     return checks
+
+
+_SDE_LAMBDAS = (0.01, 0.1, 1.0, 10.0)
+_SDE_X1S = (0.0, 0.5, 1.0, 2.0, 5.0)
+
+
+def fixed_point_algebraic(lams: Sequence[float], x1s: Sequence[float]) -> List[Check]:
+    """Algebraic fixed-point residual of the exact solution over a (lambda, x1) grid."""
+    worst = max(
+        abs(specialfn.sde_residual_algebraic(x1, specialfn.Coupling(lv))) for lv in lams for x1 in x1s
+    )
+    return [Check("algebraic fixed-point residual < 1e-12 on grid", worst < 1e-12, f"worst {worst:.2e}")]
+
+
+def _residual_check(name: str, residual: Callable[[], float], at: str = "") -> Check:
+    try:
+        r = residual()
+    except NotConvergedError as exc:
+        return Check(name, False, f"not converged: {exc}")
+    return Check(name, abs(r) < 1e-6, f"residual {r:.2e}{at}, converged")
+
+
+def fixed_point_numeric(lam: float, x: specialfn.Point3, tol: float) -> List[Check]:
+    """Quadrature residuals of the SDE and of its integrated identity at one point."""
+    c = specialfn.Coupling(lam)
+    return [
+        _residual_check(
+            f"numeric SDE residual at lambda={lam}, x=({x.x1},{x.x2},{x.x3})",
+            lambda: quadrature.sde_residual_numeric(x, c, abs_tol=tol),
+            f" at abs_tol {tol:g}",
+        ),
+        _residual_check(
+            f"integrated-identity residual at lambda={lam}, x1={x.x1}",
+            lambda: quadrature.integrated_identity_residual(x.x1, c, abs_tol=tol),
+        ),
+    ]
 
 
 def suite_sde(
@@ -177,36 +217,12 @@ def suite_sde(
     tol: float = 1.0e-8,
     numeric: bool = False,
 ) -> List[Check]:
-    checks: List[Check] = []
-    lams = [lam] if lam is not None else [0.01, 0.1, 1.0, 10.0]
-    x1s = [x.x1] if x is not None else [0.0, 0.5, 1.0, 2.0, 5.0]
-    worst = 0.0
-    for lv in lams:
-        c = specialfn.Coupling(lv)
-        for x1 in x1s:
-            worst = max(worst, abs(specialfn.sde_residual_algebraic(x1, c)))
-    checks.append(
-        Check("algebraic fixed-point residual < 1e-12 on grid", worst < 1e-12, f"worst {worst:.2e}")
+    checks = fixed_point_algebraic(
+        _SDE_LAMBDAS if lam is None else (lam,), _SDE_X1S if x is None else (x.x1,)
     )
-
     if numeric:
-        lam_n = lam if lam is not None else 0.5
-        x_n = x if x is not None else specialfn.Point3(1.0, 0.5, 0.5)
-        c = specialfn.Coupling(lam_n)
-        sde_name = f"numeric SDE residual at lambda={lam_n}, x=({x_n.x1},{x_n.x2},{x_n.x3})"
-        ident_name = f"integrated-identity residual at lambda={lam_n}, x1={x_n.x1}"
-        try:
-            r1 = quadrature.sde_residual_numeric(x_n, c, abs_tol=tol)
-            checks.append(
-                Check(sde_name, abs(r1) < 1e-6, f"residual {r1:.2e} at abs_tol {tol:g}, converged")
-            )
-        except NotConvergedError as exc:
-            checks.append(Check(sde_name, False, f"not converged: {exc}"))
-        try:
-            r2 = quadrature.integrated_identity_residual(x_n.x1, c, abs_tol=tol)
-            checks.append(Check(ident_name, abs(r2) < 1e-6, f"residual {r2:.2e}, converged"))
-        except NotConvergedError as exc:
-            checks.append(Check(ident_name, False, f"not converged: {exc}"))
+        x_n = specialfn.Point3(1.0, 0.5, 0.5) if x is None else x
+        checks += fixed_point_numeric(0.5 if lam is None else lam, x_n, tol)
     return checks
 
 

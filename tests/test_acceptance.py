@@ -1,5 +1,8 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
+Criteria that ``melontft verify`` also checks are defined once, in
+``melontft.verify``; their tests call it and fail on any failed check.
+
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; plain ``pytest`` reports the same outcomes per test.
 """
@@ -11,32 +14,37 @@ from fractions import Fraction
 import pytest
 
 import melontft as m
+from melontft import verify
 
 
 def _report(num, name, detail=""):
     print(f"ACCEPTANCE {num:02d} [{name}]: PASS {detail}".rstrip())
 
 
+def _passed(checks):
+    """Fail on any failed check; return the checks' distinct details."""
+    assert checks
+    failed = [c.line() for c in checks if c.passed is False]
+    assert not failed, "\n".join(failed)
+    return "; ".join(dict.fromkeys(c.detail for c in checks if c.detail))
+
+
 def test_c01_order_reproduction():
     t0 = time.perf_counter()
-    for n in range(1, 13):
-        assert m.perturbative_order(n) == m.ansatz_order(n), f"order {n} differs"
+    detail = _passed(verify.orders_match_closed_form(12))
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
-    _report(1, "orders 1..9 and extension to 12 reproduce the closed form", f"({elapsed:.2f}s)")
+    _report(1, "orders 1..9 and extension to 12 reproduce the closed form", f"({detail}, {elapsed:.2f}s)")
 
 
 def test_c02_triple_coefficient_agreement():
     t0 = time.perf_counter()
-    closed = m.CoeffTable.from_closed_form(12)
-    recur = m.CoeffTable.from_recurrences(12)
-    assert closed.entries == recur.entries
-    for n in range(2, 13):
-        row = m.extract_coefficients(m.perturbative_order(n))
-        assert row == closed.row(n), f"extraction differs at order {n}"
+    detail = _passed(verify.coefficient_routes_agree(12))
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
-    _report(2, "recursion = closed form = recurrences for all (n,k,m), n <= 12", f"({elapsed:.2f}s)")
+    _report(
+        2, "recursion = closed form = recurrences for all (n,k,m), n <= 12", f"({detail}, {elapsed:.2f}s)"
+    )
 
 
 def test_c03_printed_low_orders():
@@ -49,37 +57,25 @@ def test_c03_printed_low_orders():
 
 def test_c04_fixed_point_algebraic():
     t0 = time.perf_counter()
-    worst = 0.0
-    for lam in (0.01, 0.1, 1.0, 10.0):
-        c = m.Coupling(lam)
-        for x1 in (0.0, 0.5, 1.0, 2.0, 5.0):
-            worst = max(worst, abs(m.sde_residual_algebraic(x1, c)))
+    detail = _passed(verify.fixed_point_algebraic((0.01, 0.1, 1.0, 10.0), (0.0, 0.5, 1.0, 2.0, 5.0)))
     elapsed = time.perf_counter() - t0
-    assert worst < 1e-12
     assert elapsed < 1.0
-    _report(4, "algebraic fixed-point residual < 1e-12 on the coupling grid", f"(worst {worst:.2e})")
+    _report(4, "algebraic fixed-point residual < 1e-12 on the coupling grid", f"({detail})")
 
 
 def test_c05_fixed_point_numeric():
     t0 = time.perf_counter()
-    worst_sde = worst_ident = 0.0
     points = (m.Point3(0.5, 0.5, 0.5), m.Point3(1, 0.5, 2), m.Point3(2, 1, 1))
-    for lam in (0.1, 0.5, 1.0):
-        c = m.Coupling(lam)
-        for pt in points:
-            worst_sde = max(worst_sde, abs(m.sde_residual_numeric(pt, c, 1e-8)))
-            worst_ident = max(
-                worst_ident, abs(m.integrated_identity_residual(pt.x1, c, 1e-8))
-            )
+    checks = [
+        check
+        for lam in (0.1, 0.5, 1.0)
+        for pt in points
+        for check in verify.fixed_point_numeric(lam, pt, 1e-8)
+    ]
+    detail = _passed(checks)
     elapsed = time.perf_counter() - t0
-    assert worst_sde < 1e-6
-    assert worst_ident < 1e-6
     assert elapsed < 120.0
-    _report(
-        5,
-        "numeric SDE and integrated-identity residuals < 1e-6",
-        f"(worst {worst_sde:.2e} / {worst_ident:.2e}, {elapsed:.1f}s)",
-    )
+    _report(5, "numeric SDE and integrated-identity residuals < 1e-6", f"({detail}, {elapsed:.1f}s)")
 
 
 def test_c06_closed_form_integrals():
@@ -130,43 +126,12 @@ def test_c08_series_convergence():
 
 
 def test_c09_special_function_suite():
-    ws = [-0.99 / math.e + i * (0.99 / math.e - 0.01) / 19 for i in range(20)]
-    ws += [10.0 ** (-2 + 10 * i / 50) for i in range(51)]
-    worst_w = 0.0
-    for w in ws:
-        if w <= 700.0:
-            got = m.lambert_w0(w * math.exp(w))
-        else:
-            # w*e^w overflows binary64; identical code path via log space
-            got = m.wright_omega(w + math.log(w))
-        worst_w = max(worst_w, abs(got - w) / (1.0 + abs(w)))
-    assert worst_w < 1e-13
-
-    worst_m1 = 0.0
-    for y in (-1 / math.e + 1e-12, -0.36, -0.2, -0.1, -1e-3, -1e-8):
-        w = m.lambert_wm1(y)
-        worst_m1 = max(worst_m1, abs(w * math.exp(w) - y) / abs(y))
-    assert worst_m1 < 1e-13
-
-    worst_om = 0.0
-    for t in (-10.0, -1.0, 0.0, 1.0, 10.0, 709.0, 800.0, 1300.0, 1e4, 1e5, 1e6):
-        om = m.wright_omega(t)
-        worst_om = max(worst_om, abs(om + math.log(om) - t) / (1.0 + abs(t)))
-    assert worst_om < 1e-12
-    _report(
-        9,
-        "Lambert round trips and omega residuals at stated accuracy",
-        f"(worst {worst_w:.2e} / {worst_m1:.2e} / {worst_om:.2e})",
-    )
+    detail = _passed(verify.suite_lambert())
+    _report(9, "Lambert round trips and omega residuals at stated accuracy", f"({detail})")
 
 
 def test_c10_identity_suite(capsys):
-    for n in range(1, 21):
-        for k in range(1, n + 1):
-            assert m.check_identity_harmonic(n, k).passed, (n, k)
-    for n in range(4, 21):
-        for k in range(1, n - 2):
-            assert m.check_identity_stirling_621(n, k).passed, (n, k)
+    detail = _passed(verify.suite_identities(20))
     res = m.check_identity_stirling_621(5, 2)
     assert res.printed_lhs == Fraction(6, 24)
     assert res.printed_rhs == Fraction(7, 24)
@@ -177,7 +142,7 @@ def test_c10_identity_suite(capsys):
         "ACCEPTANCE 10 note: printed-form discrepancy at (n,k)=(5,2): "
         f"{sides[0]} vs {sides[1]} (informational)"
     )
-    _report(10, "harmonic and corrected Stirling identities exact to n = 20")
+    _report(10, "harmonic and corrected Stirling identities exact to n = 20", f"({detail})")
 
 
 def test_c11_higher_point_functions():

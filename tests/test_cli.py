@@ -1,7 +1,9 @@
 import csv
+import hashlib
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -205,3 +207,23 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "sde", "--numeric")
         assert code == 1
         assert "not converged" in out
+
+
+def test_exact_outputs_match_reference(tmp_path):
+    # every p/q string the exact commands emit stays bit-identical to the
+    # pinned digests the benchmark also checks
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    digests = json.loads(reference.read_text(encoding="utf-8"))["digests"]
+    commands = {
+        "series30": ["series", "--order", "30"],
+        "coeffs_closed20": ["coeffs", "--max-order", "20"],
+        "coeffs_recur20": ["coeffs", "--max-order", "20", "--source", "recur"],
+        "verify_identities": ["verify", "identities"],
+    }
+    mismatched = []
+    for name, argv in commands.items():
+        path = tmp_path / name
+        assert main(argv + ["--output", str(path)]) == 0, name
+        if hashlib.sha256(path.read_bytes()).hexdigest() != digests[name]:
+            mismatched.append(name)
+    assert not mismatched

@@ -93,7 +93,9 @@ class TestDisconnected:
         assert disconnected_4pt(C, A, Coupling(1e-4)) == 0.0
 
     def test_self_check_residual(self):
-        assert disconnected_4pt_residual(A, B, Coupling(1.0)) == 0.0
+        resid = disconnected_4pt_residual(A, B, Coupling(1.0))
+        # +0.0, not -0.0: the verify suite prints this value as "residual 0.0"
+        assert resid == 0.0 and math.copysign(1.0, resid) == 1.0
 
     def test_low_orders_vanish(self):
         # order-0 and order-1 contributions: finite differences in lambda

@@ -55,18 +55,6 @@ class TestClosedFormIntegrals:
 
 
 class TestMachinery:
-    def test_transform_invariance_gaussian(self):
-        r1 = integrate_quarter_plane(gaussian, 1e-8, transform="rational")
-        r2 = integrate_quarter_plane(gaussian, 1e-8, transform="exponential")
-        assert r1.converged and r2.converged
-        assert r1.value == pytest.approx(r2.value, abs=1e-7)
-
-    def test_transform_invariance_algebraic(self):
-        f = lambda q2, q3: (1 + q2 * q2 + q3 * q3) ** -3.0
-        r1 = integrate_quarter_plane(f, 1e-6, transform="rational")
-        r2 = integrate_quarter_plane(f, 1e-6, transform="exponential")
-        assert r1.value == pytest.approx(r2.value, abs=1e-5)
-
     def test_zero_integrand(self):
         res = integrate_quarter_plane(lambda q2, q3: 0.0 * (q2 + q3), 1e-10)
         assert res.converged
@@ -87,8 +75,6 @@ class TestMachinery:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             integrate_quarter_plane(gaussian, -1.0)
-        with pytest.raises(ValueError):
-            integrate_quarter_plane(gaussian, 1e-8, transform="polar")
 
 
 class TestSdeResiduals:
