@@ -6,114 +6,30 @@ interaction: exact symbolic perturbative orders with rational
 coefficients, the Stirling-number coefficient family and its identity
 suite, the Lambert-W resummed non-perturbative solution, adaptive
 quadrature residual checks and the recursion for higher-point functions.
+
+Caching policy: a pure function of integer indices whose results are
+immutable (Stirling rows, a(n,k,m) from the recurrences, perturbative
+orders and their tadpoles) is memoised for the life of the process by
+``functools.cache`` on a private helper.  Public names stay plain
+functions that check their arguments on every call and then delegate.
+Any other memo (``connected_2k``'s, over point subsets) lives for one call.
+
+The top-level names are the union of the ``__all__`` lists of the
+modules imported below.
 """
 
-from .combinatorics import (
-    CoeffTable,
-    a_closed,
-    a_recur,
-    binomial,
-    check_identity_big_stirling,
-    check_identity_harmonic,
-    check_identity_stirling_621,
-    harmonic,
-    rational_str,
-    stirling_first_signed,
-    stirling_first_unsigned,
-)
-from .errors import (
-    CoincidentCoordinatesError,
-    DivergentIntegralError,
-    EvaluationDomainError,
-    MelonTFTError,
-    NotConvergedError,
-    ShapeMismatchError,
-)
-from .greens import PointTuple, connected_2k, disconnected_4pt, disconnected_4pt_residual
-from .quadrature import (
-    QuadResult,
-    integrate_quarter_plane,
-    integrated_identity_residual,
-    sde_residual_numeric,
-)
-from .series import (
-    LogSeries,
-    LogTerm,
-    ansatz_order,
-    eval_partial_sum,
-    eval_series,
-    eval_series_transverse,
-    extract_coefficients,
-    free_propagator,
-    integrate_transverse,
-    perturbative_order,
-    series_mul,
-    three_colour_low_order,
-)
-from .specialfn import (
-    Coupling,
-    Point3,
-    g2_exact,
-    g_shift,
-    lambert_w0,
-    lambert_wm1,
-    sde_residual_algebraic,
-    wright_omega,
-)
+from . import combinatorics, errors, greens, quadrature, series, specialfn
+from .combinatorics import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .greens import *  # noqa: F401,F403
+from .quadrature import *  # noqa: F401,F403
+from .series import *  # noqa: F401,F403
+from .specialfn import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # combinatorics
-    "CoeffTable",
-    "a_closed",
-    "a_recur",
-    "binomial",
-    "check_identity_big_stirling",
-    "check_identity_harmonic",
-    "check_identity_stirling_621",
-    "harmonic",
-    "rational_str",
-    "stirling_first_signed",
-    "stirling_first_unsigned",
-    # series
-    "LogSeries",
-    "LogTerm",
-    "ansatz_order",
-    "eval_partial_sum",
-    "eval_series",
-    "eval_series_transverse",
-    "extract_coefficients",
-    "free_propagator",
-    "integrate_transverse",
-    "perturbative_order",
-    "series_mul",
-    "three_colour_low_order",
-    # special functions / exact solution
-    "Coupling",
-    "Point3",
-    "g2_exact",
-    "g_shift",
-    "lambert_w0",
-    "lambert_wm1",
-    "sde_residual_algebraic",
-    "wright_omega",
-    # quadrature
-    "QuadResult",
-    "integrate_quarter_plane",
-    "integrated_identity_residual",
-    "sde_residual_numeric",
-    # higher-point functions
-    "PointTuple",
-    "connected_2k",
-    "disconnected_4pt",
-    "disconnected_4pt_residual",
-    # errors
-    "MelonTFTError",
-    "DivergentIntegralError",
-    "ShapeMismatchError",
-    "EvaluationDomainError",
-    "NotConvergedError",
-    "CoincidentCoordinatesError",
+__all__ = ["__version__"] + [
+    name
+    for module in (combinatorics, series, specialfn, quadrature, greens, errors)
+    for name in module.__all__
 ]

@@ -12,15 +12,13 @@ Conventions
   s(n,k) = s(n-1,k-1) - (n-1) s(n-1,k).
 * The unsigned variant is ``|s(n,k)| = (-1)^(n-k) s(n,k)``.
 * Empty summation ranges contribute 0.
-
-No global caches: memo tables are built per call (or per ``CoeffTable``)
-and bounded by the requested order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 from typing import Callable, Dict, Mapping, Tuple
 
@@ -48,16 +46,13 @@ def rational_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _signed_stirling_row(n: int) -> list:
-    # row [s(n,0), ..., s(n,n)] built iteratively, no cache kept
-    row = [1]
+@cache
+def _signed_stirling_row(n: int) -> Tuple[int, ...]:
+    """Row (s(n,0), ..., s(n,n)), built up from row 0 without recursion."""
+    row: Tuple[int, ...] = (1,)
     for i in range(1, n + 1):
-        prev = row
-        row = [0] * (i + 1)
-        for k in range(1, i + 1):
-            row[k] = prev[k - 1]
-        for k in range(i):
-            row[k] -= (i - 1) * prev[k]
+        prev = row + (0,)
+        row = (0,) + tuple(prev[k - 1] - (i - 1) * prev[k] for k in range(1, i + 1))
     return row
 
 
@@ -72,8 +67,7 @@ def stirling_first_signed(n: int, k: int) -> int:
 
 def stirling_first_unsigned(n: int, k: int) -> int:
     """Unsigned Stirling number of the first kind |s(n, k)|."""
-    s = stirling_first_signed(n, k)
-    return -s if (n - k) % 2 else s
+    return abs(stirling_first_signed(n, k))
 
 
 def binomial(n: int, k: int) -> int:
@@ -114,7 +108,7 @@ def _generic_rhs(n: int, k: int, m: int, a: Callable[..., Fraction]) -> Fraction
     """Right-hand side of the generic recurrence (2 <= k <= n-3, 2 <= m <= k).
 
     ``a(n, k, m)`` supplies the coefficients: the closed form, or the
-    recurrence's own memo.
+    recurrence itself.
     """
     val = a(n - 1, k - 1, m - 1)
     for r in range(m - 1, k):
@@ -128,31 +122,24 @@ def _generic_rhs(n: int, k: int, m: int, a: Callable[..., Fraction]) -> Fraction
     return val
 
 
-def _a_recur(n: int, k: int, m: int, memo: Dict[Index, Fraction]) -> Fraction:
-    key = (n, k, m)
-    if key in memo:
-        return memo[key]
+@cache
+def _a_recur(n: int, k: int, m: int) -> Fraction:
     if k == n - 1:
         if m == 1:
-            val = Fraction(1, n - 1)
-        else:
-            val = Fraction(1, n - m) + _a_recur(n - 1, n - 2, m - 1, memo)
-    elif m == 1:
+            return Fraction(1, n - 1)
+        return Fraction(1, n - m) + _a_recur(n - 1, n - 2, m - 1)
+    if m == 1:
         # applies for k <= n-2; at k = 1 it reduces to a(n,1,1) = a(n-1,1,1)
-        val = sum(
-            (_a_recur(n - 1, k, l, memo) / l for l in range(1, k + 1)), Fraction(0)
-        )
-    elif k == n - 2:
-        val = _a_recur(n - 1, n - 3, m - 1, memo)
+        return sum((_a_recur(n - 1, k, l) / l for l in range(1, k + 1)), Fraction(0))
+    if k == n - 2:
+        val = _a_recur(n - 1, n - 3, m - 1)
         for r in range(m - 1, n - 2):
-            val += _a_recur(r + 1, r, m - 1, memo) / (n - 2 - r)
+            val += _a_recur(r + 1, r, m - 1) / (n - 2 - r)
         for l in range(1, n - m):
-            val += _a_recur(n - m, n - 1 - m, l, memo) / l
-    else:
-        # generic case: 2 <= k <= n-3 and 2 <= m <= k
-        val = _generic_rhs(n, k, m, lambda *i: memo[i] if i in memo else _a_recur(*i, memo))
-    memo[key] = val
-    return val
+            val += _a_recur(n - m, n - 1 - m, l) / l
+        return val
+    # generic case: 2 <= k <= n-3 and 2 <= m <= k
+    return _generic_rhs(n, k, m, _a_recur)
 
 
 def a_recur(n: int, k: int, m: int) -> Fraction:
@@ -162,7 +149,7 @@ def a_recur(n: int, k: int, m: int) -> Fraction:
     routes can be compared exactly.
     """
     _check_index(n, k, m)
-    return _a_recur(n, k, m, {})
+    return _a_recur(n, k, m)
 
 
 @dataclass(frozen=True)
@@ -173,11 +160,11 @@ class CoeffTable:
     entries: Mapping[Index, Fraction]
 
     @classmethod
-    def from_closed_form(cls, max_order: int) -> "CoeffTable":
+    def _build(cls, max_order: int, a: Callable[[int, int, int], Fraction]) -> "CoeffTable":
         if max_order < 2:
             raise ValueError("max_order must be >= 2")
         entries = {
-            (n, k, m): a_closed(n, k, m)
+            (n, k, m): a(n, k, m)
             for n in range(2, max_order + 1)
             for k in range(1, n)
             for m in range(1, k + 1)
@@ -185,17 +172,12 @@ class CoeffTable:
         return cls(max_order, entries)
 
     @classmethod
+    def from_closed_form(cls, max_order: int) -> "CoeffTable":
+        return cls._build(max_order, a_closed)
+
+    @classmethod
     def from_recurrences(cls, max_order: int) -> "CoeffTable":
-        if max_order < 2:
-            raise ValueError("max_order must be >= 2")
-        memo: Dict[Index, Fraction] = {}
-        entries = {
-            (n, k, m): _a_recur(n, k, m, memo)
-            for n in range(2, max_order + 1)
-            for k in range(1, n)
-            for m in range(1, k + 1)
-        }
-        return cls(max_order, entries)
+        return cls._build(max_order, _a_recur)
 
     def __getitem__(self, key: Index) -> Fraction:
         n, k, m = key

@@ -34,6 +34,7 @@ from .specialfn import Coupling, Point3, g2_exact, g_shift
 __all__ = [
     "QuadResult",
     "integrate_quarter_plane",
+    "fixed_point_residuals",
     "sde_residual_numeric",
     "integrated_identity_residual",
 ]
@@ -155,6 +156,25 @@ def _subtracted_integrand(x1: float, coupling: Coupling) -> Callable:
     return f
 
 
+def fixed_point_residuals(
+    x: Point3, coupling: Coupling, abs_tol: float = 1.0e-8
+) -> Tuple[float, float]:
+    """Both quadrature residuals at x from one transverse integral.
+
+    Returns (SDE residual, integrated-identity residual), as computed by
+    ``sde_residual_numeric`` and ``integrated_identity_residual``.  The
+    integral depends on x1 and the coupling only.
+    """
+    res = integrate_quarter_plane(_subtracted_integrand(x.x1, coupling), abs_tol)
+    if not res.converged:
+        raise NotConvergedError(
+            f"transverse quadrature did not converge at x1={x.x1}, lambda={coupling.lam}"
+        )
+    sde = g2_exact(x, coupling) - 1.0 / (1.0 + x.norm2 + 2.0 * coupling.lam * res.value)
+    closed = -0.25 * math.pi * math.log(1.0 + x.x1 * x.x1 + g_shift(x.x1, coupling))
+    return sde, res.value - closed
+
+
 def sde_residual_numeric(x: Point3, coupling: Coupling, abs_tol: float = 1.0e-8) -> float:
     """Exact solution minus the quadrature-evaluated SDE right-hand side.
 
@@ -163,13 +183,7 @@ def sde_residual_numeric(x: Point3, coupling: Coupling, abs_tol: float = 1.0e-8)
     small residuals certify the fixed point with an integration routine
     that knows nothing about Lambert functions.
     """
-    res = integrate_quarter_plane(_subtracted_integrand(x.x1, coupling), abs_tol)
-    if not res.converged:
-        raise NotConvergedError(
-            f"transverse quadrature did not converge at x={x}, lambda={coupling.lam}"
-        )
-    rhs = 1.0 / (1.0 + x.norm2 + 2.0 * coupling.lam * res.value)
-    return g2_exact(x, coupling) - rhs
+    return fixed_point_residuals(x, coupling, abs_tol)[0]
 
 
 def integrated_identity_residual(
@@ -180,11 +194,4 @@ def integrated_identity_residual(
     The subtracted transverse integral of the exact 2-point function
     equals -(pi/4) log(1+x1^2+g) in closed form.
     """
-    res = integrate_quarter_plane(_subtracted_integrand(x1, coupling), abs_tol)
-    if not res.converged:
-        raise NotConvergedError(
-            f"transverse quadrature did not converge at x1={x1}, lambda={coupling.lam}"
-        )
-    g = g_shift(x1, coupling)
-    closed = -0.25 * math.pi * math.log(1.0 + x1 * x1 + g)
-    return res.value - closed
+    return fixed_point_residuals(Point3(x1, 0.0, 0.0), coupling, abs_tol)[1]

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Dict, Iterable, List, Tuple
 
 from .combinatorics import a_closed
@@ -121,37 +122,38 @@ def integrate_transverse(s: LogSeries) -> LogSeries:
     return LogSeries.build(s.order + 1, items)
 
 
-# orders are immutable once computed; grown on demand, never trimmed
-_ORDERS: List[LogSeries] = []
-_TADPOLES: List[LogSeries] = []
+@cache
+def _order(n: int) -> LogSeries:
+    if n == 0:
+        return free_propagator()
+    items: List[TermItem] = []
+    for k in range(n):
+        # k = 0 builds every lower order first, so recursion stays one
+        # frame per order and _tadpole(k) finds _order(k) cached
+        rest = _order(n - 1 - k)
+        for t in _tadpole(k).terms:
+            for u in rest.terms:
+                items.append(
+                    (
+                        -2 * t.coeff * u.coeff,
+                        t.logpow + u.logpow,
+                        t.x1pow + u.x1pow,
+                        t.fullpow + u.fullpow + 1,
+                    )
+                )
+    return LogSeries.build(n, items)
+
+
+@cache
+def _tadpole(k: int) -> LogSeries:
+    return integrate_transverse(_order(k))
 
 
 def perturbative_order(n: int) -> LogSeries:
     """Order-n series from the recursion (one interaction, colour 1)."""
     if n < 0:
         raise ValueError("order must be >= 0")
-    if not _ORDERS:
-        _ORDERS.append(free_propagator())
-    while len(_ORDERS) <= n:
-        m = len(_ORDERS)
-        while len(_TADPOLES) < m:
-            _TADPOLES.append(integrate_transverse(_ORDERS[len(_TADPOLES)]))
-        items: List[TermItem] = []
-        for k in range(m):
-            tad = _TADPOLES[k]
-            rest = _ORDERS[m - 1 - k]
-            for t in tad.terms:
-                for u in rest.terms:
-                    items.append(
-                        (
-                            -2 * t.coeff * u.coeff,
-                            t.logpow + u.logpow,
-                            t.x1pow + u.x1pow,
-                            t.fullpow + u.fullpow + 1,
-                        )
-                    )
-        _ORDERS.append(LogSeries.build(m, items))
-    return _ORDERS[n]
+    return _order(n)
 
 
 def ansatz_order(n: int) -> LogSeries:

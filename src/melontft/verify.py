@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from . import combinatorics as comb
 from . import greens, quadrature, series, specialfn
@@ -187,27 +187,18 @@ def fixed_point_algebraic(lams: Sequence[float], x1s: Sequence[float]) -> List[C
     return [Check("algebraic fixed-point residual < 1e-12 on grid", worst < 1e-12, f"worst {worst:.2e}")]
 
 
-def _residual_check(name: str, residual: Callable[[], float], at: str = "") -> Check:
-    try:
-        r = residual()
-    except NotConvergedError as exc:
-        return Check(name, False, f"not converged: {exc}")
-    return Check(name, abs(r) < 1e-6, f"residual {r:.2e}{at}, converged")
-
-
 def fixed_point_numeric(lam: float, x: specialfn.Point3, tol: float) -> List[Check]:
     """Quadrature residuals of the SDE and of its integrated identity at one point."""
-    c = specialfn.Coupling(lam)
+    sde_name = f"numeric SDE residual at lambda={lam}, x=({x.x1},{x.x2},{x.x3})"
+    identity_name = f"integrated-identity residual at lambda={lam}, x1={x.x1}"
+    try:
+        sde, identity = quadrature.fixed_point_residuals(x, specialfn.Coupling(lam), abs_tol=tol)
+    except NotConvergedError as exc:
+        detail = f"not converged: {exc}"
+        return [Check(sde_name, False, detail), Check(identity_name, False, detail)]
     return [
-        _residual_check(
-            f"numeric SDE residual at lambda={lam}, x=({x.x1},{x.x2},{x.x3})",
-            lambda: quadrature.sde_residual_numeric(x, c, abs_tol=tol),
-            f" at abs_tol {tol:g}",
-        ),
-        _residual_check(
-            f"integrated-identity residual at lambda={lam}, x1={x.x1}",
-            lambda: quadrature.integrated_identity_residual(x.x1, c, abs_tol=tol),
-        ),
+        Check(sde_name, abs(sde) < 1e-6, f"residual {sde:.2e} at abs_tol {tol:g}, converged"),
+        Check(identity_name, abs(identity) < 1e-6, f"residual {identity:.2e}, converged"),
     ]
 
 

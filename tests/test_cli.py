@@ -202,11 +202,10 @@ class TestVerify:
         def raiser(*args, **kwargs):
             raise NotConvergedError("budget exhausted")
 
-        monkeypatch.setattr(verify_mod.quadrature, "sde_residual_numeric", raiser)
-        monkeypatch.setattr(verify_mod.quadrature, "integrated_identity_residual", raiser)
+        monkeypatch.setattr(verify_mod.quadrature, "fixed_point_residuals", raiser)
         code, out, _ = run(capsys, "verify", "sde", "--numeric")
         assert code == 1
-        assert "not converged" in out
+        assert out.count("not converged") == 2
 
 
 def test_exact_outputs_match_reference(tmp_path):

@@ -1,10 +1,12 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from melontft import combinatorics
 from melontft.combinatorics import (
     CoeffTable,
     a_closed,
@@ -73,6 +75,11 @@ class TestStirling:
         expected = stirling_first_signed(n - 1, k - 1) - (n - 1) * stirling_first_signed(n - 1, k)
         assert stirling_first_signed(n, k) == expected
 
+    def test_row_deeper_than_recursion_limit(self):
+        # a cold row is built without one stack frame per row
+        n = sys.getrecursionlimit() + 10
+        assert stirling_first_signed(n, n - 1) == -math.comb(n, 2)
+
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             stirling_first_signed(-1, 0)
@@ -125,6 +132,18 @@ class TestCoefficients:
             for k in range(1, n):
                 for m in range(1, k + 1):
                     assert a_recur(n, k, m) == a_closed(n, k, m), (n, k, m)
+
+    def test_recurrence_route_never_reads_closed_form(self, monkeypatch):
+        # the recurrence cache lives for the process; a cold rebuild with the
+        # closed form unavailable must still reproduce the closed-form table
+        closed = CoeffTable.from_closed_form(10)
+
+        def unavailable(*args):
+            raise AssertionError("recurrence route reached a_closed")
+
+        combinatorics._a_recur.cache_clear()
+        monkeypatch.setattr(combinatorics, "a_closed", unavailable)
+        assert CoeffTable.from_recurrences(10) == closed
 
     def test_index_validation(self):
         for bad in [(1, 1, 1), (3, 3, 1), (3, 2, 0), (4, 2, 3), (2, 1, 2)]:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from melontft import quadrature, verify
 from melontft.errors import NotConvergedError
 from melontft.quadrature import (
     integrate_quarter_plane,
@@ -94,6 +95,19 @@ class TestSdeResiduals:
     def test_not_converged_propagates(self):
         with pytest.raises(NotConvergedError):
             sde_residual_numeric(Point3(1, 1, 1), Coupling(0.5), 1e-16)
+
+    def test_one_integral_per_certification_point(self, monkeypatch):
+        calls = []
+        integrate = quadrature.integrate_quarter_plane
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "integrate_quarter_plane", counting)
+        checks = verify.fixed_point_numeric(0.5, Point3(1.0, 0.5, 0.5), 1e-8)
+        assert [c.passed for c in checks] == [True, True]
+        assert len(calls) == 1
 
 
 class TestAgainstPerturbativeRecursion:
