@@ -39,7 +39,15 @@ class EvaluationDomainError(MelonTFTError):
 
 
 class NotConvergedError(MelonTFTError):
-    """A quadrature result did not converge within its evaluation budget."""
+    """An iteration or a quadrature did not converge within its budget.
+
+    ``result`` holds the unconverged quadrature result when one raised it
+    (a ``QuadResult``), else None.
+    """
+
+    def __init__(self, message: str, result=None):
+        super().__init__(message)
+        self.result = result
 
 
 class CoincidentCoordinatesError(MelonTFTError):

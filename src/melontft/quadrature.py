@@ -2,10 +2,19 @@
 
 Each semi-infinite axis is mapped to the unit interval with the rational
 map q = u/(1-u); the integral is then done with product 8-point
-Gauss-Legendre panels under dyadic adaptive refinement.  A panel's error
-is estimated by comparing the single-panel rule against the sum of its
-four half-size subpanels, and the worst panel is split until the summed
-estimate meets the tolerance or the evaluation budget runs out.
+Gauss-Legendre rules under dyadic adaptive refinement.  A panel's value
+is the sum of the rules on its four half-size quarters, and its error
+estimate is the difference from the single rule on the whole panel.  The
+worst panel is split until the summed estimate meets the tolerance or
+the evaluation budget runs out.
+
+The rules are batched: each split of the worst panel evaluates the 16
+quarter rules of its four children in one call of the integrand on a
+(16, 8, 8) array of nodes, and each rule is summed as its own 64-point
+row.  A child's single rule is never evaluated again: its rectangle is
+one of the parent's quarters, whose rule values the panel carries on the
+heap.  Only the initial panels need their own single rule; all of them
+and their quarters are done in one further call.
 
 Integrands are called as f(q2, q3) with broadcastable numpy arrays and
 must decay at least like |q|^-4 (after any subtraction, which therefore
@@ -22,9 +31,10 @@ for a given (integrand, tolerance, budget).
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -40,10 +50,15 @@ __all__ = [
 ]
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(8)
+_RULE_EVALS = _NODES.size**2  # integrand points per product rule
+# a split evaluates the four quarter rules of each of the four children
+_SPLIT_EVALS = 16 * _RULE_EVALS
 
 # intermediate tail cutoffs Q = 1e5 and 2Q, mapped to the unit interval
 _U_CUT = 1.0e5 / (1.0 + 1.0e5)
 _U_CUT2 = 2.0e5 / (1.0 + 2.0e5)
+
+Rect = Tuple[float, float, float, float]  # (a, b, c, d) = [a, b] x [c, d] in (u, v)
 
 
 def _map_rational(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -53,33 +68,38 @@ def _map_rational(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class QuadResult:
+    """Outcome of one adaptive integral, with what it took to get there.
+
+    ``panels`` counts the final panels, ``stuck_panels`` those too thin
+    to split further.  ``inside_cut`` and ``inside_cut2`` are the panel
+    sums restricted to q2, q3 <= 1e5 and <= 2e5, which the tail check
+    compares with each other and with ``value``.
+    """
+
     value: float
     error_estimate: float
     evaluations: int
     converged: bool
+    panels: int
+    stuck_panels: int
+    inside_cut: float
+    inside_cut2: float
 
 
-def _panel_rule(f: Callable, a: float, b: float, c: float, d: float) -> float:
-    """Product Gauss-Legendre on one (u, v) rectangle."""
-    u = 0.5 * (b - a) * _NODES + 0.5 * (a + b)
-    v = 0.5 * (d - c) * _NODES + 0.5 * (c + d)
+def _quarters(a: float, b: float, c: float, d: float) -> Tuple[Rect, Rect, Rect, Rect]:
+    mu, mv = 0.5 * (a + b), 0.5 * (c + d)
+    return (a, mu, c, mv), (mu, b, c, mv), (a, mu, mv, d), (mu, b, mv, d)
+
+
+def _rules(f: Callable, rects: Sequence[Rect]) -> List[float]:
+    """Product Gauss-Legendre on each (u, v) rectangle, one integrand call."""
+    a, b, c, d = np.array(rects).T
+    u = 0.5 * (b - a)[:, None] * _NODES + 0.5 * (a + b)[:, None]
+    v = 0.5 * (d - c)[:, None] * _NODES + 0.5 * (c + d)[:, None]
     qu, ju = _map_rational(u)
     qv, jv = _map_rational(v)
-    vals = f(qu[:, None], qv[None, :]) * (ju * _WEIGHTS)[:, None] * (jv * _WEIGHTS)[None, :]
-    return float(np.sum(vals)) * 0.25 * (b - a) * (d - c)
-
-
-def _refined_panel(f, a, b, c, d) -> Tuple[float, float, int]:
-    """Panel value from 2x2 subpanels plus a coarse-vs-fine error estimate."""
-    coarse = _panel_rule(f, a, b, c, d)
-    mu, mv = 0.5 * (a + b), 0.5 * (c + d)
-    fine = (
-        _panel_rule(f, a, mu, c, mv)
-        + _panel_rule(f, mu, b, c, mv)
-        + _panel_rule(f, a, mu, mv, d)
-        + _panel_rule(f, mu, b, mv, d)
-    )
-    return fine, abs(fine - coarse), 5 * _NODES.size**2
+    vals = f(qu[:, :, None], qv[:, None, :]) * (ju * _WEIGHTS)[:, :, None] * (jv * _WEIGHTS)[:, None, :]
+    return (vals.reshape(len(rects), -1).sum(axis=1) * 0.25 * (b - a) * (d - c)).tolist()
 
 
 def integrate_quarter_plane(
@@ -87,53 +107,57 @@ def integrate_quarter_plane(
     abs_tol: float = 1.0e-8,
     max_evals: int = 10_000_000,
 ) -> QuadResult:
-    """Integrate f(q2, q3) over the quarter plane to absolute tolerance."""
+    """Integrate f(q2, q3) over the quarter plane to absolute tolerance.
+
+    ``max_evals`` bounds the integrand points evaluated; it must cover
+    the initial panel grid.
+    """
     if abs_tol <= 0:
         raise ValueError("abs_tol must be > 0")
 
     breaks = sorted({0.0, 0.25, 0.5, 0.75, _U_CUT, _U_CUT2, 1.0})
     edges = list(zip(breaks[:-1], breaks[1:]))
+    initial = [(a, b, c, d) for a, b in edges for c, d in edges]
+    # each initial panel needs its single rule besides its four quarters
+    rects = [r for panel in initial for r in (panel, *_quarters(*panel))]
+    if max_evals < len(rects) * _RULE_EVALS:
+        raise ValueError(f"max_evals must be >= {len(rects) * _RULE_EVALS}, the initial panels' cost")
 
-    evals = 0
-    counter = 0
-    heap = []  # (-err, counter, a, b, c, d, value)
+    heap = []  # (-err, counter, rect, value, quarter rule values)
+    counter = itertools.count()
+
+    def push(rect: Rect, coarse: float, quarters: List[float]) -> float:
+        value = quarters[0] + quarters[1] + quarters[2] + quarters[3]
+        err = abs(value - coarse)
+        heapq.heappush(heap, (-err, next(counter), rect, value, quarters))
+        return err
+
+    values = _rules(f, rects)
+    evals = len(rects) * _RULE_EVALS
     total_err = 0.0
-    for a, b in edges:
-        for c, d in edges:
-            value, err, cost = _refined_panel(f, a, b, c, d)
-            evals += cost
-            heapq.heappush(heap, (-err, counter, a, b, c, d, value))
-            counter += 1
-            total_err += err
+    for i, panel in enumerate(initial):
+        total_err += push(panel, values[5 * i], values[5 * i + 1 : 5 * i + 5])
 
-    stuck = []  # panels too thin to split further
-    while total_err > abs_tol and heap and evals + 4 * 5 * _NODES.size**2 <= max_evals:
-        neg_err, _, a, b, c, d, value = heapq.heappop(heap)
+    stuck = []  # (rect, value) of panels too thin to split further
+    while total_err > abs_tol and heap and evals + _SPLIT_EVALS <= max_evals:
+        neg_err, _, rect, value, quarters = heapq.heappop(heap)
         total_err += neg_err  # neg_err = -err
+        a, b, c, d = rect
         if b - a < 1e-13 or d - c < 1e-13:
             # too thin to split; keep its error counted but stop refining it
-            stuck.append((-neg_err, a, b, c, d, value))
+            stuck.append((rect, value))
             total_err -= neg_err
             continue
-        mu, mv = 0.5 * (a + b), 0.5 * (c + d)
-        for aa, bb, cc, dd in (
-            (a, mu, c, mv),
-            (mu, b, c, mv),
-            (a, mu, mv, d),
-            (mu, b, mv, d),
-        ):
-            value, err, cost = _refined_panel(f, aa, bb, cc, dd)
-            evals += cost
-            heapq.heappush(heap, (-err, counter, aa, bb, cc, dd, value))
-            counter += 1
-            total_err += err
+        children = _quarters(a, b, c, d)
+        values = _rules(f, [r for child in children for r in _quarters(*child)])
+        evals += _SPLIT_EVALS
+        for j, child in enumerate(children):
+            total_err += push(child, quarters[j], values[4 * j : 4 * j + 4])
 
-    panels = [(a, b, c, d, value) for (neg, _, a, b, c, d, value) in heap]
-    panels += [(a, b, c, d, value) for (err, a, b, c, d, value) in stuck]
-    panels.sort()
-    value = math.fsum(p[4] for p in panels)
-    inside_cut = math.fsum(p[4] for p in panels if p[1] <= _U_CUT and p[3] <= _U_CUT)
-    inside_cut2 = math.fsum(p[4] for p in panels if p[1] <= _U_CUT2 and p[3] <= _U_CUT2)
+    panels = [(rect, value) for _, _, rect, value, _ in heap] + stuck
+    value = math.fsum(v for _, v in panels)
+    inside_cut = math.fsum(v for (_, b, _, d), v in panels if b <= _U_CUT and d <= _U_CUT)
+    inside_cut2 = math.fsum(v for (_, b, _, d), v in panels if b <= _U_CUT2 and d <= _U_CUT2)
 
     tail_tol = max(10.0 * abs_tol, 4.0 * total_err)
     tail_ok = (
@@ -141,7 +165,9 @@ def integrate_quarter_plane(
         and abs(value - inside_cut2) <= tail_tol
     )
     converged = total_err <= abs_tol and tail_ok
-    return QuadResult(value, total_err, evals, converged)
+    return QuadResult(
+        value, total_err, evals, converged, len(panels), len(stuck), inside_cut, inside_cut2
+    )
 
 
 def _subtracted_integrand(x1: float, coupling: Coupling) -> Callable:
@@ -168,7 +194,8 @@ def fixed_point_residuals(
     res = integrate_quarter_plane(_subtracted_integrand(x.x1, coupling), abs_tol)
     if not res.converged:
         raise NotConvergedError(
-            f"transverse quadrature did not converge at x1={x.x1}, lambda={coupling.lam}"
+            f"transverse quadrature did not converge at x1={x.x1}, lambda={coupling.lam}",
+            result=res,
         )
     sde = g2_exact(x, coupling) - 1.0 / (1.0 + x.norm2 + 2.0 * coupling.lam * res.value)
     closed = -0.25 * math.pi * math.log(1.0 + x.x1 * x.x1 + g_shift(x.x1, coupling))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import EvaluationDomainError
+from .errors import EvaluationDomainError, NotConvergedError
 
 __all__ = [
     "Point3",
@@ -31,6 +31,10 @@ __all__ = [
 
 # nearest-double branch point -1/e of the real Lambert branches
 _BRANCH_POINT = -math.exp(-1.0)
+
+# iteration cap of the Newton and Halley solvers; the step tests stop
+# them within a few steps, so reaching it means a bug, not a hard input
+_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -77,40 +81,49 @@ def wright_omega(t: float) -> float:
     Newton iteration; for t > 2 directly in w from the asymptotic seed
     t - log(t) (monotone from below, no exponentials formed, so large t
     such as 1e6 are fine), otherwise in u = log(w) where the equation
-    u + e^u = t is convex and Newton converges globally.
+    u + e^u = t is convex and Newton converges globally.  Either stops
+    at a relative step of 1e-16 or once the step no longer shrinks,
+    which in binary64 can come first.
     """
     if not math.isfinite(t):
         raise ValueError(f"wright_omega needs finite t, got {t!r}")
     if t > 2.0:
         w = t - math.log(t)
-        for _ in range(100):
+        last = math.inf
+        for _ in range(_MAX_ITER):
             step = (w + math.log(w) - t) * w / (w + 1.0)
             w -= step
-            if abs(step) <= 1e-16 * w:
-                break
-        return w
-    u = t - 1.0 if t > -1.0 else t
-    for _ in range(100):
-        eu = math.exp(u)
-        step = (u + eu - t) / (1.0 + eu)
-        u -= step
-        if abs(step) <= 1e-16 * (1.0 + abs(u)):
-            break
-    return math.exp(u)
+            if abs(step) <= 1e-16 * w or abs(step) >= last:
+                return w
+            last = abs(step)
+    else:
+        u = t - 1.0 if t > -1.0 else t
+        last = math.inf
+        for _ in range(_MAX_ITER):
+            eu = math.exp(u)
+            step = (u + eu - t) / (1.0 + eu)
+            u -= step
+            if abs(step) <= 1e-16 * (1.0 + abs(u)) or abs(step) >= last:
+                return math.exp(u)
+            last = abs(step)
+    raise NotConvergedError(f"wright_omega did not converge in {_MAX_ITER} steps at t={t!r}")
 
 
 def _halley_we_w(w: float, y: float) -> float:
     # Halley refinement for w*e^w = y; valid on either real branch given a
-    # seed on that branch and away from the branch point.
-    for _ in range(100):
+    # seed on that branch and away from the branch point.  Stops like
+    # wright_omega.
+    last = math.inf
+    for _ in range(_MAX_ITER):
         ew = math.exp(w)
         f = w * ew - y
         w1 = w + 1.0
         step = f / (ew * w1 - (w + 2.0) * f / (2.0 * w1))
         w -= step
-        if abs(step) <= 1e-16 * (1.0 + abs(w)):
-            break
-    return w
+        if abs(step) <= 1e-16 * (1.0 + abs(w)) or abs(step) >= last:
+            return w
+        last = abs(step)
+    raise NotConvergedError(f"Halley iteration did not converge in {_MAX_ITER} steps at y={y!r}")
 
 
 def lambert_w0(y: float) -> float:

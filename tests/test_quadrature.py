@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from melontft import quadrature, verify
 from melontft.errors import NotConvergedError
 from melontft.quadrature import (
+    _subtracted_integrand,
+    fixed_point_residuals,
     integrate_quarter_plane,
     integrated_identity_residual,
     sde_residual_numeric,
@@ -18,6 +21,117 @@ def gaussian(q2, q3):
     return np.exp(-q2 * q2 - q3 * q3)
 
 
+def inverse_square(q2, q3):
+    return (1 + q2 * q2 + q3 * q3) ** -2.0
+
+
+def subtracted_log(q2, q3):
+    return 1 / (2 + q2 * q2 + q3 * q3) - 1 / (1 + q2 * q2 + q3 * q3)
+
+
+def zero(q2, q3):
+    return 0.0 * (q2 + q3)
+
+
+def divergent(q2, q3):
+    # decays only like 1/|q|^2: logarithmically divergent
+    return 1 / (1 + q2 * q2 + q3 * q3)
+
+
+def family_integrands(x1):
+    """The subtracted log and the three powers at a = 1 + x1^2, with their values."""
+    a = 1 + x1 * x1
+    yield (
+        lambda q2, q3: 1 / (a + q2 * q2 + q3 * q3) - 1 / (1 + q2 * q2 + q3 * q3),
+        -math.pi / 4 * math.log(a),
+    )
+    for n in (2, 3, 4):
+        expected = math.pi * a ** (1 - n) / (4 * (n - 1))
+        yield (lambda q2, q3, n=n: (a + q2 * q2 + q3 * q3) ** float(-n)), expected
+
+
+def recursion_integrand(k, x1):
+    """Transverse factor of the order-k term in the perturbative recursion."""
+    gk = perturbative_order(k)
+    if k == 0:
+        return lambda q2, q3: eval_series_transverse(gk, x1, q2 * q2 + q3 * q3) - 1.0 / (
+            1.0 + q2 * q2 + q3 * q3
+        )
+    return lambda q2, q3: eval_series_transverse(gk, x1, q2 * q2 + q3 * q3)
+
+
+# Reference: the one-panel-at-a-time form of the algorithm, which evaluates
+# every rule in its own integrand call and recomputes each child's single
+# rule.  The batched kernel must reproduce its value, error estimate and
+# verdict bit for bit.
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(8)
+_REF_PANEL_EVALS = 5 * 64
+_REF_SPLIT_EVALS = 4 * _REF_PANEL_EVALS
+_INITIAL_EVALS = 36 * _REF_PANEL_EVALS
+
+
+def _ref_panel_rule(f, a, b, c, d):
+    u = 0.5 * (b - a) * _NODES + 0.5 * (a + b)
+    v = 0.5 * (d - c) * _NODES + 0.5 * (c + d)
+    wu, wv = 1.0 - u, 1.0 - v
+    qu, ju = u / wu, 1.0 / (wu * wu)
+    qv, jv = v / wv, 1.0 / (wv * wv)
+    vals = f(qu[:, None], qv[None, :]) * (ju * _WEIGHTS)[:, None] * (jv * _WEIGHTS)[None, :]
+    return float(np.sum(vals)) * 0.25 * (b - a) * (d - c)
+
+
+def _ref_refined_panel(f, a, b, c, d):
+    coarse = _ref_panel_rule(f, a, b, c, d)
+    mu, mv = 0.5 * (a + b), 0.5 * (c + d)
+    fine = (
+        _ref_panel_rule(f, a, mu, c, mv)
+        + _ref_panel_rule(f, mu, b, c, mv)
+        + _ref_panel_rule(f, a, mu, mv, d)
+        + _ref_panel_rule(f, mu, b, mv, d)
+    )
+    return fine, abs(fine - coarse)
+
+
+def reference_integrate(f, abs_tol, max_evals=10_000_000):
+    """(value, error estimate, converged) of the per-panel algorithm."""
+    u_cut, u_cut2 = 1.0e5 / (1.0 + 1.0e5), 2.0e5 / (1.0 + 2.0e5)
+    breaks = sorted({0.0, 0.25, 0.5, 0.75, u_cut, u_cut2, 1.0})
+    edges = list(zip(breaks[:-1], breaks[1:]))
+    evals, counter, heap, total_err, stuck = _INITIAL_EVALS, 0, [], 0.0, []
+    for a, b in edges:
+        for c, d in edges:
+            value, err = _ref_refined_panel(f, a, b, c, d)
+            heapq.heappush(heap, (-err, counter, a, b, c, d, value))
+            counter += 1
+            total_err += err
+    while total_err > abs_tol and heap and evals + _REF_SPLIT_EVALS <= max_evals:
+        neg_err, _, a, b, c, d, value = heapq.heappop(heap)
+        total_err += neg_err
+        if b - a < 1e-13 or d - c < 1e-13:
+            stuck.append((a, b, c, d, value))
+            total_err -= neg_err
+            continue
+        mu, mv = 0.5 * (a + b), 0.5 * (c + d)
+        for aa, bb, cc, dd in ((a, mu, c, mv), (mu, b, c, mv), (a, mu, mv, d), (mu, b, mv, d)):
+            value, err = _ref_refined_panel(f, aa, bb, cc, dd)
+            evals += _REF_PANEL_EVALS
+            heapq.heappush(heap, (-err, counter, aa, bb, cc, dd, value))
+            counter += 1
+            total_err += err
+    panels = [(a, b, c, d, value) for (_, _, a, b, c, d, value) in heap] + stuck
+    value = math.fsum(p[4] for p in panels)
+    inside_cut = math.fsum(p[4] for p in panels if p[1] <= u_cut and p[3] <= u_cut)
+    inside_cut2 = math.fsum(p[4] for p in panels if p[1] <= u_cut2 and p[3] <= u_cut2)
+    tail_tol = max(10.0 * abs_tol, 4.0 * total_err)
+    tail_ok = abs(inside_cut2 - inside_cut) <= tail_tol and abs(value - inside_cut2) <= tail_tol
+    return value, total_err, total_err <= abs_tol and tail_ok
+
+
+def same_splits_budget(max_evals):
+    """Budget that allows the batched kernel as many splits as max_evals allows the reference."""
+    return _INITIAL_EVALS + 16 * 64 * ((max_evals - _INITIAL_EVALS) // _REF_SPLIT_EVALS)
+
+
 class TestClosedFormIntegrals:
     def test_gaussian(self):
         res = integrate_quarter_plane(gaussian, 1e-8)
@@ -26,56 +140,101 @@ class TestClosedFormIntegrals:
         assert res.value == pytest.approx(math.pi / 4, abs=1e-8)
 
     def test_inverse_square(self):
-        res = integrate_quarter_plane(lambda q2, q3: (1 + q2 * q2 + q3 * q3) ** -2.0, 1e-8)
+        res = integrate_quarter_plane(inverse_square, 1e-8)
         assert res.converged
         assert res.value == pytest.approx(math.pi / 4, abs=1e-8)
 
     def test_subtracted_log(self):
-        res = integrate_quarter_plane(
-            lambda q2, q3: 1 / (2 + q2 * q2 + q3 * q3) - 1 / (1 + q2 * q2 + q3 * q3), 1e-8
-        )
+        res = integrate_quarter_plane(subtracted_log, 1e-8)
         assert res.converged
         assert res.value == pytest.approx(-math.pi / 4 * math.log(2), abs=1e-8)
 
     def test_grid_of_both_families(self):
         for x1 in (0.0, 0.5, 1.0, 2.0):
-            a = 1 + x1 * x1
-            res = integrate_quarter_plane(
-                lambda q2, q3: 1 / (a + q2 * q2 + q3 * q3) - 1 / (1 + q2 * q2 + q3 * q3),
-                1e-8,
-            )
-            assert res.converged
-            assert res.value == pytest.approx(-math.pi / 4 * math.log(a), abs=1e-8)
-            for n in (2, 3, 4):
-                res = integrate_quarter_plane(
-                    lambda q2, q3: (a + q2 * q2 + q3 * q3) ** float(-n), 1e-8
-                )
+            for f, expected in family_integrands(x1):
+                res = integrate_quarter_plane(f, 1e-8)
                 assert res.converged
-                expected = math.pi * a ** (1 - n) / (4 * (n - 1))
-                assert res.value == pytest.approx(expected, abs=1e-8), (x1, n)
+                assert res.value == pytest.approx(expected, abs=1e-8), x1
 
 
 class TestMachinery:
     def test_zero_integrand(self):
-        res = integrate_quarter_plane(lambda q2, q3: 0.0 * (q2 + q3), 1e-10)
+        res = integrate_quarter_plane(zero, 1e-10)
         assert res.converged
         assert res.value == 0.0
         assert res.error_estimate == 0.0
 
     def test_divergent_integrand_flagged(self):
-        # decays only like 1/|q|^2: logarithmically divergent
-        res = integrate_quarter_plane(
-            lambda q2, q3: 1 / (1 + q2 * q2 + q3 * q3), 1e-8, max_evals=200_000
-        )
+        res = integrate_quarter_plane(divergent, 1e-8, max_evals=200_000)
         assert not res.converged
 
     def test_budget_respected(self):
         res = integrate_quarter_plane(gaussian, 1e-14, max_evals=30_000)
-        assert res.evaluations <= 30_000 + 5 * 64
+        assert res.evaluations <= 30_000
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             integrate_quarter_plane(gaussian, -1.0)
+        # the initial panel grid alone costs 36 * 5 * 64 points
+        with pytest.raises(ValueError):
+            integrate_quarter_plane(gaussian, 1e-8, max_evals=_INITIAL_EVALS - 1)
+        res = integrate_quarter_plane(gaussian, 1e-14, max_evals=_INITIAL_EVALS)
+        assert res.evaluations == _INITIAL_EVALS and res.panels == 36
+
+    def test_evaluations_are_the_points_evaluated(self):
+        points = []
+
+        def counting(q2, q3):
+            points.append(np.broadcast(q2, q3).size)
+            return gaussian(q2, q3)
+
+        res = integrate_quarter_plane(counting, 1e-12)
+        assert res.evaluations == sum(points)
+        # one integrand call for the initial grid, then one per split; a
+        # split replaces one panel by four and evaluates 16 rules
+        splits = len(points) - 1
+        assert res.evaluations == _INITIAL_EVALS + splits * 16 * 64
+        assert res.panels == 36 + 3 * splits
+        assert res.stuck_panels == 0
+
+
+def _bit_identity_cases():
+    """(id, integrand, abs_tol, reference max_evals) for every integrand in this file."""
+    cases = [
+        ("gaussian", gaussian, 1e-8, None),
+        ("inverse_square", inverse_square, 1e-8, None),
+        ("subtracted_log", subtracted_log, 1e-8, None),
+        ("zero", zero, 1e-10, None),
+        ("divergent", divergent, 1e-8, 200_000),
+        ("gaussian budget", gaussian, 1e-14, 30_000),
+    ]
+    for x1 in (0.0, 0.5, 1.0, 2.0):
+        cases += [(f"family x1={x1} #{i}", f, 1e-8, None) for i, (f, _) in enumerate(family_integrands(x1))]
+    for x1 in (0.5, 1.0, 2.0):
+        cases += [(f"recursion k={k} x1={x1}", recursion_integrand(k, x1), 1e-9, None) for k in range(3)]
+    # the certification design: one lambda per decade, x1 = 0 and one per decade
+    for lam, x1 in ((1e-3, 0.0), (1e-2, 1e-3), (1e-1, 10.0), (1e0, 1e-2), (1e1, 1e-1), (1e2, 1.0), (1e3, 31.6)):
+        cases.append((f"subtracted lam={lam} x1={x1}", _subtracted_integrand(x1, Coupling(lam)), 1e-8, None))
+    f = _subtracted_integrand(10.0, Coupling(0.1))
+    cases.append(("subtracted lam=0.1 x1=10 tol=1e-10", f, 1e-10, None))
+    # as in test_not_converged_propagates, on a smaller budget
+    cases.append(("subtracted tol=1e-16", _subtracted_integrand(1.0, Coupling(0.5)), 1e-16, 200_000))
+    return cases
+
+
+_CASES = _bit_identity_cases()
+
+
+@pytest.mark.parametrize("f, tol, max_evals", [c[1:] for c in _CASES], ids=[c[0] for c in _CASES])
+def test_matches_per_panel_reference(f, tol, max_evals):
+    if max_evals is None:
+        res = integrate_quarter_plane(f, tol)
+        expected = reference_integrate(f, tol)
+    else:
+        res = integrate_quarter_plane(f, tol, max_evals=same_splits_budget(max_evals))
+        expected = reference_integrate(f, tol, max_evals)
+    assert (res.value, res.error_estimate, res.converged) == expected
+    assert math.copysign(1.0, res.value) == math.copysign(1.0, expected[0])
 
 
 class TestSdeResiduals:
@@ -95,6 +254,24 @@ class TestSdeResiduals:
     def test_not_converged_propagates(self):
         with pytest.raises(NotConvergedError):
             sde_residual_numeric(Point3(1, 1, 1), Coupling(0.5), 1e-16)
+
+    def test_not_converged_explains_itself(self):
+        # Known defect: at lambda = 0.1, x1 = 10, tol 1e-10 the panel error
+        # estimate meets the tolerance, but the tail check fails: the
+        # integrand's true mass between q = 1e5 and 2e5, about
+        # (3 pi/16)(x1^2+g)/Q^2 ~ 6e-9, exceeds the tail tolerance 10 * tol.
+        with pytest.raises(NotConvergedError) as info:
+            fixed_point_residuals(Point3(10.0, 0.5, 0.5), Coupling(0.1), 1e-10)
+        assert str(info.value) == "transverse quadrature did not converge at x1=10.0, lambda=0.1"
+        res = info.value.result
+        assert not res.converged
+        assert res.error_estimate <= 1e-10
+        assert res.stuck_panels == 0 and res.panels > 36
+        tail_tol = max(10.0 * 1e-10, 4.0 * res.error_estimate)
+        assert (
+            abs(res.inside_cut2 - res.inside_cut) > tail_tol
+            or abs(res.value - res.inside_cut2) > tail_tol
+        )
 
     def test_one_integral_per_certification_point(self, monkeypatch):
         calls = []
@@ -120,19 +297,7 @@ class TestAgainstPerturbativeRecursion:
             for n in (1, 2, 3):
                 total = 0.0
                 for k in range(n):
-                    gk = perturbative_order(k)
-                    if k == 0:
-
-                        def f(q2, q3, gk=gk):
-                            rho2 = q2 * q2 + q3 * q3
-                            return eval_series_transverse(gk, x1, rho2) - 1.0 / (1.0 + rho2)
-
-                    else:
-
-                        def f(q2, q3, gk=gk):
-                            return eval_series_transverse(gk, x1, q2 * q2 + q3 * q3)
-
-                    res = integrate_quarter_plane(f, 1e-9)
+                    res = integrate_quarter_plane(recursion_integrand(k, x1), 1e-9)
                     assert res.converged
                     total += res.value * eval_series(perturbative_order(n - 1 - k), x)
                 numeric = -2.0 / b * total

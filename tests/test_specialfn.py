@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from melontft import specialfn
+from melontft.errors import NotConvergedError
 from melontft.series import eval_partial_sum, eval_series, perturbative_order
 from melontft.specialfn import (
     Coupling,
@@ -128,6 +130,45 @@ class TestWrightOmega:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             wright_omega(math.inf)
+
+    # Inputs on which a 1e-16 relative step test alone never fires: the
+    # iterate hops between neighbouring doubles.  The first three are
+    # tabulate grid values (omega's w and u branches), the last two sit
+    # just above -1/e on each Lambert branch (Halley).
+    STALLING_T = (294.22594339693416, 11.458169053626433, -2.5782866577630204)
+    STALLING_Y = (-0.3678794393298839, -0.36787943933064693)
+
+    def test_iterations_bounded(self, monkeypatch):
+        class CountingMath:
+            # one exp or log per solver step, plus one for seed or result
+            calls = 0
+
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def exp(self, x):
+                CountingMath.calls += 1
+                return math.exp(x)
+
+            def log(self, x):
+                CountingMath.calls += 1
+                return math.log(x)
+
+        monkeypatch.setattr(specialfn, "math", CountingMath())
+        solves = [(wright_omega, t) for t in self.STALLING_T]
+        solves += [(lambert_w0, self.STALLING_Y[0]), (lambert_wm1, self.STALLING_Y[1])]
+        for solve, arg in solves:
+            CountingMath.calls = 0
+            solve(arg)
+            assert CountingMath.calls <= 12, (solve.__name__, arg, CountingMath.calls)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(specialfn, "_MAX_ITER", 1)
+        for t in (3.0, 0.5):
+            with pytest.raises(NotConvergedError):
+                wright_omega(t)
+        with pytest.raises(NotConvergedError):
+            lambert_w0(-0.3)
 
 
 class TestShiftAndSolution:
