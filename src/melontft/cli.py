@@ -11,18 +11,16 @@ Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
-from typing import List, Optional
+from typing import Iterable, List, Optional, Sequence
 
 from . import __version__
 from .combinatorics import CoeffTable, rational_str
 from .errors import MelonTFTError
 from .greens import PointTuple, connected_2k
 from .series import perturbative_order
-from .specialfn import Coupling, Point3, g2_exact, g_shift, sde_residual_algebraic
+from .specialfn import Coupling, Point3, exact_record
 from .verify import run_suites
 
 __all__ = ["main", "entry_point", "build_parser"]
@@ -39,8 +37,9 @@ def _parse_floats(text: str) -> List[float]:
     return [float(p) for p in text.split(",") if p != ""]
 
 
-def _fmt(v: float) -> str:
-    return format(v, ".17g")
+def _cell(v) -> str:
+    # floats carry 17 significant digits; ints and "p/q" strings print as they are
+    return format(v, ".17g") if isinstance(v, float) else str(v)
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -51,59 +50,42 @@ def _emit(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _csv_text(header: List[str], rows: List[List[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _write(args, payload, header: List[str], rows: Iterable[Sequence]) -> None:
+    """Emit payload as one JSON line, or header and rows as CSV.
+
+    ``rows`` is consumed, and so formatted, for ``--format csv`` only.  No
+    field is ever quoted: none holds a comma, a quote or a line break.
+    """
+    if args.format == "json":
+        text = json.dumps(payload) + "\n"
+    else:
+        text = "".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows])
+    _emit(text, args.output)
 
 
 def _eval_record(lam: float, x: Point3) -> dict:
-    c = Coupling(lam)
+    g, g2, residual = exact_record(x, Coupling(lam))
     return {
-        "lambda": lam,
-        "x": [x.x1, x.x2, x.x3],
-        "g": g_shift(x.x1, c),
-        "G2": g2_exact(x, c),
-        "residual_algebraic": sde_residual_algebraic(x.x1, c),
+        "lambda": lam, "x": [x.x1, x.x2, x.x3], "g": g, "G2": g2, "residual_algebraic": residual
     }
 
 
 def cmd_eval(args) -> int:
-    rec = _eval_record(args.lam, _parse_point(args.x))
-    if args.format == "json":
-        _emit(json.dumps(rec) + "\n", args.output)
-    else:
-        header = ["lambda", "x1", "x2", "x3", "g", "G2", "residual_algebraic"]
-        row = [_fmt(rec["lambda"]), *(_fmt(v) for v in rec["x"]), _fmt(rec["g"]), _fmt(rec["G2"]), _fmt(rec["residual_algebraic"])]
-        _emit(_csv_text(header, [row]), args.output)
+    r = _eval_record(args.lam, _parse_point(args.x))
+    header = ["lambda", "x1", "x2", "x3", "g", "G2", "residual_algebraic"]
+    _write(args, r, header, [(r["lambda"], *r["x"], r["g"], r["G2"], r["residual_algebraic"])])
     return 0
 
 
 def cmd_series(args) -> int:
     s = perturbative_order(args.order)
-    if args.format == "json":
-        payload = {
-            "order": s.order,
-            "prefactor_pi_over_2_pow": s.order,
-            "terms": [
-                {
-                    "coeff": rational_str(t.coeff),
-                    "logpow": t.logpow,
-                    "x1pow": t.x1pow,
-                    "fullpow": t.fullpow,
-                }
-                for t in s.terms
-            ],
-        }
-        _emit(json.dumps(payload) + "\n", args.output)
-    else:
-        rows = [
-            [str(s.order), rational_str(t.coeff), str(t.logpow), str(t.x1pow), str(t.fullpow)]
-            for t in s.terms
-        ]
-        _emit(_csv_text(["order", "coeff", "logpow", "x1pow", "fullpow"], rows), args.output)
+    terms = [
+        {"coeff": rational_str(t.coeff), "logpow": t.logpow, "x1pow": t.x1pow, "fullpow": t.fullpow}
+        for t in s.terms
+    ]
+    payload = {"order": s.order, "prefactor_pi_over_2_pow": s.order, "terms": terms}
+    rows = ((s.order, t["coeff"], t["logpow"], t["x1pow"], t["fullpow"]) for t in terms)
+    _write(args, payload, ["order", "coeff", "logpow", "x1pow", "fullpow"], rows)
     return 0
 
 
@@ -113,18 +95,10 @@ def cmd_coeffs(args) -> int:
     else:
         table = CoeffTable.from_recurrences(args.max_order)
     items = sorted(table.entries.items())
-    if args.format == "json":
-        payload = {
-            "max_order": table.max_order,
-            "source": args.source,
-            "entries": [
-                {"n": n, "k": k, "m": m, "a": rational_str(v)} for (n, k, m), v in items
-            ],
-        }
-        _emit(json.dumps(payload) + "\n", args.output)
-    else:
-        rows = [[str(n), str(k), str(m), rational_str(v)] for (n, k, m), v in items]
-        _emit(_csv_text(["n", "k", "m", "a"], rows), args.output)
+    entries = [{"n": n, "k": k, "m": m, "a": rational_str(v)} for (n, k, m), v in items]
+    payload = {"max_order": table.max_order, "source": args.source, "entries": entries}
+    rows = ((e["n"], e["k"], e["m"], e["a"]) for e in entries)
+    _write(args, payload, ["n", "k", "m", "a"], rows)
     return 0
 
 
@@ -132,13 +106,7 @@ def cmd_greens(args) -> int:
     points = tuple(_parse_point(p) for p in args.points.split(";") if p)
     value = connected_2k(PointTuple(points), Coupling(args.lam))
     payload = {"k": len(points), "lambda": args.lam, "value": value}
-    if args.format == "json":
-        _emit(json.dumps(payload) + "\n", args.output)
-    else:
-        _emit(
-            _csv_text(["k", "lambda", "value"], [[str(len(points)), _fmt(args.lam), _fmt(value)]]),
-            args.output,
-        )
+    _write(args, payload, ["k", "lambda", "value"], [(len(points), args.lam, value)])
     return 0
 
 
@@ -147,27 +115,11 @@ def cmd_tabulate(args) -> int:
     x1s = _parse_floats(args.x1)
     if not lams or not x1s:
         raise ValueError("tabulate needs nonempty --lambda and --x1 grids")
-    records = []
-    for lam in lams:  # coupling-major row order
-        for x1 in x1s:
-            records.append(_eval_record(lam, Point3(x1, args.x2, args.x3)))
-    if args.format == "json":
-        _emit(json.dumps(records) + "\n", args.output)
-    else:
-        header = ["lambda", "x1", "x2", "x3", "G2", "g", "residual"]
-        rows = [
-            [
-                _fmt(r["lambda"]),
-                _fmt(r["x"][0]),
-                _fmt(r["x"][1]),
-                _fmt(r["x"][2]),
-                _fmt(r["G2"]),
-                _fmt(r["g"]),
-                _fmt(r["residual_algebraic"]),
-            ]
-            for r in records
-        ]
-        _emit(_csv_text(header, rows), args.output)
+    # coupling-major row order
+    records = [_eval_record(lam, Point3(x1, args.x2, args.x3)) for lam in lams for x1 in x1s]
+    header = ["lambda", "x1", "x2", "x3", "G2", "g", "residual"]
+    rows = ((r["lambda"], *r["x"], r["G2"], r["g"], r["residual_algebraic"]) for r in records)
+    _write(args, records, header, rows)
     return 0
 
 

@@ -6,7 +6,6 @@ __all__ = [
     "MelonTFTError",
     "DivergentIntegralError",
     "ShapeMismatchError",
-    "EvaluationDomainError",
     "NotConvergedError",
     "CoincidentCoordinatesError",
 ]
@@ -32,10 +31,6 @@ class ShapeMismatchError(MelonTFTError):
     falsify the conjectured all-order structure rather than indicate a
     recoverable condition.
     """
-
-
-class EvaluationDomainError(MelonTFTError):
-    """The evaluation left the validated real-coupling region."""
 
 
 class NotConvergedError(MelonTFTError):

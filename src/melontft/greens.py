@@ -10,14 +10,14 @@ integral equation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .errors import CoincidentCoordinatesError
-from .specialfn import Coupling, Point3, g2_exact
+from .specialfn import Coupling, Point3, dressed_mass, g2_exact, g2_from_mass
 
 __all__ = ["PointTuple", "connected_2k", "disconnected_4pt", "disconnected_4pt_residual"]
 
-Points = Tuple[Point3, ...]
+Points = Tuple[Tuple[float, float, float], ...]
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class PointTuple:
     outright rather than handled by limits.
     """
 
-    points: Points
+    points: Tuple[Point3, ...]
 
     def __post_init__(self):
         if len(self.points) < 1:
@@ -47,35 +47,33 @@ class PointTuple:
         return len(self.points)
 
 
-def _recurse(points: Points, coupling: Coupling, memo: Optional[Dict]) -> float:
-    if len(points) == 1:
-        return g2_exact(points[0], coupling)
-    if memo is not None and points in memo:
-        return memo[points]
-    first = points[0]
-    prefactor = g2_exact(Point3(first.x1, points[1].x2, points[1].x3), coupling)
-    total = 0.0
-    for rho in range(2, len(points) + 1):
-        tail = points[rho - 1 :]
-        head = points[: rho - 1]
-        mixed = (Point3(points[rho - 1].x1, first.x2, first.x3),) + points[1 : rho - 1]
-        num = _recurse(head, coupling, memo) - _recurse(mixed, coupling, memo)
-        den = first.x1 * first.x1 - points[rho - 1].x1 * points[rho - 1].x1
-        total += _recurse(tail, coupling, memo) * num / den
-    value = 2.0 * coupling.lam * prefactor * total
-    if memo is not None:
-        memo[points] = value
-    return value
-
-
-def connected_2k(x: PointTuple, coupling: Coupling, memoize: bool = True) -> float:
+def connected_2k(x: PointTuple, coupling: Coupling) -> float:
     """Connected 2k-point function; k = 1 is the exact 2-point function.
 
-    Memoization is per call and keyed by exact sub-tuple contents, so
-    memoized and plain evaluations agree bit for bit.
+    The dressed mass is solved once per distinct first component; the
+    recursion runs on plain (x1, x2, x3) tuples with a memo, per call,
+    keyed by the exact sub-tuple contents.
     """
-    memo: Optional[Dict] = {} if memoize else None
-    return _recurse(x.points, coupling, memo)
+    mass = {p.x1: dressed_mass(p.x1, coupling) for p in x.points}
+    lam2 = 2.0 * coupling.lam
+    memo: Dict[Points, float] = {}
+
+    def recurse(points: Points) -> float:
+        if len(points) == 1:
+            x1, x2, x3 = points[0]
+            return g2_from_mass(mass[x1], x2, x3)
+        if points in memo:
+            return memo[points]
+        (f1, f2, f3), (_, s2, s3) = points[0], points[1]
+        total = 0.0
+        for rho in range(1, len(points)):
+            y1 = points[rho][0]
+            num = recurse(points[:rho]) - recurse(((y1, f2, f3),) + points[1:rho])
+            total += recurse(points[rho:]) * num / (f1 * f1 - y1 * y1)
+        value = memo[points] = lam2 * g2_from_mass(mass[f1], s2, s3) * total
+        return value
+
+    return recurse(tuple((p.x1, p.x2, p.x3) for p in x.points))
 
 
 def disconnected_4pt(x: Point3, y: Point3, coupling: Coupling) -> float:

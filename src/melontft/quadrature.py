@@ -24,6 +24,12 @@ restricted to q <= Q against q <= 2Q for an intermediate cutoff Q; the
 initial panel grid is aligned with both cutoffs so the restricted sums
 are exact panel aggregates.
 
+The map, breakpoints and cutoffs suit integrands that vary on the length
+scale 1.  The Schwinger-Dyson integrand 1/(M + q^2) - 1/(1 + q^2), with
+the dressed mass M, varies on the scale sqrt(M), so it is integrated in
+p = q/sqrt(M); in q its far-field mass ~ (M-1)/q^4 would fall in a few
+wide panels whose two rules agree and are both wrong.
+
 Everything is evaluated in a fixed order, so results are deterministic
 for a given (integrand, tolerance, budget).
 """
@@ -39,7 +45,7 @@ from typing import Callable, List, Sequence, Tuple
 import numpy as np
 
 from .errors import NotConvergedError
-from .specialfn import Coupling, Point3, g2_exact, g_shift
+from .specialfn import Coupling, Point3, dressed_mass, g2_from_mass
 
 __all__ = [
     "QuadResult",
@@ -170,14 +176,13 @@ def integrate_quarter_plane(
     )
 
 
-def _subtracted_integrand(x1: float, coupling: Coupling) -> Callable:
-    # G2(x1, q2, q3) - free(q2, q3); the shift g depends on x1 only, so the
-    # integrand is an explicit rational function of rho^2 = q2^2 + q3^2
-    c1 = 1.0 + x1 * x1 + g_shift(x1, coupling)
-
-    def f(q2, q3):
-        rho2 = q2 * q2 + q3 * q3
-        return 1.0 / (c1 + rho2) - 1.0 / (1.0 + rho2)
+def _subtracted_integrand(mass: float) -> Callable:
+    # G2(x1, q2, q3) - free(q2, q3) in p = q/sqrt(M), times the Jacobian M:
+    # a rational function of rho^2 = p2^2 + p3^2 whose tail, about
+    # -(M-1)/(M rho^4), no longer grows with M
+    def f(p2, p3):
+        rho2 = p2 * p2 + p3 * p3
+        return 1.0 / (1.0 + rho2) - mass / (1.0 + mass * rho2)
 
     return f
 
@@ -189,17 +194,18 @@ def fixed_point_residuals(
 
     Returns (SDE residual, integrated-identity residual), as computed by
     ``sde_residual_numeric`` and ``integrated_identity_residual``.  The
-    integral depends on x1 and the coupling only.
+    integral depends on x1 and the coupling only, through the dressed
+    mass, which is solved once.
     """
-    res = integrate_quarter_plane(_subtracted_integrand(x.x1, coupling), abs_tol)
+    mass = dressed_mass(x.x1, coupling)
+    res = integrate_quarter_plane(_subtracted_integrand(mass), abs_tol)
     if not res.converged:
         raise NotConvergedError(
             f"transverse quadrature did not converge at x1={x.x1}, lambda={coupling.lam}",
             result=res,
         )
-    sde = g2_exact(x, coupling) - 1.0 / (1.0 + x.norm2 + 2.0 * coupling.lam * res.value)
-    closed = -0.25 * math.pi * math.log(1.0 + x.x1 * x.x1 + g_shift(x.x1, coupling))
-    return sde, res.value - closed
+    sde = g2_from_mass(mass, x.x2, x.x3) - 1.0 / (1.0 + x.norm2 + 2.0 * coupling.lam * res.value)
+    return sde, res.value + 0.25 * math.pi * math.log(mass)
 
 
 def sde_residual_numeric(x: Point3, coupling: Coupling, abs_tol: float = 1.0e-8) -> float:

@@ -1,8 +1,13 @@
 """Non-perturbative evaluation of the 2-point function.
 
-The resummed solution is 1/(1+|x|^2+g) with the shift
+The resummed solution is G2(x) = 1/(M + x2^2 + x3^2) with the dressed
+mass M = 1 + x1^2 + g, the root of
 
-    g(x1, z) = z*W((1/z) * exp((1+x1^2)/z)) - 1 - x1^2,   z = (pi/2)*lambda.
+    M + z*log(M) = 1 + x1^2,   z = (pi/2)*lambda,
+
+so that M = z*W((1/z) * exp((1+x1^2)/z)) and the shift is g = -z*log(M).
+``dressed_mass`` is the one place that solves for M; every float result
+of the solution derives from it.
 
 All W evaluations go through the Wright omega function in log space,
 omega(t) + log(omega(t)) = t with t = (1+x1^2)/z - log(z): for small
@@ -15,8 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Tuple
 
-from .errors import EvaluationDomainError, NotConvergedError
+from .errors import NotConvergedError
 
 __all__ = [
     "Point3",
@@ -24,9 +30,12 @@ __all__ = [
     "lambert_w0",
     "lambert_wm1",
     "wright_omega",
+    "dressed_mass",
     "g_shift",
+    "g2_from_mass",
     "g2_exact",
     "sde_residual_algebraic",
+    "exact_record",
 ]
 
 # nearest-double branch point -1/e of the real Lambert branches
@@ -175,29 +184,37 @@ def lambert_wm1(y: float) -> float:
     return w
 
 
+def dressed_mass(x1: float, coupling: Coupling) -> float:
+    """Dressed mass M = 1 + x1^2 + g, the root of M + z*log(M) = 1 + x1^2.
+
+    M = z*omega(t) with t = (1+x1^2)/z - log(z).  M >= 1, and M = 1
+    exactly at x1 = 0, where the shift vanishes.
+    """
+    if not math.isfinite(x1) or x1 < 0:
+        raise ValueError(f"x1 must be finite and >= 0, got {x1!r}")
+    if x1 == 0.0:
+        return 1.0
+    z = coupling.z
+    return z * wright_omega((1.0 + x1 * x1) / z - math.log(z))
+
+
 def g_shift(x1: float, coupling: Coupling) -> float:
-    """Denominator shift g(x1, z) of the exact 2-point function.
+    """Denominator shift g(x1, z) = M - 1 - x1^2 of the exact 2-point function.
 
     Vanishes identically at x1 = 0 (the Taylor-subtraction point) and as
     lambda -> 0 at fixed x1.
     """
-    if not math.isfinite(x1) or x1 < 0:
-        raise ValueError(f"x1 must be finite and >= 0, got {x1!r}")
-    z = coupling.z
-    a = 1.0 + x1 * x1
-    t = a / z - math.log(z)
-    return z * wright_omega(t) - a
+    return exact_record(Point3(x1, 0.0, 0.0), coupling)[0]
+
+
+def g2_from_mass(mass: float, x2: float, x3: float) -> float:
+    """Exact 2-point function 1/(M + x2^2 + x3^2) at dressed mass M."""
+    return 1.0 / (mass + x2 * x2 + x3 * x3)
 
 
 def g2_exact(x: Point3, coupling: Coupling) -> float:
-    """Exact 2-point function 1/(1+|x|^2+g(x1,z))."""
-    g = g_shift(x.x1, coupling)
-    denom = 1.0 + x.norm2 + g
-    if denom <= 0.0:
-        raise EvaluationDomainError(
-            f"nonpositive denominator {denom!r} at x={x}, lambda={coupling.lam}"
-        )
-    return 1.0 / denom
+    """Exact 2-point function 1/(1+|x|^2+g(x1,z)) = 1/(M + x2^2 + x3^2)."""
+    return g2_from_mass(dressed_mass(x.x1, coupling), x.x2, x.x3)
 
 
 def sde_residual_algebraic(x1: float, coupling: Coupling) -> float:
@@ -206,5 +223,24 @@ def sde_residual_algebraic(x1: float, coupling: Coupling) -> float:
     Vanishes identically in exact arithmetic; the product form stays
     well-defined at x1 = 0 where the equivalent ratio form is 0/0.
     """
-    g = g_shift(x1, coupling)
-    return g + coupling.z * math.log(1.0 + x1 * x1 + g)
+    return exact_record(Point3(x1, 0.0, 0.0), coupling)[2]
+
+
+def exact_record(x: Point3, coupling: Coupling) -> Tuple[float, float, float]:
+    """(g, G2, algebraic residual) at x from one solve of the dressed mass."""
+    z, x1 = coupling.z, x.x1
+    mass = dressed_mass(x1, coupling)
+    if mass >= 2.0:
+        g = -z * math.log(mass)
+    else:
+        # Near M = 1, log(M) has an absolute, not a relative, error, so
+        # d = M - 1 is refined by one Newton step on d + z*log1p(d) = x1^2,
+        # whose error is second order in the seed's.  Below 1e-8, where
+        # M - 1 keeps few correct digits, the linearised root x1^2/(1+z),
+        # with relative error below d/2, is the better seed.
+        d = mass - 1.0
+        if d < 1e-8:
+            d = x1 * x1 / (1.0 + z)
+        d -= (d + z * math.log1p(d) - x1 * x1) / (1.0 + z / (1.0 + d))
+        g = 0.0 - z * math.log1p(d)  # +0.0, not -0.0, at x1 = 0
+    return g, g2_from_mass(mass, x.x2, x.x3), g + z * math.log(1.0 + x1 * x1 + g)

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from melontft import specialfn
 from melontft.cli import main
-from melontft.specialfn import Coupling, Point3, g2_exact, g_shift
+from melontft.specialfn import Coupling, Point3, g2_exact, g_shift, sde_residual_algebraic
 
 
 def run(capsys, *argv):
@@ -28,6 +29,7 @@ class TestEval:
         c = Coupling(rec["lambda"])
         assert rec["G2"] == g2_exact(Point3(*rec["x"]), c)
         assert rec["g"] == g_shift(rec["x"][0], c)
+        assert rec["residual_algebraic"] == sde_residual_algebraic(rec["x"][0], c)
         assert rec["G2"] == pytest.approx(0.28114, abs=5e-4)
 
     def test_x1_zero_free_propagator(self, capsys):
@@ -152,6 +154,19 @@ class TestTabulate:
             else:
                 # G2 exceeds the free value at x1 > 0 for positive coupling
                 assert float(r[4]) > 1.0 / (1.0 + 1.5)
+
+    def test_one_mass_solve_per_record(self, capsys, monkeypatch):
+        calls = []
+        omega = specialfn.wright_omega
+
+        def counting(t):
+            calls.append(t)
+            return omega(t)
+
+        monkeypatch.setattr(specialfn, "wright_omega", counting)
+        code, _, _ = run(capsys, "tabulate", "--lambda", "0.1,1,10", "--x1", "0.5,1,2,3")
+        assert code == 0
+        assert len(calls) == 12
 
     def test_single_cell_matches_eval(self, capsys):
         _, tab, _ = run(capsys, "tabulate", "--lambda", "0.7", "--x1", "1", "--x2", "0", "--x3", "0")

@@ -1,7 +1,9 @@
 import math
+import random
 
 import pytest
 
+from melontft import specialfn
 from melontft.errors import CoincidentCoordinatesError
 from melontft.greens import (
     PointTuple,
@@ -16,6 +18,30 @@ LAM = 2 / math.pi
 A = Point3(1, 2, 3)
 B = Point3(2, 1, 1)
 C = Point3(0.5, 3, 0.25)
+
+
+def plain_connected_2k(points, coupling):
+    """The positional recursion without memo, on g2_exact.
+
+    connected_2k must reproduce it bit for bit: the memo and the one
+    mass solve per first component change no arithmetic.
+    """
+    if len(points) == 1:
+        return g2_exact(points[0], coupling)
+    first = points[0]
+    prefactor = g2_exact(Point3(first.x1, points[1].x2, points[1].x3), coupling)
+    total = 0.0
+    for rho in range(2, len(points) + 1):
+        y = points[rho - 1]
+        mixed = (Point3(y.x1, first.x2, first.x3),) + points[1 : rho - 1]
+        num = plain_connected_2k(points[: rho - 1], coupling) - plain_connected_2k(mixed, coupling)
+        den = first.x1 * first.x1 - y.x1 * y.x1
+        total += plain_connected_2k(points[rho - 1 :], coupling) * num / den
+    return 2.0 * coupling.lam * prefactor * total
+
+
+def seeded_tuple(rng, k):
+    return PointTuple(tuple(Point3(*(rng.uniform(0.0, 5.0) for _ in range(3))) for _ in range(k)))
 
 
 def g4_direct(u, v, coupling):
@@ -75,10 +101,26 @@ class TestConnected:
         assert got == pytest.approx(oracle, rel=1e-12)
         assert got == pytest.approx(1.4725529753944957453e-06, rel=1e-12)
 
-    def test_memoized_matches_plain(self):
-        c = Coupling(0.33)
-        x = PointTuple((A, B, C))
-        assert connected_2k(x, c, memoize=True) == connected_2k(x, c, memoize=False)
+    def test_matches_plain_recursion(self):
+        rng = random.Random(2)
+        cases = [(PointTuple((A, B, C)), Coupling(0.33))]
+        for k in range(1, 7):
+            cases += [(seeded_tuple(rng, k), Coupling(10.0 ** rng.uniform(-4, 6))) for _ in range(3)]
+        for x, c in cases:
+            assert connected_2k(x, c) == plain_connected_2k(x.points, c), (x, c)
+
+    def test_one_mass_solve_per_first_component(self, monkeypatch):
+        calls = []
+        omega = specialfn.wright_omega
+
+        def counting(t):
+            calls.append(t)
+            return omega(t)
+
+        monkeypatch.setattr(specialfn, "wright_omega", counting)
+        x = seeded_tuple(random.Random(8), 8)
+        connected_2k(x, Coupling(0.7))
+        assert len(calls) == 8
 
     def test_linear_small_coupling_scaling(self):
         x = PointTuple((A, B))

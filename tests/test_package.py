@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import melontft
 from melontft import combinatorics, errors, greens, quadrature, series, specialfn
 
@@ -9,3 +12,12 @@ def test_exports_are_the_module_lists():
     for module in modules:
         for name in module.__all__:
             assert getattr(melontft, name) is getattr(module, name)
+
+
+def test_readme_quickstart_runs():
+    # the documented API cannot drift from the code
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

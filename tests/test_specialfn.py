@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from melontft.series import eval_partial_sum, eval_series, perturbative_order
 from melontft.specialfn import (
     Coupling,
     Point3,
+    dressed_mass,
     g2_exact,
     g_shift,
     lambert_w0,
@@ -247,3 +249,44 @@ class TestAlgebraicResidual:
     def test_residual_random(self, log10_lam, x1):
         c = Coupling(10.0**log10_lam)
         assert abs(sde_residual_algebraic(x1, c)) < 1e-11
+
+    def test_residual_sees_a_perturbed_mass(self, monkeypatch):
+        # from M >= 2 on the shift is -z*log(M) and carries any error of M
+        # into the residual (below 2 it is re-solved from the fixed-point
+        # equation itself), so the residual is not zero by construction
+        points = [(0.01, 2.0), (0.1, 5.0), (1.0, 5.0), (10.0, 100.0), (1e3, 1e4)]
+        assert all(dressed_mass(x1, Coupling(lam)) >= 2.0 for lam, x1 in points)
+        mass = specialfn.dressed_mass
+        monkeypatch.setattr(specialfn, "dressed_mass", lambda x1, c: mass(x1, c) * (1.0 + 1e-9))
+        for lam, x1 in points:
+            assert abs(sde_residual_algebraic(x1, Coupling(lam))) > 1e-12, (lam, x1)
+
+
+class TestRelativeAccuracy:
+    """g and G2 against a 40-digit oracle over the validated domain.
+
+    Adds a relative bound to the absolute 1e-12 residual checks above.
+    """
+
+    def test_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(6)
+        worst_g = worst_g2 = 0.0
+        with mp.workdps(40):
+            for _ in range(1000):
+                lam, x1 = 10.0 ** rng.uniform(-4, 6), 10.0 ** rng.uniform(-8, 8)
+                x2, x3 = rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0)
+                z, a = mp.pi / 2 * lam, 1 + mp.mpf(x1) ** 2
+                mass = z * mp.lambertw(mp.exp(a / z - mp.log(z))).real
+                g, g2 = mass - a, 1 / (mass + mp.mpf(x2) ** 2 + mp.mpf(x3) ** 2)
+                c = Coupling(lam)
+                worst_g = max(worst_g, float(abs(g_shift(x1, c) / g - 1)))
+                worst_g2 = max(worst_g2, float(abs(g2_exact(Point3(x1, x2, x3), c) / g2 - 1)))
+        assert worst_g <= 1e-13 and worst_g2 <= 1e-13, (worst_g, worst_g2)
+
+    def test_x1_zero(self):
+        # g vanishes there, so it is checked absolutely
+        for lam in (1e-4, 1e-2, 1.0, 1e2, 1e6):
+            c = Coupling(lam)
+            assert abs(g_shift(0.0, c)) <= 1e-13
+            assert g2_exact(Point3(0.0, 0.5, 2.0), c) == pytest.approx(1.0 / 5.25, rel=1e-13)
