@@ -21,7 +21,7 @@ from .errors import MelonTFTError
 from .greens import PointTuple, connected_2k
 from .series import perturbative_order
 from .specialfn import Coupling, Point3, exact_record
-from .verify import run_suites
+from .verify import suite_coeffs, suite_greens, suite_identities, suite_lambert, suite_sde
 
 __all__ = ["main", "entry_point", "build_parser"]
 
@@ -124,22 +124,17 @@ def cmd_tabulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = (
-        ["coeffs", "identities", "lambert", "sde", "greens"]
-        if args.suite == "all"
-        else [args.suite]
-    )
-    numeric = args.numeric or args.suite == "all"
     x = _parse_point(args.x) if args.x else None
-    checks = run_suites(
-        names,
-        max_order=args.max_order,
-        max_n=args.max_n,
-        lam=args.lam,
-        x=x,
-        tol=args.tol,
-        numeric=numeric,
-    )
+    # name -> suite; the key order is the order of "verify all"
+    suites = {
+        "coeffs": lambda: suite_coeffs(args.max_order),
+        "identities": lambda: suite_identities(args.max_n),
+        "lambert": suite_lambert,
+        "sde": lambda: suite_sde(args.lam, x, args.tol, args.numeric or args.suite == "all"),
+        "greens": suite_greens,
+    }
+    names = list(suites) if args.suite == "all" else [args.suite]
+    checks = [check for name in names for check in suites[name]()]
     if args.format == "json":
         payload = [
             {"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks

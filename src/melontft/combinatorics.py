@@ -31,7 +31,6 @@ __all__ = [
     "a_recur",
     "CoeffTable",
     "IdentityCheck",
-    "BigStirlingCheck",
     "check_identity_stirling_621",
     "check_identity_harmonic",
     "check_identity_big_stirling",
@@ -195,33 +194,27 @@ class CoeffTable:
 
 @dataclass(frozen=True)
 class IdentityCheck:
-    """Outcome of an exact identity evaluation: both sides, not a bare bool."""
+    """Both sides of an exact identity, as derived and as printed.
+
+    ``passed`` judges the derived sides; ``printed_matches`` records
+    whether the form the paper prints holds, which it need not.
+    """
 
     lhs: Fraction
     rhs: Fraction
+    printed_lhs: Fraction
+    printed_rhs: Fraction
 
     @property
     def passed(self) -> bool:
         return self.lhs == self.rhs
 
     @property
-    def residual(self) -> Fraction:
-        return self.lhs - self.rhs
-
-
-@dataclass(frozen=True)
-class StirlingIdentityCheck(IdentityCheck):
-    """Corrected-form sides plus the printed form evaluated as-is."""
-
-    printed_lhs: Fraction
-    printed_rhs: Fraction
-
-    @property
     def printed_matches(self) -> bool:
         return self.printed_lhs == self.printed_rhs
 
 
-def check_identity_stirling_621(n: int, k: int) -> StirlingIdentityCheck:
+def check_identity_stirling_621(n: int, k: int) -> IdentityCheck:
     """Check the Stirling-number sum identity behind the m=1 recurrence.
 
     Corrected form (both sides normalized by 1/(n-1)!):
@@ -251,11 +244,14 @@ def check_identity_stirling_621(n: int, k: int) -> StirlingIdentityCheck:
         ),
         Fraction(0),
     )
-    return StirlingIdentityCheck(lhs=lhs, rhs=rhs, printed_lhs=lhs, printed_rhs=printed_rhs)
+    return IdentityCheck(lhs=lhs, rhs=rhs, printed_lhs=lhs, printed_rhs=printed_rhs)
 
 
 def check_identity_harmonic(n: int, k: int) -> IdentityCheck:
-    """Check H_k == (k+1)/(2n+3-k) * sum_{l=1..k} (n+1-k+l)/(l(k+1-l))."""
+    """Check H_k == (k+1)/(2n+3-k) * sum_{l=1..k} (n+1-k+l)/(l(k+1-l)).
+
+    Checked as printed, so the printed sides are the derived ones.
+    """
     if n < 1 or not (1 <= k <= n):
         raise ValueError(f"identity index out of range: (n,k)=({n},{k})")
     lhs = harmonic(k)
@@ -264,29 +260,10 @@ def check_identity_harmonic(n: int, k: int) -> IdentityCheck:
         Fraction(0),
     )
     rhs = Fraction(k + 1, 2 * n + 3 - k) * inner
-    return IdentityCheck(lhs=lhs, rhs=rhs)
+    return IdentityCheck(lhs=lhs, rhs=rhs, printed_lhs=lhs, printed_rhs=rhs)
 
 
-@dataclass(frozen=True)
-class BigStirlingCheck:
-    """Printed big Stirling identity vs. the recurrence it was derived from."""
-
-    printed_lhs: Fraction
-    printed_rhs: Fraction
-    recurrence_lhs: Fraction
-    recurrence_rhs: Fraction
-
-    @property
-    def printed_matches(self) -> bool:
-        return self.printed_lhs == self.printed_rhs
-
-    @property
-    def passed(self) -> bool:
-        # ground truth is the recurrence acting on the coefficients themselves
-        return self.recurrence_lhs == self.recurrence_rhs
-
-
-def check_identity_big_stirling(n: int, k: int, m: int) -> BigStirlingCheck:
+def check_identity_big_stirling(n: int, k: int, m: int) -> IdentityCheck:
     """Evaluate the big Stirling/binomial identity exactly as printed.
 
     On top of the printed sides, the generic recurrence is re-verified
@@ -301,17 +278,17 @@ def check_identity_big_stirling(n: int, k: int, m: int) -> BigStirlingCheck:
             return 0
         return stirling_first_unsigned(a, b)
 
-    lhs = (
+    printed_lhs = (
         Fraction((n - 1) * m - k * (m - 1))
         * Fraction(factorial(n - 2), factorial(k) * factorial(n - m))
         * c(n - m, n - k)
     )
-    rhs = Fraction(0)
+    printed_rhs = Fraction(0)
     for l in range(1, k - m + 2):
         bracket = Fraction(factorial(n - 1 - m), factorial(k - m + 1)) + Fraction(
             m - 1, l
         ) * Fraction(factorial(n - l - 2), factorial(k - l))
-        rhs += Fraction(c(n - m - l, n - k - 1), factorial(n - m - l)) * bracket
+        printed_rhs += Fraction(c(n - m - l, n - k - 1), factorial(n - m - l)) * bracket
     for l in range(1, k - m + 2):
         outer = Fraction(m - 1, factorial(l) * factorial(k - l))
         inner = Fraction(0)
@@ -327,10 +304,11 @@ def check_identity_big_stirling(n: int, k: int, m: int) -> BigStirlingCheck:
                 * c(n - m - p, n - k - 1 - p + l)
                 * tail
             )
-        rhs += outer * inner
-    return BigStirlingCheck(
-        printed_lhs=lhs,
-        printed_rhs=rhs,
-        recurrence_lhs=a_closed(n, k, m),
-        recurrence_rhs=_generic_rhs(n, k, m, a_closed),
+        printed_rhs += outer * inner
+    # ground truth is the recurrence acting on the coefficients themselves
+    return IdentityCheck(
+        lhs=a_closed(n, k, m),
+        rhs=_generic_rhs(n, k, m, a_closed),
+        printed_lhs=printed_lhs,
+        printed_rhs=printed_rhs,
     )

@@ -169,18 +169,10 @@ def lambert_wm1(y: float) -> float:
         l2 = math.log(-l1)
         w = l1 - l2 + l2 / l1
     w = _halley_we_w(w, y)
+    # w*e^w is decreasing on (-inf, -1]; a root off that branch or a loose
+    # residual means the seed was not on it
     if w > -1.0 or abs(w * math.exp(w) - y) > 1e-10 * abs(y):
-        # w*e^w is decreasing on (-inf, -1]: bisection bracket + polish
-        lo, hi = min(2.0 * math.log(-y) - 2.0, -2.0), -1.0
-        while lo * math.exp(lo) <= y:
-            lo *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid * math.exp(mid) > y:
-                lo = mid
-            else:
-                hi = mid
-        w = _halley_we_w(0.5 * (lo + hi), y)
+        raise NotConvergedError(f"lambert_wm1 did not reach the secondary branch at y={y!r}")
     return w
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 from . import combinatorics as comb
 from . import greens, quadrature, series, specialfn
@@ -17,7 +17,7 @@ from .errors import NotConvergedError
 
 __all__ = [
     "Check", "orders_match_closed_form", "coefficient_routes_agree", "fixed_point_algebraic",
-    "fixed_point_numeric", "suite_coeffs", "suite_identities", "suite_lambert", "suite_sde", "run_suites",
+    "fixed_point_numeric", "suite_coeffs", "suite_identities", "suite_lambert", "suite_sde",
 ]
 
 
@@ -44,8 +44,6 @@ def orders_match_closed_form(max_order: int) -> List[Check]:
 
 def coefficient_routes_agree(max_order: int) -> List[Check]:
     """Extracted vs closed-form vs recurrence a(n,k,m), for orders 2..max_order."""
-    if max_order < 2:
-        return []
     closed = comb.CoeffTable.from_closed_form(max_order)
     recur = comb.CoeffTable.from_recurrences(max_order)
     checks: List[Check] = []
@@ -58,87 +56,66 @@ def coefficient_routes_agree(max_order: int) -> List[Check]:
 
 
 def suite_coeffs(max_order: int = 9) -> List[Check]:
+    if max_order < 2:
+        # below 2 the coefficient routes have no order to compare
+        raise ValueError(f"coefficient suite needs max_order >= 2, got {max_order}")
     return orders_match_closed_form(max_order) + coefficient_routes_agree(max_order)
 
 
+def _exact_check(name: str, results: Mapping[tuple, comb.IdentityCheck]) -> Check:
+    """PASS when every derived identity holds; FAIL names the first failing indices."""
+    bad = [index for index, res in results.items() if not res.passed]
+    return Check(name, not bad, "exact" if not bad else f"fails at {bad[:3]}")
+
+
+def _bounded(name: str, worst: float, bound: float) -> Check:
+    """PASS when the worst measured value lies below its bound."""
+    return Check(name, worst < bound, f"worst {worst:.2e}")
+
+
 def suite_identities(max_n: int = 20) -> List[Check]:
-    checks: List[Check] = []
+    if max_n < 5:
+        # the first generic index is (5,2,2); below it a family would pass empty
+        raise ValueError(f"identity suite needs max_n >= 5, got {max_n}")
+    harmonic = {
+        (n, k): comb.check_identity_harmonic(n, k) for n in range(1, max_n + 1) for k in range(1, n + 1)
+    }
+    stirling = {
+        (n, k): comb.check_identity_stirling_621(n, k) for n in range(4, max_n + 1) for k in range(1, n - 2)
+    }
+    top = min(max_n, 12)
+    big = {
+        (n, k, m): comb.check_identity_big_stirling(n, k, m)
+        for n in range(5, top + 1)
+        for k in range(2, n - 2)
+        for m in range(2, k + 1)
+    }
 
-    bad = [
-        (n, k)
-        for n in range(1, max_n + 1)
-        for k in range(1, n + 1)
-        if not comb.check_identity_harmonic(n, k).passed
+    checks = [
+        _exact_check(f"harmonic identity, all 1 <= k <= n <= {max_n}", harmonic),
+        _exact_check(f"Stirling sum identity (corrected form), 4 <= n <= {max_n}", stirling),
     ]
-    checks.append(
-        Check(
-            f"harmonic identity, all 1 <= k <= n <= {max_n}",
-            not bad,
-            "exact" if not bad else f"fails at {bad[:3]}",
-        )
-    )
-
-    corrected_bad = []
-    printed_bad = []
-    for n in range(4, max_n + 1):
-        for k in range(1, n - 2):
-            res = comb.check_identity_stirling_621(n, k)
-            if not res.passed:
-                corrected_bad.append((n, k))
-            if not res.printed_matches:
-                printed_bad.append((n, k, res.printed_lhs, res.printed_rhs))
-    checks.append(
-        Check(
-            f"Stirling sum identity (corrected form), 4 <= n <= {max_n}",
-            not corrected_bad,
-            "exact" if not corrected_bad else f"fails at {corrected_bad[:3]}",
-        )
-    )
+    printed_bad = [(index, res) for index, res in stirling.items() if not res.printed_matches]
     if printed_bad:
-        n, k, lhs, rhs = printed_bad[0]
+        (n, k), res = printed_bad[0]
         checks.append(
             Check(
                 "Stirling sum identity as printed",
                 None,
                 f"disagrees at {len(printed_bad)} indices; first (n,k)=({n},{k}): "
-                f"{comb.rational_str(lhs)} vs {comb.rational_str(rhs)}",
+                f"{comb.rational_str(res.printed_lhs)} vs {comb.rational_str(res.printed_rhs)}",
             )
         )
-
-    big_bad = []
-    printed_big = 0
-    total_big = 0
-    top = min(max_n, 12)
-    for n in range(5, top + 1):
-        for k in range(2, n - 2):
-            for m in range(2, k + 1):
-                res = comb.check_identity_big_stirling(n, k, m)
-                total_big += 1
-                if not res.passed:
-                    big_bad.append((n, k, m))
-                if res.printed_matches:
-                    printed_big += 1
+    checks.append(_exact_check(f"generic recurrence on coefficient values, n <= {top}", big))
+    printed_big = sum(res.printed_matches for res in big.values())
     checks.append(
-        Check(
-            f"generic recurrence on coefficient values, n <= {top}",
-            not big_bad,
-            "exact" if not big_bad else f"fails at {big_bad[:3]}",
-        )
-    )
-    checks.append(
-        Check(
-            "big Stirling identity as printed",
-            None,
-            f"matches at {printed_big}/{total_big} generic indices",
-        )
+        Check("big Stirling identity as printed", None, f"matches at {printed_big}/{len(big)} generic indices")
     )
     return checks
 
 
 def suite_lambert() -> List[Check]:
-    checks: List[Check] = []
-
-    worst = 0.0
+    worst_w0 = 0.0
     grid = [-0.99 / math.e + i * (0.99 / math.e - 0.01) / 19 for i in range(20)]
     grid += [10.0 ** (-2 + 10 * i / 50) for i in range(51)]
     for w in grid:
@@ -147,32 +124,24 @@ def suite_lambert() -> List[Check]:
         else:
             # w*e^w overflows binary64; same code path, argument in log space
             got = specialfn.wright_omega(w + math.log(w))
-        worst = max(worst, abs(got - w) / (1.0 + abs(w)))
-    checks.append(
-        Check("principal branch round trip on [-0.99/e, 1e8]", worst < 1e-13, f"worst {worst:.2e}")
-    )
+        worst_w0 = max(worst_w0, abs(got - w) / (1.0 + abs(w)))
 
-    worst = 0.0
+    worst_wm1 = 0.0
     for y in [-1.0 / math.e + 1e-12, -0.36, -0.3, -0.2, -0.1, -0.05, -1e-3, -1e-6, -1e-8]:
         w = specialfn.lambert_wm1(y)
-        worst = max(worst, abs(w * math.exp(w) - y) / abs(y))
-    checks.append(
-        Check("secondary branch defining residual on [-1/e, 0)", worst < 1e-13, f"worst {worst:.2e}")
-    )
+        worst_wm1 = max(worst_wm1, abs(w * math.exp(w) - y) / abs(y))
 
-    worst = 0.0
+    worst_omega = 0.0
     tgrid = [-10.0, -2.0, -1.0, -0.5, 0.0, 1.0, 2.0, 10.0, 100.0, 709.0, 800.0, 1300.0, 1e4, 1e5, 1e6]
     for t in tgrid:
         om = specialfn.wright_omega(t)
-        worst = max(worst, abs(om + math.log(om) - t) / (1.0 + abs(t)))
-    checks.append(
-        Check(
-            "omega defining residual up to t = 1e6 (incl. exp overflow range)",
-            worst < 1e-12,
-            f"worst {worst:.2e}",
-        )
-    )
-    return checks
+        worst_omega = max(worst_omega, abs(om + math.log(om) - t) / (1.0 + abs(t)))
+
+    return [
+        _bounded("principal branch round trip on [-0.99/e, 1e8]", worst_w0, 1e-13),
+        _bounded("secondary branch defining residual on [-1/e, 0)", worst_wm1, 1e-13),
+        _bounded("omega defining residual up to t = 1e6 (incl. exp overflow range)", worst_omega, 1e-12),
+    ]
 
 
 _SDE_LAMBDAS = (0.01, 0.1, 1.0, 10.0)
@@ -184,7 +153,7 @@ def fixed_point_algebraic(lams: Sequence[float], x1s: Sequence[float]) -> List[C
     worst = max(
         abs(specialfn.sde_residual_algebraic(x1, specialfn.Coupling(lv))) for lv in lams for x1 in x1s
     )
-    return [Check("algebraic fixed-point residual < 1e-12 on grid", worst < 1e-12, f"worst {worst:.2e}")]
+    return [_bounded("algebraic fixed-point residual < 1e-12 on grid", worst, 1e-12)]
 
 
 def fixed_point_numeric(lam: float, x: specialfn.Point3, tol: float) -> List[Check]:
@@ -236,30 +205,4 @@ def suite_greens() -> List[Check]:
     )
     resid = greens.disconnected_4pt_residual(p, specialfn.Point3(2.0, 1.0, 3.0), c)
     checks.append(Check("disconnected 4-point self-check", resid == 0.0, f"residual {resid!r}"))
-    return checks
-
-
-def run_suites(
-    names: List[str],
-    max_order: int = 9,
-    max_n: int = 20,
-    lam: Optional[float] = None,
-    x: Optional[specialfn.Point3] = None,
-    tol: float = 1.0e-8,
-    numeric: bool = False,
-) -> List[Check]:
-    checks: List[Check] = []
-    for name in names:
-        if name == "coeffs":
-            checks += suite_coeffs(max_order)
-        elif name == "identities":
-            checks += suite_identities(max_n)
-        elif name == "lambert":
-            checks += suite_lambert()
-        elif name == "sde":
-            checks += suite_sde(lam=lam, x=x, tol=tol, numeric=numeric)
-        elif name == "greens":
-            checks += suite_greens()
-        else:
-            raise ValueError(f"unknown suite {name!r}")
     return checks

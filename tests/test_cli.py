@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -223,11 +224,44 @@ class TestVerify:
         assert out.count("not converged") == 2
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("coeffs", "--max-order", "0"),
+            ("coeffs", "--max-order", "1"),
+            ("identities", "--max-n", "3"),
+            ("identities", "--max-n", "4"),
+            ("all", "--max-n", "4"),
+        ],
+    )
+    def test_empty_range_is_a_usage_error(self, capsys, argv):
+        # a family with no index to check would otherwise pass vacuously
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+def test_verify_all_matches_benchmark_reference(tmp_path):
+    # the benchmark's rule: names and verdicts match line by line, and so
+    # does every detail that holds no float exponent
+    reference = json.loads(REFERENCE.read_text(encoding="utf-8"))["verify_all"]
+    path = tmp_path / "verify_all.json"
+    assert main(["verify", "all", "--format", "json", "--output", str(path)]) == 0
+    lines = json.loads(path.read_text(encoding="utf-8"))
+    assert [(c["name"], c["passed"]) for c in lines] == [(name, passed) for name, passed, _ in reference]
+    for got, (name, _, detail) in zip(lines, reference):
+        if not re.search(r"\de[-+]\d", detail):
+            assert got["detail"] == detail, name
+
+
 def test_exact_outputs_match_reference(tmp_path):
     # every p/q string the exact commands emit stays bit-identical to the
     # pinned digests the benchmark also checks
-    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
-    digests = json.loads(reference.read_text(encoding="utf-8"))["digests"]
+    digests = json.loads(REFERENCE.read_text(encoding="utf-8"))["digests"]
     commands = {
         "series30": ["series", "--order", "30"],
         "coeffs_closed20": ["coeffs", "--max-order", "20"],

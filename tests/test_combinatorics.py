@@ -217,7 +217,7 @@ class TestIdentities:
     def test_big_stirling_recurrence_ground_truth(self):
         res = check_identity_big_stirling(6, 2, 2)
         assert res.passed
-        assert res.recurrence_lhs == res.recurrence_rhs == 5
+        assert res.lhs == res.rhs == 5
         assert check_identity_big_stirling(7, 2, 2).passed
         # printed status is recorded, not asserted against a fixed outcome
         assert isinstance(res.printed_matches, bool)

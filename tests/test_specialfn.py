@@ -21,6 +21,9 @@ from melontft.specialfn import (
 )
 
 
+_BRANCH_POINT = -math.exp(-1.0)
+
+
 def bisect_w0(y, lo=-1.0, hi=800.0):
     """Independent principal-branch oracle: bisection on w*exp(w) = y."""
     for _ in range(200):
@@ -105,6 +108,27 @@ class TestLambert:
         for bad in (-0.38, 0.0, 0.5, math.nan):
             with pytest.raises(ValueError):
                 lambert_wm1(bad)
+
+    def test_wm1_sweep(self):
+        # y log-spaced towards the branch point, log-spaced towards 0, and uniform
+        n = 6700
+        near = [_BRANCH_POINT + 10.0 ** (-16 + i * (16 - 1 / math.log(10)) / (n - 1)) for i in range(n)]
+        small = [-(10.0 ** (math.log10(0.37) - i * (300 + math.log10(0.37)) / (n - 1))) for i in range(n)]
+        rng = random.Random(7)
+        uniform = [rng.uniform(_BRANCH_POINT, 0.0) for _ in range(n)]
+        ys = [y for y in near + small + uniform if _BRANCH_POINT <= y < 0.0]
+        assert len(ys) > 20_000
+        for y in ys:
+            w = lambert_wm1(y)
+            assert w <= -1.0, y
+            assert abs(w * math.exp(w) - y) < 1e-13 * abs(y), y
+
+    def test_wm1_off_branch_raises(self, monkeypatch):
+        # a Halley root on the principal branch is reported, not repaired
+        halley = specialfn._halley_we_w
+        monkeypatch.setattr(specialfn, "_halley_we_w", lambda w, y: halley(-0.5, y))
+        with pytest.raises(NotConvergedError, match="secondary branch"):
+            lambert_wm1(-0.2)
 
 
 class TestWrightOmega:
@@ -260,6 +284,19 @@ class TestAlgebraicResidual:
         monkeypatch.setattr(specialfn, "dressed_mass", lambda x1, c: mass(x1, c) * (1.0 + 1e-9))
         for lam, x1 in points:
             assert abs(sde_residual_algebraic(x1, Coupling(lam))) > 1e-12, (lam, x1)
+
+    def test_rounding_floor_over_domain(self):
+        # 1 + x1^2 + g cancels down to M, so the residual's rounding floor
+        # scales with |g|*(1 + z/M); the z term covers 1 + x1^2 + g within
+        # an ulp of 1, as at lambda = 1e6, x1 = 1e-8
+        eps = 2.0**-52
+        rng = random.Random(11)
+        points = [(10.0 ** rng.uniform(-4, 6), 10.0 ** rng.uniform(-8, 8)) for _ in range(3000)]
+        for lam, x1 in points + [(1e6, 1e-8)]:
+            c = Coupling(lam)
+            g, _, residual = specialfn.exact_record(Point3(x1, 0.0, 0.0), c)
+            floor = eps * (abs(g) * (1.0 + c.z / dressed_mass(x1, c)) + c.z)
+            assert abs(residual) <= 32 * floor, (lam, x1, residual)
 
 
 class TestRelativeAccuracy:
