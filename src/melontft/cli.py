@@ -5,7 +5,8 @@ quantities (series coefficients, identity sides) are always emitted as
 "p/q" rational strings; floats only appear for evaluated specials and
 carry 17 significant digits so records round-trip exactly.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
+Exit codes: 0 success, 1 verification failure, 2 usage or domain error
+(an unwritable --output included).
 """
 
 from __future__ import annotations
@@ -214,7 +215,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (ValueError, MelonTFTError) as exc:
+    except (ValueError, OSError, MelonTFTError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -104,10 +104,10 @@ def a_closed(n: int, k: int, m: int) -> Fraction:
 
 
 def _generic_rhs(n: int, k: int, m: int, a: Callable[..., Fraction]) -> Fraction:
-    """Right-hand side of the generic recurrence (2 <= k <= n-3, 2 <= m <= k).
+    """Right-hand side of the generic recurrence (2 <= m <= k <= n-2).
 
     ``a(n, k, m)`` supplies the coefficients: the closed form, or the
-    recurrence itself.
+    recurrence itself.  At k = n-2 the p-sum is empty.
     """
     val = a(n - 1, k - 1, m - 1)
     for r in range(m - 1, k):
@@ -130,14 +130,7 @@ def _a_recur(n: int, k: int, m: int) -> Fraction:
     if m == 1:
         # applies for k <= n-2; at k = 1 it reduces to a(n,1,1) = a(n-1,1,1)
         return sum((_a_recur(n - 1, k, l) / l for l in range(1, k + 1)), Fraction(0))
-    if k == n - 2:
-        val = _a_recur(n - 1, n - 3, m - 1)
-        for r in range(m - 1, n - 2):
-            val += _a_recur(r + 1, r, m - 1) / (n - 2 - r)
-        for l in range(1, n - m):
-            val += _a_recur(n - m, n - 1 - m, l) / l
-        return val
-    # generic case: 2 <= k <= n-3 and 2 <= m <= k
+    # generic case: 2 <= m <= k <= n-2
     return _generic_rhs(n, k, m, _a_recur)
 
 

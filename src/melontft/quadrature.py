@@ -118,8 +118,8 @@ def integrate_quarter_plane(
     ``max_evals`` bounds the integrand points evaluated; it must cover
     the initial panel grid.
     """
-    if abs_tol <= 0:
-        raise ValueError("abs_tol must be > 0")
+    if not (math.isfinite(abs_tol) and abs_tol > 0):
+        raise ValueError(f"abs_tol must be finite and > 0, got {abs_tol}")
 
     breaks = sorted({0.0, 0.25, 0.5, 0.75, _U_CUT, _U_CUT2, 1.0})
     edges = list(zip(breaks[:-1], breaks[1:]))

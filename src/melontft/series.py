@@ -32,7 +32,6 @@ __all__ = [
     "LogTerm",
     "LogSeries",
     "free_propagator",
-    "series_mul",
     "integrate_transverse",
     "perturbative_order",
     "ansatz_order",
@@ -82,16 +81,6 @@ def free_propagator() -> LogSeries:
     return LogSeries.build(0, [(Fraction(1), 0, 0, 1)])
 
 
-def series_mul(a: LogSeries, b: LogSeries) -> LogSeries:
-    """Termwise product; orders (and with them prefactor powers) add."""
-    items = [
-        (ta.coeff * tb.coeff, ta.logpow + tb.logpow, ta.x1pow + tb.x1pow, ta.fullpow + tb.fullpow)
-        for ta in a.terms
-        for tb in b.terms
-    ]
-    return LogSeries.build(a.order + b.order, items)
-
-
 def _is_free_propagator(s: LogSeries) -> bool:
     return s.order == 0 and s.terms == free_propagator().terms
 
@@ -126,22 +115,17 @@ def integrate_transverse(s: LogSeries) -> LogSeries:
 def _order(n: int) -> LogSeries:
     if n == 0:
         return free_propagator()
-    items: List[TermItem] = []
+    acc: Dict[Tuple[int, int, int], Fraction] = {}
     for k in range(n):
         # k = 0 builds every lower order first, so recursion stays one
         # frame per order and _tadpole(k) finds _order(k) cached
-        rest = _order(n - 1 - k)
+        rest = _order(n - 1 - k).terms
         for t in _tadpole(k).terms:
-            for u in rest.terms:
-                items.append(
-                    (
-                        -2 * t.coeff * u.coeff,
-                        t.logpow + u.logpow,
-                        t.x1pow + u.x1pow,
-                        t.fullpow + u.fullpow + 1,
-                    )
-                )
-    return LogSeries.build(n, items)
+            c = -2 * t.coeff
+            for u in rest:
+                key = (t.logpow + u.logpow, t.x1pow + u.x1pow, t.fullpow + u.fullpow + 1)
+                acc[key] = acc.get(key, 0) + c * u.coeff
+    return LogSeries.build(n, ((c, *key) for key, c in acc.items()))
 
 
 @cache

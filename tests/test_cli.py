@@ -241,6 +241,22 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_is_a_usage_error(self, capsys, tol):
+        code, out, err = run(capsys, "verify", "sde", "--numeric", "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [("series", "--order", "2"), ("verify", "lambert")])
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path, argv):
+    # exit 1 stays reserved for a verification failure
+    path = tmp_path / "missing" / "out.json"
+    code, _, err = run(capsys, *argv, "--output", str(path))
+    assert code == 2
+    assert err.startswith("error: ")
+
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 

@@ -178,8 +178,9 @@ class TestMachinery:
         assert res.evaluations <= 30_000
 
     def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            integrate_quarter_plane(gaussian, -1.0)
+        for tol in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                integrate_quarter_plane(gaussian, tol)
         # the initial panel grid alone costs 36 * 5 * 64 points
         with pytest.raises(ValueError):
             integrate_quarter_plane(gaussian, 1e-8, max_evals=_INITIAL_EVALS - 1)

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from melontft import series
 from melontft.errors import DivergentIntegralError, ShapeMismatchError
 from melontft.series import (
     LogSeries,
-    LogTerm,
     ansatz_order,
     eval_partial_sum,
     eval_series,
@@ -16,7 +16,6 @@ from melontft.series import (
     free_propagator,
     integrate_transverse,
     perturbative_order,
-    series_mul,
     three_colour_low_order,
 )
 from melontft.specialfn import Point3
@@ -33,27 +32,6 @@ class TestAlgebra:
         assert term_set(s) == {(Fraction(1), 0, 0, 1)}
         assert eval_series(s, Point3(0, 0, 0)) == 1.0
         assert eval_series(s, Point3(1, 1, 1)) == 0.25
-
-    def test_mul_squares_propagator(self):
-        s = series_mul(free_propagator(), free_propagator())
-        assert s.order == 0
-        assert term_set(s) == {(Fraction(1), 0, 0, 2)}
-
-    def test_mul_with_empty_annihilates(self):
-        empty = LogSeries.build(1, [])
-        s = series_mul(free_propagator(), empty)
-        assert s.order == 1 and s.terms == ()
-
-    def test_mul_g1_g1(self):
-        g1 = perturbative_order(1)
-        s = series_mul(g1, g1)
-        assert s.order == 2
-        assert term_set(s) == {(Fraction(1), 2, 0, 4)}
-
-    def test_mul_commutes(self):
-        a = perturbative_order(2)
-        b = ansatz_order(3)
-        assert series_mul(a, b) == series_mul(b, a)
 
     def test_build_merges_and_drops_zeros(self):
         s = LogSeries.build(
@@ -129,6 +107,27 @@ class TestOrders:
     def test_recursion_matches_ansatz(self):
         for n in range(1, 8):
             assert perturbative_order(n) == ansatz_order(n), n
+
+    def test_each_order_is_merged_once(self, monkeypatch):
+        # the recursion hands build one already-merged dict per order
+        build = LogSeries.build
+        calls = []
+
+        def recording(cls, order, items):
+            items = list(items)
+            calls.append((order, items))
+            return build(order, items)
+
+        monkeypatch.setattr(LogSeries, "build", classmethod(recording))
+        series._order.cache_clear()
+        series._tadpole.cache_clear()
+        perturbative_order(12)
+        # an order's items have fullpow >= 2, a tadpole's fullpow 0
+        order_calls = [(n, items) for n, items in calls if items and items[0][3] >= 2]
+        assert sorted(n for n, _ in order_calls) == list(range(1, 13))
+        for n, items in order_calls:
+            keys = [item[1:] for item in items]
+            assert len(set(keys)) == len(keys), n
 
     def test_order_domain(self):
         with pytest.raises(ValueError):
