@@ -107,17 +107,14 @@ def _generic_rhs(n: int, k: int, m: int, a: Callable[..., Fraction]) -> Fraction
     """Right-hand side of the generic recurrence (2 <= m <= k <= n-2).
 
     ``a(n, k, m)`` supplies the coefficients: the closed form, or the
-    recurrence itself.  At k = n-2 the p-sum is empty.
+    recurrence itself.  Each sum_l a(N-1, K, l)/l reads as a(N, K, 1) by
+    ``_a_recur``'s m = 1 rule (K <= N-2 throughout); k = n-2 empties the p-sum.
     """
-    val = a(n - 1, k - 1, m - 1)
+    val = a(n - 1, k - 1, m - 1) + a(n - m + 1, k - m + 1, 1)
     for r in range(m - 1, k):
         val += a(n - 1 + r - k, r, m - 1) / (k - r)
-    for l in range(1, k - m + 2):
-        val += a(n - m, k - m + 1, l) / l
-    for r in range(m - 1, k):
-        for l in range(1, k - r + 1):
-            for p in range(k - r + 1, n - 1 - r):
-                val += a(p, k - r, l) * a(n - p - 1, r, m - 1) / l
+        for p in range(k - r + 1, n - 1 - r):
+            val += a(p + 1, k - r, 1) * a(n - p - 1, r, m - 1)
     return val
 
 
@@ -266,35 +263,28 @@ def check_identity_big_stirling(n: int, k: int, m: int) -> IdentityCheck:
     if n < 5 or not (2 <= k <= n - 3) or not (2 <= m <= k):
         raise ValueError(f"identity index out of range: (n,k,m)=({n},{k},{m})")
 
-    def c(a: int, b: int) -> int:
-        if a < 0 or b < 0 or b > a:
-            return 0
-        return stirling_first_unsigned(a, b)
-
     printed_lhs = (
         Fraction((n - 1) * m - k * (m - 1))
         * Fraction(factorial(n - 2), factorial(k) * factorial(n - m))
-        * c(n - m, n - k)
+        * stirling_first_unsigned(n - m, n - k)
     )
     printed_rhs = Fraction(0)
     for l in range(1, k - m + 2):
-        bracket = Fraction(factorial(n - 1 - m), factorial(k - m + 1)) + Fraction(
-            m - 1, l
-        ) * Fraction(factorial(n - l - 2), factorial(k - l))
-        printed_rhs += Fraction(c(n - m - l, n - k - 1), factorial(n - m - l)) * bracket
+        bracket = Fraction(factorial(n - 1 - m), factorial(k - m + 1))
+        bracket += Fraction(m - 1, l) * Fraction(factorial(n - l - 2), factorial(k - l))
+        weight = Fraction(stirling_first_unsigned(n - m - l, n - k - 1), factorial(n - m - l))
+        printed_rhs += weight * bracket
     for l in range(1, k - m + 2):
         outer = Fraction(m - 1, factorial(l) * factorial(k - l))
         inner = Fraction(0)
         for p in range(l + 1, n - 1 - k + l):
-            if n - m - p < 0:
-                continue
             tail = sum(
-                (Fraction(c(p - r, p - l), factorial(p - r)) for r in range(1, l + 1)),
-                Fraction(0),
+                Fraction(stirling_first_unsigned(p - r, p - l), factorial(p - r))
+                for r in range(1, l + 1)
             )
             inner += (
                 Fraction(factorial(p - 1) * factorial(n - 2 - p), factorial(n - m - p))
-                * c(n - m - p, n - k - 1 - p + l)
+                * stirling_first_unsigned(n - m - p, n - k - 1 - p + l)
                 * tail
             )
         printed_rhs += outer * inner

@@ -49,6 +49,6 @@ class CoincidentCoordinatesError(MelonTFTError):
     """Two external momenta share a component of the same colour.
 
     The higher-point recursion divides by differences of squared
-    first-colour components; coincident configurations are excluded from
-    the domain and are not handled by taking limits.
+    first-colour components, so equal squares count as coincident too;
+    such configurations are excluded, not handled by taking limits.
     """

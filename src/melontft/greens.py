@@ -24,10 +24,10 @@ Points = Tuple[Tuple[float, float, float], ...]
 class PointTuple:
     """Ordered external momenta (x^1, ..., x^k), distinct per colour.
 
-    The recursion divides by differences of squared first-colour
-    components, and the underlying correlators are only defined for
-    per-colour distinct configurations, so coincidences are rejected
-    outright rather than handled by limits.
+    The correlators are defined only for per-colour distinct momenta, and
+    the recursion divides by x1^2 - y1^2, so first components must also
+    have distinct squares in binary64 (below about 1e-154 squares underflow
+    alike).  Coincidences are rejected outright, not handled by limits.
     """
 
     points: Tuple[Point3, ...]
@@ -35,11 +35,11 @@ class PointTuple:
     def __post_init__(self):
         if len(self.points) < 1:
             raise ValueError("a point tuple needs at least one point")
-        for c in range(3):
-            comps = [(p.x1, p.x2, p.x3)[c] for p in self.points]
+        for c, name in enumerate(("squared colour-1", "colour-2", "colour-3")):
+            comps = [(p.x1 * p.x1, p.x2, p.x3)[c] for p in self.points]
             if len(set(comps)) != len(comps):
                 raise CoincidentCoordinatesError(
-                    f"colour-{c + 1} components {comps} are not pairwise distinct"
+                    f"{name} components {comps} are not pairwise distinct"
                 )
 
     @property

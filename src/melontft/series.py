@@ -81,10 +81,6 @@ def free_propagator() -> LogSeries:
     return LogSeries.build(0, [(Fraction(1), 0, 0, 1)])
 
 
-def _is_free_propagator(s: LogSeries) -> bool:
-    return s.order == 0 and s.terms == free_propagator().terms
-
-
 def integrate_transverse(s: LogSeries) -> LogSeries:
     """Integrate over the two transverse momenta at fixed first component.
 
@@ -96,7 +92,7 @@ def integrate_transverse(s: LogSeries) -> LogSeries:
     -(1/2) log(1+x1^2) at order 1.  Any other term with fullpow < 2 means
     the caller fed something outside the expansion and is rejected.
     """
-    if _is_free_propagator(s):
+    if s == free_propagator():
         return LogSeries.build(1, [(Fraction(-1, 2), 1, 0, 0)])
     items: List[TermItem] = []
     for t in s.terms:

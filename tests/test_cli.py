@@ -131,6 +131,12 @@ class TestGreens:
         code, _, _ = run(capsys, "greens", "--lambda", "1", "--points", "1,2,3;1,4,5")
         assert code == 2
 
+    def test_equal_squares_exit_code(self, capsys):
+        # a usage error (2), not the failed-verification code 1
+        code, out, err = run(capsys, "greens", "--lambda", "1", "--points", "1e-200,1,1;2e-200,2,2")
+        assert code == 2
+        assert out == "" and "not pairwise distinct" in err
+
 
 class TestTabulate:
     def test_grid(self, capsys):

@@ -63,6 +63,16 @@ class TestPointTuple:
         with pytest.raises(CoincidentCoordinatesError):
             PointTuple((A, Point3(2, 1, 3)))
 
+    def test_equal_squares_rejected(self):
+        # distinct first components whose squares round to the same binary64
+        # value would divide by zero in the recursion
+        assert 1e-200 * 1e-200 == 2e-200 * 2e-200
+        with pytest.raises(CoincidentCoordinatesError):
+            PointTuple((Point3(1e-200, 1, 1), Point3(2e-200, 2, 2)))
+        with pytest.raises(CoincidentCoordinatesError):
+            PointTuple((A, Point3(0.0, 4, 5), Point3(1e-170, 6, 7)))
+        assert PointTuple((Point3(1e-150, 1, 1), Point3(2e-150, 2, 2))).k == 2
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             PointTuple(())
