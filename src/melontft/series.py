@@ -4,16 +4,17 @@ Every order n is a finite combination of terms
 
     coeff * log(1+x1^2)^logpow * (1+x1^2)^(-x1pow) * (1+|x|^2)^(-fullpow)
 
-with exact rational coefficients and a symbolic global prefactor
-(pi/2)^n carried by the series order: pi never enters a coefficient,
-only the final numeric evaluation.  ``x1pow`` counts denominator powers,
-so negative values hold numerator factors of (1+x1^2).
+with rational coefficients; the prefactor (pi/2)^n is carried by the
+order, so pi enters only the numeric evaluation.  ``x1pow`` counts
+denominator powers (negative values are numerator factors of (1+x1^2)).
 
-Two independent constructions are provided: ``perturbative_order`` runs
-the renormalized recursion (Taylor subtraction of the tadpole at the
-k = 0 step), while ``ansatz_order`` builds the conjectured closed form
-from the a(n,k,m) coefficients.  Exact equality of the two is one of the
-package's main reproduction targets.
+``perturbative_order`` runs the renormalized recursion (Taylor
+subtraction of the tadpole at k = 0) in an integer kernel: an order is
+(D, {(logpow, x1pow, fullpow): numerator}), reduced by the gcd of D and
+all numerators.  ``_integrate`` is the one transverse integration rule,
+``integrate_transverse`` its public view; ``Fraction`` terms (a
+``LogSeries``) are made only for orders asked for.  ``ansatz_order``
+builds the conjectured closed form; equality of the two is the target.
 """
 
 from __future__ import annotations
@@ -70,15 +71,13 @@ class LogSeries:
         for coeff, logpow, x1pow, fullpow in items:
             key = (logpow, x1pow, fullpow)
             acc[key] = acc.get(key, Fraction(0)) + Fraction(coeff)
-        terms = tuple(
-            LogTerm(c, k, p, q) for (k, p, q), c in sorted(acc.items()) if c != 0
-        )
+        terms = tuple(LogTerm(c, *key) for key, c in sorted(acc.items()) if c != 0)
         return cls(order, terms)
 
 
 def free_propagator() -> LogSeries:
     """Order-0 series 1/(1+|x|^2)."""
-    return LogSeries.build(0, [(Fraction(1), 0, 0, 1)])
+    return _series(0, _FREE)
 
 
 def integrate_transverse(s: LogSeries) -> LogSeries:
@@ -92,41 +91,68 @@ def integrate_transverse(s: LogSeries) -> LogSeries:
     -(1/2) log(1+x1^2) at order 1.  Any other term with fullpow < 2 means
     the caller fed something outside the expansion and is rejected.
     """
-    if s == free_propagator():
-        return LogSeries.build(1, [(Fraction(-1, 2), 1, 0, 0)])
-    items: List[TermItem] = []
-    for t in s.terms:
-        if t.fullpow < 2:
-            raise DivergentIntegralError(
-                f"term {t} has no transverse decay; only the bare free "
-                "propagator is integrated with subtraction"
-            )
-        items.append(
-            (t.coeff / (2 * (t.fullpow - 1)), t.logpow, t.x1pow + t.fullpow - 1, 0)
-        )
-    return LogSeries.build(s.order + 1, items)
+    den = math.lcm(*(t.coeff.denominator for t in s.terms))
+    pair = den, {t.key(): t.coeff.numerator * (den // t.coeff.denominator) for t in s.terms}
+    return _series(s.order + 1, _integrate(s.order, pair))
+
+
+IntPair = Tuple[int, Dict[Tuple[int, int, int], int]]
+_FREE: IntPair = (1, {(0, 0, 1): 1})
+
+
+def _reduced(den: int, nums: Dict[Tuple[int, int, int], int]) -> IntPair:
+    g = math.gcd(den, *nums.values())
+    return den // g, {key: c // g for key, c in nums.items() if c}
+
+
+def _series(order: int, pair: IntPair) -> LogSeries:
+    return LogSeries.build(order, ((Fraction(c, pair[0]), *key) for key, c in pair[1].items()))
+
+
+def _integrate(order: int, pair: IntPair) -> IntPair:
+    # the rule of integrate_transverse, at the common denominator D*lcm(2(q-1))
+    if order == 0 and pair == _FREE:
+        return 2, {(1, 0, 0): -1}
+    den, nums = pair
+    lcm = math.lcm(*(2 * (q - 1) for _, _, q in nums))
+    out: Dict[Tuple[int, int, int], int] = {}
+    for (logpow, x1pow, q), c in nums.items():
+        if q < 2:
+            raise DivergentIntegralError(f"term {(logpow, x1pow, q)} has no transverse decay; only "
+                                         "the bare free propagator is integrated with subtraction")
+        key = (logpow, x1pow + q - 1, 0)
+        out[key] = out.get(key, 0) + c * (lcm // (2 * (q - 1)))
+    return _reduced(den * lcm, out)
+
+
+@cache
+def _int_order(n: int) -> IntPair:
+    if n == 0:
+        return _FREE
+    # k = 0 builds every lower order first, so recursion stays one frame
+    # per order and _int_tadpole(k) finds _int_order(k) cached
+    parts = [(_int_tadpole(k), _int_order(n - 1 - k)) for k in range(n)]
+    den = math.lcm(*(td * od for (td, _), (od, _) in parts))
+    acc: Dict[Tuple[int, int, int], int] = {}
+    for (td, tadpole), (od, rest) in parts:
+        scale = -2 * (den // (td * od))
+        for (tl, tp, tq), tc in tadpole.items():
+            c = scale * tc
+            for (ul, up, uq), uc in rest.items():
+                key = (tl + ul, tp + up, tq + uq + 1)
+                acc[key] = acc.get(key, 0) + c * uc
+    return _reduced(den, acc)
+
+
+@cache
+def _int_tadpole(k: int) -> IntPair:
+    return _integrate(k, _int_order(k))
 
 
 @cache
 def _order(n: int) -> LogSeries:
-    if n == 0:
-        return free_propagator()
-    acc: Dict[Tuple[int, int, int], Fraction] = {}
-    for k in range(n):
-        # k = 0 builds every lower order first, so recursion stays one
-        # frame per order and _tadpole(k) finds _order(k) cached
-        rest = _order(n - 1 - k).terms
-        for t in _tadpole(k).terms:
-            c = -2 * t.coeff
-            for u in rest:
-                key = (t.logpow + u.logpow, t.x1pow + u.x1pow, t.fullpow + u.fullpow + 1)
-                acc[key] = acc.get(key, 0) + c * u.coeff
-    return LogSeries.build(n, ((c, *key) for key, c in acc.items()))
-
-
-@cache
-def _tadpole(k: int) -> LogSeries:
-    return integrate_transverse(_order(k))
+    # the public boundary: the only LogSeries the recursion makes
+    return _series(n, _int_order(n))
 
 
 def perturbative_order(n: int) -> LogSeries:

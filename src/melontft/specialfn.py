@@ -180,14 +180,18 @@ def dressed_mass(x1: float, coupling: Coupling) -> float:
     """Dressed mass M = 1 + x1^2 + g, the root of M + z*log(M) = 1 + x1^2.
 
     M = z*omega(t) with t = (1+x1^2)/z - log(z).  M >= 1, and M = 1
-    exactly at x1 = 0, where the shift vanishes.
+    exactly at x1 = 0, where the shift vanishes.  The domain ends where
+    (1+x1^2)/z overflows binary64 (x1 above about 1.3e154, or tiny lambda).
     """
     if not math.isfinite(x1) or x1 < 0:
         raise ValueError(f"x1 must be finite and >= 0, got {x1!r}")
     if x1 == 0.0:
         return 1.0
     z = coupling.z
-    return z * wright_omega((1.0 + x1 * x1) / z - math.log(z))
+    ratio = (1.0 + x1 * x1) / z
+    if not math.isfinite(ratio):
+        raise ValueError(f"(1+x1^2)/z must be finite, got x1={x1!r}, lambda={coupling.lam!r}")
+    return z * wright_omega(ratio - math.log(z))
 
 
 def g_shift(x1: float, coupling: Coupling) -> float:

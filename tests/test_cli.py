@@ -53,6 +53,15 @@ class TestEval:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("lam, x", [("1", "1e160,1,1"), ("1e-300", "1e5,1,1")])
+    def test_mass_overflow_names_its_limit(self, capsys, lam, x):
+        # (1+x1^2)/z overflows binary64: the message names the inputs and
+        # the limit, not the internal wright_omega argument
+        code, _, err = run(capsys, "eval", "--lambda", lam, "--x", x)
+        assert code == 2
+        assert "(1+x1^2)/z must be finite" in err and "wright_omega" not in err
+        assert f"x1={float(x.split(',')[0])!r}" in err and f"lambda={float(lam)!r}" in err
+
     def test_bad_point_exit_code(self, capsys):
         code, _, _ = run(capsys, "eval", "--lambda", "1", "--x", "1,2")
         assert code == 2

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -23,6 +24,43 @@ from melontft.specialfn import Point3
 
 def term_set(s):
     return {(t.coeff, t.logpow, t.x1pow, t.fullpow) for t in s.terms}
+
+
+# Reference: the Fraction recursion and integration rule that the integer
+# kernel replaced, kept to check the kernel term for term.
+REF_FREE = LogSeries.build(0, [(Fraction(1), 0, 0, 1)])
+
+
+def ref_integrate_transverse(s):
+    if s == REF_FREE:
+        return LogSeries.build(1, [(Fraction(-1, 2), 1, 0, 0)])
+    items = []
+    for t in s.terms:
+        if t.fullpow < 2:
+            raise DivergentIntegralError(t)
+        q = t.fullpow
+        items.append((t.coeff / (2 * (q - 1)), t.logpow, t.x1pow + q - 1, 0))
+    return LogSeries.build(s.order + 1, items)
+
+
+@functools.cache
+def ref_order(n):
+    if n == 0:
+        return REF_FREE
+    acc = {}
+    for k in range(n):
+        rest = ref_order(n - 1 - k).terms
+        for t in ref_tadpole(k).terms:
+            c = -2 * t.coeff
+            for u in rest:
+                key = (t.logpow + u.logpow, t.x1pow + u.x1pow, t.fullpow + u.fullpow + 1)
+                acc[key] = acc.get(key, 0) + c * u.coeff
+    return LogSeries.build(n, ((c, *key) for key, c in acc.items()))
+
+
+@functools.cache
+def ref_tadpole(k):
+    return ref_integrate_transverse(ref_order(k))
 
 
 class TestAlgebra:
@@ -77,6 +115,16 @@ class TestTransverseIntegral:
         assert s.order == 2
         assert term_set(s) == {(Fraction(1, 2), 1, 1, 0)}
 
+    def test_matches_fraction_rule(self):
+        for n in range(13):
+            assert integrate_transverse(perturbative_order(n)) == ref_tadpole(n), n
+        # negative x1pow, and two terms that land on one key
+        odd = LogSeries.build(
+            4, [(Fraction(3, 7), 2, -1, 2), (Fraction(-5, 6), 1, 3, 4), (Fraction(1, 4), 1, 2, 5)]
+        )
+        assert integrate_transverse(odd) == ref_integrate_transverse(odd)
+        assert integrate_transverse(LogSeries.build(2, [])) == LogSeries.build(3, [])
+
     def test_divergent_rejected(self):
         impostor = LogSeries.build(1, [(Fraction(1), 0, 0, 1)])
         with pytest.raises(DivergentIntegralError):
@@ -97,26 +145,27 @@ class TestOrders:
             (Fraction(1), 1, 2, 2),
         }
 
-    def test_each_order_is_merged_once(self, monkeypatch):
-        # the recursion hands build one already-merged dict per order
+    def test_kernel_matches_fraction_recursion(self):
+        for n in range(25):
+            assert perturbative_order(n) == ref_order(n), n
+
+    def test_only_the_asked_order_is_built(self, monkeypatch):
+        # the recursion runs on integer pairs; a cold order makes one
+        # LogSeries, its own, and no lower order is turned into Fractions
         build = LogSeries.build
-        calls = []
+        orders = []
 
         def recording(cls, order, items):
-            items = list(items)
-            calls.append((order, items))
+            orders.append(order)
             return build(order, items)
 
         monkeypatch.setattr(LogSeries, "build", classmethod(recording))
-        series._order.cache_clear()
-        series._tadpole.cache_clear()
+        for cached in (series._order, series._int_order, series._int_tadpole):
+            cached.cache_clear()
         perturbative_order(12)
-        # an order's items have fullpow >= 2, a tadpole's fullpow 0
-        order_calls = [(n, items) for n, items in calls if items and items[0][3] >= 2]
-        assert sorted(n for n, _ in order_calls) == list(range(1, 13))
-        for n, items in order_calls:
-            keys = [item[1:] for item in items]
-            assert len(set(keys)) == len(keys), n
+        assert orders == [12]
+        perturbative_order(12)
+        assert orders == [12]
 
     def test_order_domain(self):
         with pytest.raises(ValueError):
