@@ -64,15 +64,16 @@ def _write(args, payload, header: List[str], rows: Iterable[Sequence]) -> None:
     _emit(text, args.output)
 
 
-def _eval_record(lam: float, x: Point3) -> dict:
-    g, g2, residual = exact_record(x, Coupling(lam))
+def _eval_record(x: Point3, coupling: Coupling) -> dict:
+    g, g2, residual = exact_record(x, coupling)
     return {
-        "lambda": lam, "x": [x.x1, x.x2, x.x3], "g": g, "G2": g2, "residual_algebraic": residual
+        "lambda": coupling.lam, "x": [x.x1, x.x2, x.x3],
+        "g": g, "G2": g2, "residual_algebraic": residual,
     }
 
 
 def cmd_eval(args) -> int:
-    r = _eval_record(args.lam, _parse_point(args.x))
+    r = _eval_record(_parse_point(args.x), Coupling(args.lam))
     header = ["lambda", "x1", "x2", "x3", "g", "G2", "residual_algebraic"]
     _write(args, r, header, [(r["lambda"], *r["x"], r["g"], r["G2"], r["residual_algebraic"])])
     return 0
@@ -116,11 +117,23 @@ def cmd_tabulate(args) -> int:
     x1s = _parse_floats(args.x1)
     if not lams or not x1s:
         raise ValueError("tabulate needs nonempty --lambda and --x1 grids")
+    # each axis value is validated once, the first point before the first coupling
+    points = [Point3(x1, args.x2, args.x3) for x1 in x1s]
+    couplings = [Coupling(lam) for lam in lams]
     # coupling-major row order
-    records = [_eval_record(lam, Point3(x1, args.x2, args.x3)) for lam in lams for x1 in x1s]
-    header = ["lambda", "x1", "x2", "x3", "G2", "g", "residual"]
-    rows = ((r["lambda"], *r["x"], r["G2"], r["g"], r["residual_algebraic"]) for r in records)
-    _write(args, records, header, rows)
+    if args.format == "json":
+        _emit(json.dumps([_eval_record(x, c) for c in couplings for x in points]) + "\n", args.output)
+        return 0
+    # each axis value is formatted once, each record's floats by one "%"
+    # ("%.17g" prints a float as _cell does)
+    x_cols = [(x, ",%.17g,%.17g,%.17g," % (x.x1, x.x2, x.x3)) for x in points]
+    lines = ["lambda,x1,x2,x3,G2,g,residual\n"]
+    for c in couplings:
+        lam = "%.17g" % c.lam
+        for x, x_text in x_cols:
+            g, g2, residual = exact_record(x, c)
+            lines.append(lam + x_text + "%.17g,%.17g,%.17g\n" % (g2, g, residual))
+    _emit("".join(lines), args.output)
     return 0
 
 

@@ -40,7 +40,6 @@ __all__ = [
     "eval_series",
     "eval_series_transverse",
     "eval_partial_sum",
-    "three_colour_low_order",
 ]
 
 TermItem = Tuple[Fraction, int, int, int]
@@ -228,33 +227,3 @@ def eval_partial_sum(n_max: int, x: Point3, lam: float) -> float:
         raise ValueError("n_max must be >= 0")
     return sum(lam**n * eval_series(perturbative_order(n), x) for n in range(n_max + 1))
 
-
-def _arctan_term(xc: float) -> float:
-    # removable 0/0 at xc = 0; the limit value is 1 - log(2)
-    if xc == 0.0:
-        return 1.0 - math.log(2.0)
-    return (xc * math.log(0.25 * (xc * xc + 1.0)) + 2.0 * math.atan(xc)) / (
-        2.0 * (xc**3 + xc)
-    )
-
-
-def three_colour_low_order(n: int, x: Point3) -> float:
-    """Printed low orders of the model with all three interactions.
-
-    Only n in {0, 1, 2} exists in closed form; the order-2 expression
-    carries the arctan term that rules out a pure-logarithm expansion for
-    that model.
-    """
-    b = 1.0 + x.norm2
-    comps = (x.x1, x.x2, x.x3)
-    if n == 0:
-        return 1.0 / b
-    if n == 1:
-        return math.pi / (2.0 * b * b) * sum(math.log(c * c + 1.0) for c in comps)
-    if n == 2:
-        logs = sum(math.log(c * c + 1.0) for c in comps)
-        s1 = math.pi**2 * logs * logs / (4.0 * b)
-        s2 = sum(math.pi * math.log(c * c + 1.0) / (2.0 * (c * c + 1.0)) for c in comps)
-        s3 = math.pi**2 * sum(_arctan_term(c) for c in comps)
-        return (s1 - s2 - s3) / (b * b)
-    raise ValueError("three-colour closed forms exist for orders 0..2 only")

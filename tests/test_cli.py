@@ -192,6 +192,49 @@ class TestTabulate:
         assert tab_rows[1][4] == ev_rows[1][5]  # G2 column
 
 
+    # lambda from 1e-4 to 1e6; x1 = 0, -0.0 and up to 1e8; nonzero x2, x3
+    PINNED_GRID = (
+        "--lambda", "1e-4,0.3,1,7.5,1e6",
+        "--x1", "0,-0.0,1e-8,0.5,2,1e3,1e8",
+        "--x2", "0.25",
+        "--x3", "1.5",
+    )
+
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("csv", "3e9db357febbbc2a5dceed4d23c755b19d19f73edb28902e42600028819b802a"),
+            ("json", "6ae745c994b03eabd7d5c7978ec593248489892c790f83c50f12b1015bf3fad4"),
+        ],
+    )
+    def test_output_bytes_pinned(self, capsys, fmt, digest):
+        code, out, _ = run(capsys, "tabulate", *self.PINNED_GRID, "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--lambda", "1", "--x1", "0,1", "--x2", "-1"), "x2=-1.0 must be finite and >= 0"),
+            (("--lambda", "1", "--x1", "0,1", "--x2", "nan"), "x2=nan must be finite and >= 0"),
+            (("--lambda", "1,0,2", "--x1", "0,1"), "coupling must be finite and > 0, got 0.0"),
+            (("--lambda", "1,-0.5", "--x1", "0,1"), "coupling must be finite and > 0, got -0.5"),
+            # (1+x1^2)/z first overflows on the last record
+            (("--lambda", "1,1e-300", "--x1", "1,1e5"), "(1+x1^2)/z must be finite"),
+        ],
+    )
+    def test_domain_error_writes_nothing(self, capsys, tmp_path, argv, message, fmt):
+        code, out, err = run(capsys, "tabulate", *argv, "--format", fmt)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+        path = tmp_path / "table"
+        path.write_text("kept\n", encoding="utf-8")
+        code, out, err = run(capsys, "tabulate", *argv, "--format", fmt, "--output", str(path))
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert path.read_text(encoding="utf-8") == "kept\n"
+
+
 class TestVerify:
     def test_coeffs_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "coeffs", "--max-order", "5")

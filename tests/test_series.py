@@ -17,7 +17,6 @@ from melontft.series import (
     free_propagator,
     integrate_transverse,
     perturbative_order,
-    three_colour_low_order,
 )
 from melontft.specialfn import Point3
 
@@ -223,42 +222,3 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             eval_partial_sum(-1, x, 0.1)
 
-
-class TestThreeColour:
-    def test_free(self):
-        assert three_colour_low_order(0, Point3(1, 1, 1)) == 0.25
-
-    def test_first_order(self):
-        got = three_colour_low_order(1, Point3(1, 1, 1))
-        assert got == pytest.approx(math.pi / 2 * 3 * math.log(2) / 16, rel=1e-15)
-
-    def test_second_order_origin_limit(self):
-        # frozen from the analytic limit -3*pi^2*(1 - log 2); cross-checked
-        # against the printed formula approached from x -> 0 below
-        got = three_colour_low_order(2, Point3(0, 0, 0))
-        assert got == pytest.approx(-9.085547811696726222, rel=1e-14)
-
-    def test_second_order_limit_is_continuous(self):
-        at_zero = three_colour_low_order(2, Point3(0, 0, 0))
-        eps = 1e-5
-        near = three_colour_low_order(2, Point3(eps, eps, eps))
-        assert near == pytest.approx(at_zero, abs=1e-7)
-
-    def test_generic_point_pieces(self):
-        # independent re-evaluation of the three printed pieces
-        x = Point3(0.7, 1.1, 0.3)
-        b = 1 + x.norm2
-        logs = [math.log(c * c + 1) for c in (x.x1, x.x2, x.x3)]
-        s1 = math.pi**2 * sum(logs) ** 2 / (4 * b)
-        s2 = sum(
-            math.pi * lg / (2 * (c * c + 1)) for c, lg in zip((x.x1, x.x2, x.x3), logs)
-        )
-        s3 = math.pi**2 * sum(
-            (c * math.log((c * c + 1) / 4) + 2 * math.atan(c)) / (2 * (c**3 + c))
-            for c in (x.x1, x.x2, x.x3)
-        )
-        assert three_colour_low_order(2, x) == pytest.approx((s1 - s2 - s3) / b**2, rel=1e-15)
-
-    def test_unsupported_order(self):
-        with pytest.raises(ValueError):
-            three_colour_low_order(3, Point3(1, 1, 1))
