@@ -8,10 +8,11 @@ suite, the Lambert-W resummed non-perturbative solution, adaptive
 quadrature residual checks and the recursion for higher-point functions.
 
 Caching policy: a pure function of integer indices whose results are
-immutable (Stirling rows, a(n,k,m) from the recurrences, perturbative
-orders and their tadpoles) is memoised for the life of the process by
-``functools.cache`` on a private helper.  Public names stay plain
-functions that check their arguments on every call and then delegate.
+immutable (Stirling rows, the (num, den) pairs of a(n,k,m) from the closed
+form and from the recurrences, perturbative orders and their tadpoles) is
+memoised for the life of the process by ``functools.cache`` on a private
+helper.  Public names stay plain functions that check their arguments on
+every call and then delegate.
 Any other memo (``connected_2k``'s, over point subsets) lives for one call.
 
 The top-level names are the union of the ``__all__`` lists of the

@@ -2,8 +2,10 @@
 
 Stirling numbers of the first kind, harmonic numbers and the coefficient
 family a(n, k, m) that organizes the logarithmic terms of the perturbative
-2-point function.  Everything here is exact: integers are arbitrary
-precision, ratios are ``fractions.Fraction``.
+2-point function.  Everything here is exact.  Rationals are computed as
+reduced (numerator, denominator) int pairs, and every sum goes through
+``_pair_sum``, which adds its terms at the LCM of their own denominators;
+a ``fractions.Fraction`` is made only for a value a public name returns.
 
 Conventions
 -----------
@@ -19,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial
-from typing import Callable, Dict, Mapping, Tuple
+from math import comb, factorial, gcd, lcm
+from typing import Callable, Dict, Iterable, Mapping, Tuple
 
 __all__ = [
     "stirling_first_signed",
@@ -78,16 +80,35 @@ def binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
+Pair = Tuple[int, int]  # (numerator, denominator > 0), reduced
+
+
+def _pair_sum(terms: Iterable[Pair]) -> Pair:
+    """Exact sum of (num, den) terms at the LCM of their denominators, reduced."""
+    terms = list(terms)
+    den = lcm(*(d for _, d in terms))
+    num = sum(c * (den // d) for c, d in terms)
+    g = gcd(num, den)
+    return num // g, den // g
+
+
 def harmonic(k: int) -> Fraction:
     """Harmonic number H_k = sum_{j<=k} 1/j as an exact Fraction."""
     if k < 1:
         raise ValueError("harmonic number needs k >= 1")
-    return sum((Fraction(1, j) for j in range(1, k + 1)), Fraction(0))
+    return Fraction(*_pair_sum((1, j) for j in range(1, k + 1)))
 
 
 def _check_index(n: int, k: int, m: int) -> None:
     if n < 2 or not (1 <= m <= k <= n - 1):
         raise ValueError(f"coefficient index out of range: (n,k,m)=({n},{k},{m})")
+
+
+@cache
+def _closed_pair(n: int, k: int, m: int) -> Pair:
+    # a one-term sum, to reduce C(n-1, m-1) * m!/k! * |s(n-m, n-k)|
+    num = binomial(n - 1, m - 1) * factorial(m) * stirling_first_unsigned(n - m, n - k)
+    return _pair_sum([(num, factorial(k))])
 
 
 def a_closed(n: int, k: int, m: int) -> Fraction:
@@ -96,39 +117,39 @@ def a_closed(n: int, k: int, m: int) -> Fraction:
     a(n,k,m) = C(n-1, m-1) * m!/k! * |s(n-m, n-k)|.
     """
     _check_index(n, k, m)
-    return (
-        Fraction(binomial(n - 1, m - 1))
-        * Fraction(factorial(m), factorial(k))
-        * stirling_first_unsigned(n - m, n - k)
-    )
+    return Fraction(*_closed_pair(n, k, m))
 
 
-def _generic_rhs(n: int, k: int, m: int, a: Callable[..., Fraction]) -> Fraction:
+def _generic_rhs(n: int, k: int, m: int, a: Callable[[int, int, int], Pair]) -> Pair:
     """Right-hand side of the generic recurrence (2 <= m <= k <= n-2).
 
-    ``a(n, k, m)`` supplies the coefficients: the closed form, or the
-    recurrence itself.  Each sum_l a(N-1, K, l)/l reads as a(N, K, 1) by
-    ``_a_recur``'s m = 1 rule (K <= N-2 throughout); k = n-2 empties the p-sum.
+    ``a(n, k, m)`` supplies the coefficients as pairs: the closed form, or
+    the recurrence itself.  Each sum_l a(N-1, K, l)/l reads as a(N, K, 1) by
+    ``_recur_pair``'s m = 1 rule (K <= N-2 throughout); k = n-2 empties the
+    p-sum.
     """
-    val = a(n - 1, k - 1, m - 1) + a(n - m + 1, k - m + 1, 1)
+    terms = [a(n - 1, k - 1, m - 1), a(n - m + 1, k - m + 1, 1)]
     for r in range(m - 1, k):
-        val += a(n - 1 + r - k, r, m - 1) / (k - r)
+        c, d = a(n - 1 + r - k, r, m - 1)
+        terms.append((c, d * (k - r)))
         for p in range(k - r + 1, n - 1 - r):
-            val += a(p + 1, k - r, 1) * a(n - p - 1, r, m - 1)
-    return val
+            (c1, d1), (c2, d2) = a(p + 1, k - r, 1), a(n - p - 1, r, m - 1)
+            terms.append((c1 * c2, d1 * d2))
+    return _pair_sum(terms)
 
 
 @cache
-def _a_recur(n: int, k: int, m: int) -> Fraction:
+def _recur_pair(n: int, k: int, m: int) -> Pair:
     if k == n - 1:
         if m == 1:
-            return Fraction(1, n - 1)
-        return Fraction(1, n - m) + _a_recur(n - 1, n - 2, m - 1)
+            return 1, n - 1
+        return _pair_sum([(1, n - m), _recur_pair(n - 1, n - 2, m - 1)])
     if m == 1:
         # applies for k <= n-2; at k = 1 it reduces to a(n,1,1) = a(n-1,1,1)
-        return sum((_a_recur(n - 1, k, l) / l for l in range(1, k + 1)), Fraction(0))
+        terms = [_recur_pair(n - 1, k, l) for l in range(1, k + 1)]
+        return _pair_sum((c, d * l) for l, (c, d) in enumerate(terms, 1))
     # generic case: 2 <= m <= k <= n-2
-    return _generic_rhs(n, k, m, _a_recur)
+    return _generic_rhs(n, k, m, _recur_pair)
 
 
 def a_recur(n: int, k: int, m: int) -> Fraction:
@@ -138,7 +159,7 @@ def a_recur(n: int, k: int, m: int) -> Fraction:
     routes can be compared exactly.
     """
     _check_index(n, k, m)
-    return _a_recur(n, k, m)
+    return Fraction(*_recur_pair(n, k, m))
 
 
 @dataclass(frozen=True)
@@ -149,11 +170,11 @@ class CoeffTable:
     entries: Mapping[Index, Fraction]
 
     @classmethod
-    def _build(cls, max_order: int, a: Callable[[int, int, int], Fraction]) -> "CoeffTable":
+    def _build(cls, max_order: int, a: Callable[[int, int, int], Pair]) -> "CoeffTable":
         if max_order < 2:
             raise ValueError("max_order must be >= 2")
         entries = {
-            (n, k, m): a(n, k, m)
+            (n, k, m): Fraction(*a(n, k, m))
             for n in range(2, max_order + 1)
             for k in range(1, n)
             for m in range(1, k + 1)
@@ -162,11 +183,11 @@ class CoeffTable:
 
     @classmethod
     def from_closed_form(cls, max_order: int) -> "CoeffTable":
-        return cls._build(max_order, a_closed)
+        return cls._build(max_order, _closed_pair)
 
     @classmethod
     def from_recurrences(cls, max_order: int) -> "CoeffTable":
-        return cls._build(max_order, _a_recur)
+        return cls._build(max_order, _recur_pair)
 
     def __getitem__(self, key: Index) -> Fraction:
         n, k, m = key
@@ -219,22 +240,12 @@ def check_identity_stirling_621(n: int, k: int) -> IdentityCheck:
     if n < 4 or not (1 <= k <= n - 3):
         raise ValueError(f"identity index out of range: (n,k)=({n},{k})")
     lhs = Fraction(stirling_first_unsigned(n - 1, n - k), factorial(n - 1))
-    rhs = sum(
-        (
-            Fraction(stirling_first_unsigned(n - 1 - l, n - 1 - k))
-            / ((n - 1) * factorial(n - 1 - l))
-            for l in range(1, k + 1)
-        ),
-        Fraction(0),
+    tops = [stirling_first_unsigned(n - 1 - l, n - 1 - k) for l in range(1, k + 1)]
+    rhs = _pair_sum((c, (n - 1) * factorial(n - 1 - l)) for l, c in enumerate(tops, 1))
+    printed_rhs = _pair_sum((c, factorial(n - l)) for l, c in enumerate(tops, 1))
+    return IdentityCheck(
+        lhs=lhs, rhs=Fraction(*rhs), printed_lhs=lhs, printed_rhs=Fraction(*printed_rhs)
     )
-    printed_rhs = sum(
-        (
-            Fraction(stirling_first_unsigned(n - 1 - l, n - 1 - k), factorial(n - l))
-            for l in range(1, k + 1)
-        ),
-        Fraction(0),
-    )
-    return IdentityCheck(lhs=lhs, rhs=rhs, printed_lhs=lhs, printed_rhs=printed_rhs)
 
 
 def check_identity_harmonic(n: int, k: int) -> IdentityCheck:
@@ -245,11 +256,8 @@ def check_identity_harmonic(n: int, k: int) -> IdentityCheck:
     if n < 1 or not (1 <= k <= n):
         raise ValueError(f"identity index out of range: (n,k)=({n},{k})")
     lhs = harmonic(k)
-    inner = sum(
-        (Fraction(n + 1 - k + l, l * (k + 1 - l)) for l in range(1, k + 1)),
-        Fraction(0),
-    )
-    rhs = Fraction(k + 1, 2 * n + 3 - k) * inner
+    c, d = _pair_sum((n + 1 - k + l, l * (k + 1 - l)) for l in range(1, k + 1))
+    rhs = Fraction((k + 1) * c, (2 * n + 3 - k) * d)
     return IdentityCheck(lhs=lhs, rhs=rhs, printed_lhs=lhs, printed_rhs=rhs)
 
 
@@ -263,35 +271,26 @@ def check_identity_big_stirling(n: int, k: int, m: int) -> IdentityCheck:
     if n < 5 or not (2 <= k <= n - 3) or not (2 <= m <= k):
         raise ValueError(f"identity index out of range: (n,k,m)=({n},{k},{m})")
 
-    printed_lhs = (
-        Fraction((n - 1) * m - k * (m - 1))
-        * Fraction(factorial(n - 2), factorial(k) * factorial(n - m))
-        * stirling_first_unsigned(n - m, n - k)
+    c = stirling_first_unsigned
+    printed_lhs = Fraction(
+        ((n - 1) * m - k * (m - 1)) * factorial(n - 2) * c(n - m, n - k),
+        factorial(k) * factorial(n - m),
     )
-    printed_rhs = Fraction(0)
+    terms = []
     for l in range(1, k - m + 2):
-        bracket = Fraction(factorial(n - 1 - m), factorial(k - m + 1))
-        bracket += Fraction(m - 1, l) * Fraction(factorial(n - l - 2), factorial(k - l))
-        weight = Fraction(stirling_first_unsigned(n - m - l, n - k - 1), factorial(n - m - l))
-        printed_rhs += weight * bracket
-    for l in range(1, k - m + 2):
-        outer = Fraction(m - 1, factorial(l) * factorial(k - l))
-        inner = Fraction(0)
+        # weight * bracket, with weight |s(n-m-l, n-k-1)|/(n-m-l)!
+        w, wd = c(n - m - l, n - k - 1), factorial(n - m - l)
+        terms.append((w * factorial(n - 1 - m), wd * factorial(k - m + 1)))
+        terms.append((w * (m - 1) * factorial(n - l - 2), wd * l * factorial(k - l)))
+        # outer (m-1)/(l!(k-l)!) times each p-term of inner times its tail's r-terms
         for p in range(l + 1, n - 1 - k + l):
-            tail = sum(
-                Fraction(stirling_first_unsigned(p - r, p - l), factorial(p - r))
-                for r in range(1, l + 1)
-            )
-            inner += (
-                Fraction(factorial(p - 1) * factorial(n - 2 - p), factorial(n - m - p))
-                * stirling_first_unsigned(n - m - p, n - k - 1 - p + l)
-                * tail
-            )
-        printed_rhs += outer * inner
+            num = (m - 1) * factorial(p - 1) * factorial(n - 2 - p) * c(n - m - p, n - k - 1 - p + l)
+            den = factorial(l) * factorial(k - l) * factorial(n - m - p)
+            terms.extend((num * c(p - r, p - l), den * factorial(p - r)) for r in range(1, l + 1))
     # ground truth is the recurrence acting on the coefficients themselves
     return IdentityCheck(
         lhs=a_closed(n, k, m),
-        rhs=_generic_rhs(n, k, m, a_closed),
+        rhs=Fraction(*_generic_rhs(n, k, m, _closed_pair)),
         printed_lhs=printed_lhs,
-        printed_rhs=printed_rhs,
+        printed_rhs=Fraction(*_pair_sum(terms)),
     )

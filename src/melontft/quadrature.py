@@ -32,6 +32,9 @@ wide panels whose two rules agree and are both wrong.
 
 Everything is evaluated in a fixed order, so results are deterministic
 for a given (integrand, tolerance, budget).
+
+numpy is imported, and the Gauss nodes and weights are computed, on the
+first rule evaluated, so importing melontft does not load numpy.
 """
 
 from __future__ import annotations
@@ -40,9 +43,8 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, List, Sequence, Tuple
-
-import numpy as np
 
 from .errors import NotConvergedError
 from .specialfn import Coupling, Point3, dressed_mass, g2_from_mass
@@ -55,8 +57,7 @@ __all__ = [
     "integrated_identity_residual",
 ]
 
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(8)
-_RULE_EVALS = _NODES.size**2  # integrand points per product rule
+_RULE_EVALS = 64  # integrand points per product rule, 8 x 8 Gauss nodes
 # a split evaluates the four quarter rules of each of the four children
 _SPLIT_EVALS = 16 * _RULE_EVALS
 
@@ -67,7 +68,14 @@ _U_CUT2 = 2.0e5 / (1.0 + 2.0e5)
 Rect = Tuple[float, float, float, float]  # (a, b, c, d) = [a, b] x [c, d] in (u, v)
 
 
-def _map_rational(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+@cache
+def _gauss_rule():
+    import numpy as np
+
+    return np.polynomial.legendre.leggauss(8)
+
+
+def _map_rational(u):
     w = 1.0 - u
     return u / w, 1.0 / (w * w)
 
@@ -99,12 +107,15 @@ def _quarters(a: float, b: float, c: float, d: float) -> Tuple[Rect, Rect, Rect,
 
 def _rules(f: Callable, rects: Sequence[Rect]) -> List[float]:
     """Product Gauss-Legendre on each (u, v) rectangle, one integrand call."""
+    import numpy as np
+
+    nodes, weights = _gauss_rule()
     a, b, c, d = np.array(rects).T
-    u = 0.5 * (b - a)[:, None] * _NODES + 0.5 * (a + b)[:, None]
-    v = 0.5 * (d - c)[:, None] * _NODES + 0.5 * (c + d)[:, None]
+    u = 0.5 * (b - a)[:, None] * nodes + 0.5 * (a + b)[:, None]
+    v = 0.5 * (d - c)[:, None] * nodes + 0.5 * (c + d)[:, None]
     qu, ju = _map_rational(u)
     qv, jv = _map_rational(v)
-    vals = f(qu[:, :, None], qv[:, None, :]) * (ju * _WEIGHTS)[:, :, None] * (jv * _WEIGHTS)[:, None, :]
+    vals = f(qu[:, :, None], qv[:, None, :]) * (ju * weights)[:, :, None] * (jv * weights)[:, None, :]
     return (vals.reshape(len(rects), -1).sum(axis=1) * 0.25 * (b - a) * (d - c)).tolist()
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 from .errors import NotConvergedError
@@ -75,7 +76,7 @@ class Coupling:
         if not math.isfinite(self.lam) or self.lam <= 0:
             raise ValueError(f"coupling must be finite and > 0, got {self.lam!r}")
 
-    @property
+    @cached_property  # once per coupling; not a field, so eq, hash and repr ignore it
     def z(self) -> float:
         return 0.5 * math.pi * self.lam
 
@@ -136,9 +137,9 @@ def _halley_we_w(w: float, y: float) -> float:
 
 
 def lambert_w0(y: float) -> float:
-    """Principal Lambert branch: w >= -1 with w*e^w = y, for y >= -1/e."""
-    if not (y >= _BRANCH_POINT):  # also rejects NaN
-        raise ValueError(f"lambert_w0 needs y >= -1/e, got {y!r}")
+    """Principal Lambert branch: w >= -1 with w*e^w = y, for finite y >= -1/e."""
+    if not (_BRANCH_POINT <= y < math.inf):  # also rejects NaN
+        raise ValueError(f"lambert_w0 needs finite y >= -1/e, got {y!r}")
     if y == 0.0:
         return 0.0
     if y > 0.0:

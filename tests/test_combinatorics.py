@@ -146,14 +146,16 @@ class TestCoefficients:
             assert a_closed(n, n - 1, 1) == Fraction(1, n - 1)
 
     @pytest.mark.parametrize(
-        "a, top", [(a_closed, 12), (combinatorics._a_recur, 20)], ids=["closed", "recur"]
+        "a, pair, top",
+        [(a_closed, combinatorics._closed_pair, 12), (a_recur, combinatorics._recur_pair, 20)],
+        ids=["closed", "recur"],
     )
-    def test_folded_generic_rhs_matches_paper_form(self, a, top):
+    def test_folded_generic_rhs_matches_paper_form(self, a, pair, top):
         # every generic index 2 <= m <= k <= n-2; n <= 12 is the big-Stirling range
         for n in range(4, top + 1):
             for k in range(2, n - 1):
                 for m in range(2, k + 1):
-                    rhs = combinatorics._generic_rhs(n, k, m, a)
+                    rhs = Fraction(*combinatorics._generic_rhs(n, k, m, pair))
                     assert rhs == paper_generic_rhs(n, k, m, a) == a(n, k, m), (n, k, m)
 
     def test_recurrence_route_never_reads_closed_form(self, monkeypatch):
@@ -162,11 +164,28 @@ class TestCoefficients:
         closed = CoeffTable.from_closed_form(10)
 
         def unavailable(*args):
-            raise AssertionError("recurrence route reached a_closed")
+            raise AssertionError("recurrence route reached the closed form")
 
-        combinatorics._a_recur.cache_clear()
+        combinatorics._recur_pair.cache_clear()
         monkeypatch.setattr(combinatorics, "a_closed", unavailable)
+        monkeypatch.setattr(combinatorics, "_closed_pair", unavailable)
         assert CoeffTable.from_recurrences(10) == closed
+
+    def test_cold_recurrence_table_makes_one_fraction_per_entry(self, monkeypatch):
+        # the recurrences run on int pairs; a Fraction is made only per entry
+        made = []
+
+        def counting(*args):
+            made.append(args)
+            return Fraction(*args)
+
+        for value in vars(combinatorics).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+        monkeypatch.setattr(combinatorics, "Fraction", counting)
+        table = CoeffTable.from_recurrences(20)
+        assert len(made) == len(table.entries) == 1330
+        assert table.entries == CoeffTable.from_closed_form(20).entries
 
     def test_index_validation(self):
         for bad in [(1, 1, 1), (3, 3, 1), (3, 2, 0), (4, 2, 3), (2, 1, 2)]:

@@ -62,6 +62,12 @@ class TestDomainTypes:
             with pytest.raises(ValueError):
                 Coupling(bad)
 
+    def test_coupling_z_once_and_not_compared(self):
+        c, fresh = Coupling(1.5), Coupling(1.5)
+        assert c.z is c.z  # computed on the first read, then kept
+        assert c == fresh and hash(c) == hash(fresh)
+        assert repr(c) == repr(fresh) == "Coupling(lam=1.5)"
+
 
 class TestLambert:
     def test_w0_values(self):
@@ -79,6 +85,11 @@ class TestLambert:
             lambert_w0(-0.3679)
         with pytest.raises(ValueError):
             lambert_w0(math.nan)
+
+    def test_w0_rejects_infinity_by_name(self):
+        # the guard names lambert_w0 and y, not the wright_omega it calls
+        with pytest.raises(ValueError, match=r"^lambert_w0 needs finite y >= -1/e, got inf$"):
+            lambert_w0(math.inf)
 
     def test_wm1_values(self):
         assert lambert_wm1(-math.exp(-1.0)) == pytest.approx(-1.0, abs=1e-7)
