@@ -9,9 +9,9 @@ quadrature residual checks and the recursion for higher-point functions.
 
 Caching policy: a pure function of integer indices whose results are
 immutable (Stirling rows, the (num, den) pairs of a(n,k,m) from the closed
-form and from the recurrences, perturbative orders and their tadpoles) is
-memoised for the life of the process by ``functools.cache`` on a private
-helper.  Public names stay plain functions that check their arguments on
+form and from the recurrences, perturbative orders and their tadpoles, and
+``series._float_order``'s float table of each order) is memoised for the
+life of the process by ``functools.cache`` on a private helper.  Public names stay plain functions that check their arguments on
 every call and then delegate.
 Any other memo (``connected_2k``'s, over point subsets) lives for one call.
 

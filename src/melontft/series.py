@@ -15,6 +15,13 @@ all numerators.  ``_integrate`` is the one transverse integration rule,
 ``integrate_transverse`` its public view; ``Fraction`` terms (a
 ``LogSeries``) are made only for orders asked for.  ``ansatz_order``
 builds the conjectured closed form; equality of the two is the target.
+
+Float evaluation has one body, ``_eval_terms``.  ``eval_series`` and
+``eval_series_transverse`` feed it a ``LogSeries``; ``eval_partial_sum``
+feeds it ``_float_order(n)``, a cached tuple of (num/D, logpow, x1pow,
+fullpow) made from the integer pair, so the partial-sum path makes no
+``Fraction``.  Each evaluator raises ``ValueError`` once 1+x1^2
+overflows binary64 (x1 above about 1.34e154).
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ __all__ = [
 ]
 
 TermItem = Tuple[Fraction, int, int, int]
+FloatTerm = Tuple[float, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -69,7 +77,9 @@ class LogSeries:
         acc: Dict[Tuple[int, int, int], Fraction] = {}
         for coeff, logpow, x1pow, fullpow in items:
             key = (logpow, x1pow, fullpow)
-            acc[key] = acc.get(key, Fraction(0)) + Fraction(coeff)
+            c = Fraction(coeff)
+            prev = acc.get(key)
+            acc[key] = c if prev is None else prev + c
         terms = tuple(LogTerm(c, *key) for key, c in sorted(acc.items()) if c != 0)
         return cls(order, terms)
 
@@ -208,12 +218,9 @@ def eval_series_transverse(s: LogSeries, x1: float, rho2):
     ``rho2`` may be a float or any array type supporting arithmetic;
     this is the natural shape for building transverse integrands.
     """
-    a = 1.0 + x1 * x1
-    lg = math.log(a)
-    total = 0.0
-    for t in s.terms:
-        total = total + float(t.coeff) * lg**t.logpow * a ** (-t.x1pow) * (1.0 + x1 * x1 + rho2) ** (-t.fullpow)
-    return (0.5 * math.pi) ** s.order * total
+    a, lg = _x1_factors(x1)
+    terms = ((float(t.coeff), t.logpow, t.x1pow, t.fullpow) for t in s.terms)
+    return _eval_terms(s.order, terms, a, lg, a + rho2)
 
 
 def eval_series(s: LogSeries, x: Point3) -> float:
@@ -222,8 +229,37 @@ def eval_series(s: LogSeries, x: Point3) -> float:
 
 
 def eval_partial_sum(n_max: int, x: Point3, lam: float) -> float:
-    """Partial sum of the coupling expansion through order n_max."""
+    """Partial sum of the coupling expansion through order n_max.
+
+    Reads the cached float table of each order; no ``Fraction`` is made.
+    """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    return sum(lam**n * eval_series(perturbative_order(n), x) for n in range(n_max + 1))
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam!r}")
+    a, lg = _x1_factors(x.x1)
+    b = a + (x.x2 * x.x2 + x.x3 * x.x3)
+    return sum(lam**n * _eval_terms(n, _float_order(n), a, lg, b) for n in range(n_max + 1))
 
+
+@cache
+def _float_order(n: int) -> Tuple[FloatTerm, ...]:
+    # (num/D, logpow, x1pow, fullpow) in the key order of LogSeries.terms;
+    # int/int division is correctly rounded, so num/D == float(Fraction(num, D))
+    den, nums = _int_order(n)
+    return tuple((c / den, *key) for key, c in sorted(nums.items()))
+
+
+def _x1_factors(x1: float) -> Tuple[float, float]:
+    a = 1.0 + x1 * x1
+    if not math.isfinite(a):
+        raise ValueError(f"1+x1^2 must be finite (x1 up to about 1.34e154), got x1={x1!r}")
+    return a, math.log(a)
+
+
+def _eval_terms(order: int, terms: Iterable[FloatTerm], a: float, lg: float, b):
+    # the one evaluation body: a = 1+x1^2, lg = log(a), b = a + rho2
+    total = 0.0
+    for c, logpow, x1pow, fullpow in terms:
+        total = total + c * lg**logpow * a ** (-x1pow) * b ** (-fullpow)
+    return (0.5 * math.pi) ** order * total

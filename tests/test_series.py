@@ -1,7 +1,10 @@
 import functools
 import math
+import random
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,9 +13,11 @@ from melontft import series
 from melontft.errors import DivergentIntegralError, ShapeMismatchError
 from melontft.series import (
     LogSeries,
+    LogTerm,
     ansatz_order,
     eval_partial_sum,
     eval_series,
+    eval_series_transverse,
     extract_coefficients,
     free_propagator,
     integrate_transverse,
@@ -60,6 +65,12 @@ def ref_order(n):
 @functools.cache
 def ref_tadpole(k):
     return ref_integrate_transverse(ref_order(k))
+
+
+# Reference: the partial sum as one eval_series call per order, the form
+# the cached float tables replaced, kept to check them bit for bit.
+def ref_partial_sum(n_max, x, lam):
+    return sum(lam**n * eval_series(perturbative_order(n), x) for n in range(n_max + 1))
 
 
 class TestAlgebra:
@@ -222,3 +233,65 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             eval_partial_sum(-1, x, 0.1)
 
+    def test_partial_sum_matches_per_order_sum(self):
+        # the float tables give the old per-order evaluation bit for bit
+        rng = random.Random(2024)
+        points = [Point3(0.0, 0.4, 1.3), Point3(1e8, 1.1, 0.2)]
+        points += [Point3(10 ** rng.uniform(-3, 8), rng.uniform(0, 2), rng.uniform(0, 2)) for _ in range(6)]
+        for x in points:
+            for lam in (1e-4, 1e4, 10 ** rng.uniform(-4, 4)):
+                for n in range(21):
+                    got, want = eval_partial_sum(n, x, lam), ref_partial_sum(n, x, lam)
+                    assert got.hex() == want.hex(), (n, x, lam)
+
+    def test_cold_partial_sum_builds_no_series(self, monkeypatch):
+        # the partial sum reads float tables made from the integer kernel;
+        # a cold order is never turned into a LogSeries of Fractions
+        build = LogSeries.build
+        orders = []
+
+        def recording(cls, order, items):
+            orders.append(order)
+            return build(order, items)
+
+        monkeypatch.setattr(LogSeries, "build", classmethod(recording))
+        for cached in (series._float_order, series._order, series._int_order, series._int_tadpole):
+            cached.cache_clear()
+        eval_partial_sum(20, Point3(0.7, 1.2, 0.3), 0.25)
+        assert orders == []
+
+    def test_transverse_array_matches_scalars(self):
+        # numpy's power and the C library's pow may differ by about an ulp,
+        # so each value is held to 8 eps of the sum of its terms' magnitudes
+        rho2 = np.array([0.0, 0.25, 1.7, 40.0, 1e6])
+        for n in (0, 1, 5, 12, 20):
+            s = perturbative_order(n)
+            magnitudes = LogSeries(n, tuple(LogTerm(abs(t.coeff), *t.key()) for t in s.terms))
+            for x1 in (0.0, 0.3, 2.0, 1e3):
+                got = eval_series_transverse(s, x1, rho2)
+                for g, r in zip(got.tolist(), rho2.tolist()):
+                    bound = 8 * sys.float_info.epsilon * eval_series_transverse(magnitudes, x1, r)
+                    assert abs(g - eval_series_transverse(s, x1, r)) <= bound, (n, x1, r)
+
+    @pytest.mark.parametrize("x1", [1.35e154, 1e160])
+    def test_x1_overflow_names_its_limit(self, x1):
+        # 1 + x1^2 overflows binary64: every evaluator raises, none returns nan
+        s, x = perturbative_order(3), Point3(x1, 1.0, 1.0)
+        for call in (
+            lambda: eval_series(s, x),
+            lambda: eval_series_transverse(s, x1, 2.0),
+            lambda: eval_partial_sum(4, x, 0.5),
+        ):
+            with pytest.raises(ValueError, match="1.34e154") as err:
+                call()
+            assert f"x1={x1!r}" in str(err.value)
+
+    def test_largest_x1_evaluates(self):
+        x = Point3(1.34e154, 1.0, 1.0)
+        assert math.isfinite(eval_series(perturbative_order(3), x))
+        assert math.isfinite(eval_partial_sum(4, x, 0.5))
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_partial_sum_rejects_non_finite_lambda(self, lam):
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            eval_partial_sum(0, Point3(1, 2, 0.5), lam)
