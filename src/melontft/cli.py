@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Iterable, List, Optional, Sequence
 
@@ -138,6 +139,9 @@ def cmd_tabulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # checked for every suite, so a bad --tol never passes unread
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"abs_tol must be finite and > 0, got {args.tol}")
     x = _parse_point(args.x) if args.x else None
     # name -> suite; the key order is the order of "verify all"
     suites = {

@@ -8,20 +8,18 @@ with rational coefficients; the prefactor (pi/2)^n is carried by the
 order, so pi enters only the numeric evaluation.  ``x1pow`` counts
 denominator powers (negative values are numerator factors of (1+x1^2)).
 
-``perturbative_order`` runs the renormalized recursion (Taylor
-subtraction of the tadpole at k = 0) in an integer kernel: an order is
-(D, {(logpow, x1pow, fullpow): numerator}), reduced by the gcd of D and
-all numerators.  ``_integrate`` is the one transverse integration rule,
-``integrate_transverse`` its public view; ``Fraction`` terms (a
-``LogSeries``) are made only for orders asked for.  ``ansatz_order``
-builds the conjectured closed form; equality of the two is the target.
+Exact terms are integer pairs (D, {(logpow, x1pow, fullpow): num}) in
+lowest terms.  ``_pair`` alone makes a pair from terms, ``_series`` alone
+a ``LogSeries`` from a pair.  ``perturbative_order`` runs the
+renormalized recursion (Taylor subtraction of the tadpole at k = 0) on
+cached pairs with ``_integrate``, the one transverse integration rule.
+``_slots`` states the conjectured closed form once, for ``ansatz_order``
+and ``extract_coefficients``.
 
-Float evaluation has one body, ``_eval_terms``.  ``eval_series`` and
-``eval_series_transverse`` feed it a ``LogSeries``; ``eval_partial_sum``
-feeds it ``_float_order(n)``, a cached tuple of (num/D, logpow, x1pow,
-fullpow) made from the integer pair, so the partial-sum path makes no
-``Fraction``.  Each evaluator raises ``ValueError`` once 1+x1^2
-overflows binary64 (x1 above about 1.34e154).
+Float evaluation has one body, ``_eval_terms``; ``eval_partial_sum``
+feeds it the cached float table ``_float_order(n)`` and makes no
+``Fraction``.  Evaluators raise ``ValueError`` once 1+x1^2 overflows
+binary64 (x1 above about 1.34e154).
 """
 
 from __future__ import annotations
@@ -30,27 +28,22 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Tuple
 
 from .combinatorics import a_closed
 from .errors import DivergentIntegralError, ShapeMismatchError
 from .specialfn import Point3
 
 __all__ = [
-    "LogTerm",
-    "LogSeries",
-    "free_propagator",
-    "integrate_transverse",
-    "perturbative_order",
-    "ansatz_order",
-    "extract_coefficients",
-    "eval_series",
-    "eval_series_transverse",
-    "eval_partial_sum",
+    "LogTerm", "LogSeries", "free_propagator", "integrate_transverse", "perturbative_order", "ansatz_order",
+    "extract_coefficients", "eval_series", "eval_series_transverse", "eval_partial_sum",
 ]
 
+Key = Tuple[int, int, int]
 TermItem = Tuple[Fraction, int, int, int]
 FloatTerm = Tuple[float, int, int, int]
+IntPair = Tuple[int, Dict[Key, int]]
+_FREE: IntPair = (1, {(0, 0, 1): 1})
 
 
 @dataclass(frozen=True)
@@ -60,7 +53,7 @@ class LogTerm:
     x1pow: int
     fullpow: int
 
-    def key(self) -> Tuple[int, int, int]:
+    def key(self) -> Key:
         return (self.logpow, self.x1pow, self.fullpow)
 
 
@@ -73,15 +66,8 @@ class LogSeries:
 
     @classmethod
     def build(cls, order: int, items: Iterable[TermItem]) -> "LogSeries":
-        """Merge, drop zeros and sort: the only way series are constructed."""
-        acc: Dict[Tuple[int, int, int], Fraction] = {}
-        for coeff, logpow, x1pow, fullpow in items:
-            key = (logpow, x1pow, fullpow)
-            c = Fraction(coeff)
-            prev = acc.get(key)
-            acc[key] = c if prev is None else prev + c
-        terms = tuple(LogTerm(c, *key) for key, c in sorted(acc.items()) if c != 0)
-        return cls(order, terms)
+        """Merge, drop zeros and sort, exactly, through the integer pair."""
+        return _series(order, _pair(items))
 
 
 def free_propagator() -> LogSeries:
@@ -100,22 +86,28 @@ def integrate_transverse(s: LogSeries) -> LogSeries:
     -(1/2) log(1+x1^2) at order 1.  Any other term with fullpow < 2 means
     the caller fed something outside the expansion and is rejected.
     """
-    den = math.lcm(*(t.coeff.denominator for t in s.terms))
-    pair = den, {t.key(): t.coeff.numerator * (den // t.coeff.denominator) for t in s.terms}
-    return _series(s.order + 1, _integrate(s.order, pair))
+    return _series(s.order + 1, _integrate(s.order, _pair((t.coeff, *t.key()) for t in s.terms)))
 
 
-IntPair = Tuple[int, Dict[Tuple[int, int, int], int]]
-_FREE: IntPair = (1, {(0, 0, 1): 1})
-
-
-def _reduced(den: int, nums: Dict[Tuple[int, int, int], int]) -> IntPair:
+def _reduced(den: int, nums: Dict[Key, int]) -> IntPair:
     g = math.gcd(den, *nums.values())
     return den // g, {key: c // g for key, c in nums.items() if c}
 
 
+def _pair(items: Iterable[TermItem]) -> IntPair:
+    # the only way terms become a pair: summed exactly at the LCM of their denominators
+    terms = [(Fraction(c), (logpow, x1pow, fullpow)) for c, logpow, x1pow, fullpow in items]
+    den = math.lcm(*(c.denominator for c, _ in terms))
+    nums: Dict[Key, int] = {}
+    for c, key in terms:
+        nums[key] = nums.get(key, 0) + c.numerator * (den // c.denominator)
+    return _reduced(den, nums)
+
+
 def _series(order: int, pair: IntPair) -> LogSeries:
-    return LogSeries.build(order, ((Fraction(c, pair[0]), *key) for key, c in pair[1].items()))
+    # the only place a LogSeries is made: one Fraction per key of a reduced pair
+    den, nums = pair
+    return LogSeries(order, tuple(LogTerm(Fraction(c, den), *key) for key, c in sorted(nums.items())))
 
 
 def _integrate(order: int, pair: IntPair) -> IntPair:
@@ -124,7 +116,7 @@ def _integrate(order: int, pair: IntPair) -> IntPair:
         return 2, {(1, 0, 0): -1}
     den, nums = pair
     lcm = math.lcm(*(2 * (q - 1) for _, _, q in nums))
-    out: Dict[Tuple[int, int, int], int] = {}
+    out: Dict[Key, int] = {}
     for (logpow, x1pow, q), c in nums.items():
         if q < 2:
             raise DivergentIntegralError(f"term {(logpow, x1pow, q)} has no transverse decay; only "
@@ -142,7 +134,7 @@ def _int_order(n: int) -> IntPair:
     # per order and _int_tadpole(k) finds _int_order(k) cached
     parts = [(_int_tadpole(k), _int_order(n - 1 - k)) for k in range(n)]
     den = math.lcm(*(td * od for (td, _), (od, _) in parts))
-    acc: Dict[Tuple[int, int, int], int] = {}
+    acc: Dict[Key, int] = {}
     for (td, tadpole), (od, rest) in parts:
         scale = -2 * (den // (td * od))
         for (tl, tp, tq), tc in tadpole.items():
@@ -158,29 +150,25 @@ def _int_tadpole(k: int) -> IntPair:
     return _integrate(k, _int_order(k))
 
 
-@cache
-def _order(n: int) -> LogSeries:
-    # the public boundary: the only LogSeries the recursion makes
-    return _series(n, _int_order(n))
-
-
 def perturbative_order(n: int) -> LogSeries:
     """Order-n series from the recursion (one interaction, colour 1)."""
     if n < 0:
         raise ValueError("order must be >= 0")
-    return _order(n)
+    return _series(n, _int_order(n))
+
+
+def _slots(n: int) -> Dict[Key, Tuple[int, int, int]]:
+    # the closed form at order n: key (k, n-m, m+1) -> (k, m, sign) of its term
+    # sign * a(n,k,m), 1 <= m <= k < n; the leading key (n, 0, n+1) holds 1
+    return {(k, n - m, m + 1): (k, m, (-1) ** (n + k)) for k in range(1, n) for m in range(1, k + 1)}
 
 
 def ansatz_order(n: int) -> LogSeries:
     """Order-n series from the conjectured closed form."""
     if n < 1:
         raise ValueError("ansatz starts at order 1")
-    items: List[TermItem] = [(Fraction(1), n, 0, n + 1)]
-    for k in range(1, n):
-        for m in range(1, k + 1):
-            sign = -1 if (n + k) % 2 else 1
-            items.append((sign * a_closed(n, k, m), k, n - m, m + 1))
-    return LogSeries.build(n, items)
+    items = [(sign * a_closed(n, k, m), *key) for key, (k, m, sign) in _slots(n).items()]
+    return LogSeries.build(n, [(Fraction(1), n, 0, n + 1), *items])
 
 
 def extract_coefficients(s: LogSeries) -> Dict[Tuple[int, int], Fraction]:
@@ -194,29 +182,29 @@ def extract_coefficients(s: LogSeries) -> Dict[Tuple[int, int], Fraction]:
     n = s.order
     if n < 1:
         raise ValueError("coefficient extraction needs order >= 1")
+    slots = _slots(n)
     row: Dict[Tuple[int, int], Fraction] = {}
-    lead_ok = False
+    lead = Fraction(0)
     for t in s.terms:
         if t.key() == (n, 0, n + 1):
-            if t.coeff != 1:
-                raise ShapeMismatchError(f"leading term has coefficient {t.coeff}, not 1")
-            lead_ok = True
-            continue
-        k, m = t.logpow, t.fullpow - 1
-        if not (1 <= m <= k <= n - 1) or t.x1pow != n - m:
+            lead = t.coeff
+        elif t.key() in slots:
+            k, m, sign = slots[t.key()]
+            row[(k, m)] = sign * t.coeff
+        else:
             raise ShapeMismatchError(f"term {t} fits no slot at order {n}")
-        sign = -1 if (n + k) % 2 else 1
-        row[(k, m)] = sign * t.coeff
-    if not lead_ok:
-        raise ShapeMismatchError(f"order-{n} series lacks the leading log^n term")
+    if lead != 1:  # 0 when the leading term is missing
+        raise ShapeMismatchError(f"order-{n} leading log^n term has coefficient {lead}, not 1")
     return row
 
 
 def eval_series_transverse(s: LogSeries, x1: float, rho2):
     """Evaluate at points (x1, q2, q3) with rho2 = q2^2 + q3^2.
 
-    ``rho2`` may be a float or any array type supporting arithmetic;
-    this is the natural shape for building transverse integrands.
+    ``rho2`` may be a float or an array, the natural shape for
+    transverse integrands.  An array's values agree with scalar calls to
+    within a few ulps of the sum of the terms' magnitudes, not bit for
+    bit: numpy's power and the C library's pow differ by about an ulp.
     """
     a, lg = _x1_factors(x1)
     terms = ((float(t.coeff), t.logpow, t.x1pow, t.fullpow) for t in s.terms)

@@ -75,6 +75,8 @@ class Coupling:
     def __post_init__(self):
         if not math.isfinite(self.lam) or self.lam <= 0:
             raise ValueError(f"coupling must be finite and > 0, got {self.lam!r}")
+        if not math.isfinite(self.z):
+            raise ValueError(f"z = (pi/2)*lambda overflows binary64 at lambda={self.lam!r} (limit ~1.14e308)")
 
     @cached_property  # once per coupling; not a field, so eq, hash and repr ignore it
     def z(self) -> float:
@@ -136,6 +138,11 @@ def _halley_we_w(w: float, y: float) -> float:
     raise NotConvergedError(f"Halley iteration did not converge in {_MAX_ITER} steps at y={y!r}")
 
 
+def _branch_series(p: float) -> float:
+    # W near y = -1/e in p = sqrt(2(e*y + 1)), error O(p^4): W_0 at p, W_{-1} at -p
+    return -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
+
+
 def lambert_w0(y: float) -> float:
     """Principal Lambert branch: w >= -1 with w*e^w = y, for finite y >= -1/e."""
     if not (_BRANCH_POINT <= y < math.inf):  # also rejects NaN
@@ -146,10 +153,9 @@ def lambert_w0(y: float) -> float:
         return wright_omega(math.log(y))
     p = math.sqrt(max(0.0, 2.0 * (math.e * y + 1.0)))
     if p < 1e-4:
-        # branch-point series; truncation error O(p^4) ~ 1e-16 here
-        return -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
+        return _branch_series(p)  # truncation error ~ 1e-16 here
     if y < -0.3:
-        w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
+        w = _branch_series(p)
     else:
         w = y * (1.0 - y)  # two-term Taylor seed around 0
     return _halley_we_w(w, y)
@@ -161,10 +167,9 @@ def lambert_wm1(y: float) -> float:
         raise ValueError(f"lambert_wm1 needs -1/e <= y < 0, got {y!r}")
     p = math.sqrt(max(0.0, 2.0 * (math.e * y + 1.0)))
     if p < 1e-4:
-        # branch-point series with p -> -p relative to the principal branch
-        return -1.0 - p * (1.0 + p * (1.0 / 3.0 + p * (11.0 / 72.0)))
+        return _branch_series(-p)
     if y < -0.25:
-        w = -1.0 - p * (1.0 + p * (1.0 / 3.0 + p * (11.0 / 72.0)))
+        w = _branch_series(-p)
     else:
         l1 = math.log(-y)
         l2 = math.log(-l1)

@@ -62,6 +62,21 @@ class TestEval:
         assert "(1+x1^2)/z must be finite" in err and "wright_omega" not in err
         assert f"x1={float(x.split(',')[0])!r}" in err and f"lambda={float(lam)!r}" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "--lambda", "1.7e308", "--x", "1,1,1"),
+            ("tabulate", "--lambda", "1,1.7e308", "--x1", "1"),
+            ("greens", "--lambda", "1.7e308", "--points", "1,2,3;2,1,1"),
+            ("verify", "sde", "--lambda", "1.7e308"),
+        ],
+    )
+    def test_coupling_overflow_names_lambda(self, capsys, argv):
+        # z = (pi/2)*lambda overflows: the message names lambda, not wright_omega
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "lambda=1.7e+308" in err and "wright_omega" not in err
+
     def test_bad_point_exit_code(self, capsys):
         code, _, _ = run(capsys, "eval", "--lambda", "1", "--x", "1,2")
         assert code == 2
@@ -305,6 +320,22 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sde", "--tol", "nan"),
+            ("coeffs", "--tol", "-1"),
+            ("identities", "--tol", "0"),
+            ("lambert", "--tol", "inf"),
+            ("greens", "--tol=-inf"),
+        ],
+    )
+    def test_tol_is_checked_for_every_suite(self, capsys, argv):
+        # a suite that integrates nothing still rejects a bad --tol
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: abs_tol must be finite and > 0, got ")
 
 
 @pytest.mark.parametrize("argv", [("series", "--order", "2"), ("verify", "lambert")])

@@ -67,6 +67,17 @@ def ref_tadpole(k):
     return ref_integrate_transverse(ref_order(k))
 
 
+def recording_series(orders):
+    # series._series, the one constructor of a LogSeries, noting each order it makes
+    make = series._series
+
+    def recording(order, pair):
+        orders.append(order)
+        return make(order, pair)
+
+    return recording
+
+
 # Reference: the partial sum as one eval_series call per order, the form
 # the cached float tables replaced, kept to check them bit for bit.
 def ref_partial_sum(n_max, x, lam):
@@ -162,18 +173,10 @@ class TestOrders:
     def test_only_the_asked_order_is_built(self, monkeypatch):
         # the recursion runs on integer pairs; a cold order makes one
         # LogSeries, its own, and no lower order is turned into Fractions
-        build = LogSeries.build
         orders = []
-
-        def recording(cls, order, items):
-            orders.append(order)
-            return build(order, items)
-
-        monkeypatch.setattr(LogSeries, "build", classmethod(recording))
-        for cached in (series._order, series._int_order, series._int_tadpole):
+        monkeypatch.setattr(series, "_series", recording_series(orders))
+        for cached in (series._int_order, series._int_tadpole):
             cached.cache_clear()
-        perturbative_order(12)
-        assert orders == [12]
         perturbative_order(12)
         assert orders == [12]
 
@@ -217,6 +220,14 @@ class TestExtraction:
             extract_coefficients(free_propagator())
 
 
+    def test_missing_leading_term(self):
+        # every other term of order 3 fits its slot; the log^3 term is gone
+        rest = [(t.coeff, *t.key()) for t in ansatz_order(3).terms if t.key() != (3, 0, 4)]
+        assert len(rest) == 3
+        with pytest.raises(ShapeMismatchError, match="leading log\\^n term has coefficient 0"):
+            extract_coefficients(LogSeries.build(3, rest))
+
+
 class TestEvaluation:
     def test_g1_value(self):
         got = eval_series(perturbative_order(1), Point3(1, 0, 0))
@@ -247,18 +258,14 @@ class TestEvaluation:
     def test_cold_partial_sum_builds_no_series(self, monkeypatch):
         # the partial sum reads float tables made from the integer kernel;
         # a cold order is never turned into a LogSeries of Fractions
-        build = LogSeries.build
         orders = []
-
-        def recording(cls, order, items):
-            orders.append(order)
-            return build(order, items)
-
-        monkeypatch.setattr(LogSeries, "build", classmethod(recording))
-        for cached in (series._float_order, series._order, series._int_order, series._int_tadpole):
+        monkeypatch.setattr(series, "_series", recording_series(orders))
+        for cached in (series._float_order, series._int_order, series._int_tadpole):
             cached.cache_clear()
         eval_partial_sum(20, Point3(0.7, 1.2, 0.3), 0.25)
         assert orders == []
+        perturbative_order(3)  # the recorder sees the series that are made
+        assert orders == [3]
 
     def test_transverse_array_matches_scalars(self):
         # numpy's power and the C library's pow may differ by about an ulp,

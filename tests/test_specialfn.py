@@ -62,6 +62,14 @@ class TestDomainTypes:
             with pytest.raises(ValueError):
                 Coupling(bad)
 
+    def test_coupling_rejects_overflowing_z(self):
+        # the largest lambda whose z = (pi/2)*lambda is finite, and the next double
+        top = 1.1444469943028111e308
+        assert math.isfinite(Coupling(top).z)
+        with pytest.raises(ValueError, match=r"z = \(pi/2\)\*lambda overflows binary64") as err:
+            Coupling(math.nextafter(top, math.inf))
+        assert f"lambda={math.nextafter(top, math.inf)!r}" in str(err.value)
+
     def test_coupling_z_once_and_not_compared(self):
         c, fresh = Coupling(1.5), Coupling(1.5)
         assert c.z is c.z  # computed on the first read, then kept
