@@ -9,12 +9,13 @@ order, so pi enters only the numeric evaluation.  ``x1pow`` counts
 denominator powers (negative values are numerator factors of (1+x1^2)).
 
 Exact terms are integer pairs (D, {(logpow, x1pow, fullpow): num}) in
-lowest terms.  ``_pair`` alone makes a pair from terms, ``_series`` alone
-a ``LogSeries`` from a pair.  ``perturbative_order`` runs the
-renormalized recursion (Taylor subtraction of the tadpole at k = 0) on
-cached pairs with ``_integrate``, the one transverse integration rule.
-``_slots`` states the conjectured closed form once, for ``ansatz_order``
-and ``extract_coefficients``.
+lowest terms.  ``_pair`` alone sums (key, num, den) int triples into a
+pair, ``_series`` alone makes a ``LogSeries`` from one; a ``Fraction`` is
+made only there and read only from public inputs.  ``perturbative_order``
+runs the renormalized recursion (Taylor subtraction of the tadpole at
+k = 0) bottom-up on cached pairs with ``_integrate``, the one transverse
+integration rule.  ``_slots`` states the conjectured closed form once,
+for ``ansatz_order`` and ``extract_coefficients``.
 
 Float evaluation has one body, ``_eval_terms``; ``eval_partial_sum``
 feeds it the cached float table ``_float_order(n)`` and makes no
@@ -30,17 +31,18 @@ from fractions import Fraction
 from functools import cache
 from typing import Dict, Iterable, Tuple
 
-from .combinatorics import a_closed
+from .combinatorics import _closed_pair
 from .errors import DivergentIntegralError, ShapeMismatchError
 from .specialfn import Point3
 
 __all__ = [
-    "LogTerm", "LogSeries", "free_propagator", "integrate_transverse", "perturbative_order", "ansatz_order",
+    "LogTerm", "LogSeries", "integrate_transverse", "perturbative_order", "ansatz_order",
     "extract_coefficients", "eval_series", "eval_series_transverse", "eval_partial_sum",
 ]
 
 Key = Tuple[int, int, int]
 TermItem = Tuple[Fraction, int, int, int]
+IntTerm = Tuple[Key, int, int]  # (key, num, den > 0)
 FloatTerm = Tuple[float, int, int, int]
 IntPair = Tuple[int, Dict[Key, int]]
 _FREE: IntPair = (1, {(0, 0, 1): 1})
@@ -67,12 +69,7 @@ class LogSeries:
     @classmethod
     def build(cls, order: int, items: Iterable[TermItem]) -> "LogSeries":
         """Merge, drop zeros and sort, exactly, through the integer pair."""
-        return _series(order, _pair(items))
-
-
-def free_propagator() -> LogSeries:
-    """Order-0 series 1/(1+|x|^2)."""
-    return _series(0, _FREE)
+        return _series(order, _pair(((lp, xp, fp), c.numerator, c.denominator) for c, lp, xp, fp in items))
 
 
 def integrate_transverse(s: LogSeries) -> LogSeries:
@@ -86,7 +83,8 @@ def integrate_transverse(s: LogSeries) -> LogSeries:
     -(1/2) log(1+x1^2) at order 1.  Any other term with fullpow < 2 means
     the caller fed something outside the expansion and is rejected.
     """
-    return _series(s.order + 1, _integrate(s.order, _pair((t.coeff, *t.key()) for t in s.terms)))
+    terms = ((t.key(), t.coeff.numerator, t.coeff.denominator) for t in s.terms)
+    return _series(s.order + 1, _integrate(s.order, _pair(terms)))
 
 
 def _reduced(den: int, nums: Dict[Key, int]) -> IntPair:
@@ -94,13 +92,13 @@ def _reduced(den: int, nums: Dict[Key, int]) -> IntPair:
     return den // g, {key: c // g for key, c in nums.items() if c}
 
 
-def _pair(items: Iterable[TermItem]) -> IntPair:
-    # the only way terms become a pair: summed exactly at the LCM of their denominators
-    terms = [(Fraction(c), (logpow, x1pow, fullpow)) for c, logpow, x1pow, fullpow in items]
-    den = math.lcm(*(c.denominator for c, _ in terms))
+def _pair(terms: Iterable[IntTerm]) -> IntPair:
+    # the one keyed exact sum besides _int_order's: at the LCM of the denominators
+    terms = list(terms)
+    den = math.lcm(*(d for _, _, d in terms))
     nums: Dict[Key, int] = {}
-    for c, key in terms:
-        nums[key] = nums.get(key, 0) + c.numerator * (den // c.denominator)
+    for key, c, d in terms:
+        nums[key] = nums.get(key, 0) + c * (den // d)
     return _reduced(den, nums)
 
 
@@ -111,27 +109,24 @@ def _series(order: int, pair: IntPair) -> LogSeries:
 
 
 def _integrate(order: int, pair: IntPair) -> IntPair:
-    # the rule of integrate_transverse, at the common denominator D*lcm(2(q-1))
+    # the rule of integrate_transverse: each term over 2(q-1), at fullpow 0
     if order == 0 and pair == _FREE:
         return 2, {(1, 0, 0): -1}
     den, nums = pair
-    lcm = math.lcm(*(2 * (q - 1) for _, _, q in nums))
-    out: Dict[Key, int] = {}
-    for (logpow, x1pow, q), c in nums.items():
-        if q < 2:
-            raise DivergentIntegralError(f"term {(logpow, x1pow, q)} has no transverse decay; only "
+    for key in nums:
+        if key[2] < 2:
+            raise DivergentIntegralError(f"term {key} has no transverse decay; only "
                                          "the bare free propagator is integrated with subtraction")
-        key = (logpow, x1pow + q - 1, 0)
-        out[key] = out.get(key, 0) + c * (lcm // (2 * (q - 1)))
-    return _reduced(den * lcm, out)
+    terms = (((lp, xp + q - 1, 0), c, den * 2 * (q - 1)) for (lp, xp, q), c in nums.items())
+    return _pair(terms)
 
 
 @cache
 def _int_order(n: int) -> IntPair:
     if n == 0:
         return _FREE
-    # k = 0 builds every lower order first, so recursion stays one frame
-    # per order and _int_tadpole(k) finds _int_order(k) cached
+    for k in range(n):  # lower orders bottom-up, so a cold order nests no calls
+        _int_order(k)
     parts = [(_int_tadpole(k), _int_order(n - 1 - k)) for k in range(n)]
     den = math.lcm(*(td * od for (td, _), (od, _) in parts))
     acc: Dict[Key, int] = {}
@@ -167,8 +162,9 @@ def ansatz_order(n: int) -> LogSeries:
     """Order-n series from the conjectured closed form."""
     if n < 1:
         raise ValueError("ansatz starts at order 1")
-    items = [(sign * a_closed(n, k, m), *key) for key, (k, m, sign) in _slots(n).items()]
-    return LogSeries.build(n, [(Fraction(1), n, 0, n + 1), *items])
+    slots = _slots(n).items()
+    terms = [(key, sign * c, d) for key, (k, m, sign) in slots for c, d in [_closed_pair(n, k, m)]]
+    return _series(n, _pair([((n, 0, n + 1), 1, 1), *terms]))
 
 
 def extract_coefficients(s: LogSeries) -> Dict[Tuple[int, int], Fraction]:

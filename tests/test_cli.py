@@ -199,6 +199,12 @@ class TestTabulate:
         assert code == 0
         assert len(calls) == 12
 
+    @pytest.mark.parametrize("argv", [("--lambda", ",", "--x1", "0,1"), ("--lambda", "1", "--x1", "")])
+    def test_empty_grid_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "tabulate", *argv)
+        assert code == 2 and out == ""
+        assert err == "error: tabulate needs nonempty --lambda and --x1 grids\n"
+
     def test_single_cell_matches_eval(self, capsys):
         _, tab, _ = run(capsys, "tabulate", "--lambda", "0.7", "--x1", "1", "--x2", "0", "--x3", "0")
         _, ev, _ = run(capsys, "eval", "--lambda", "0.7", "--x", "1,0,0", "--format", "csv")

@@ -154,13 +154,6 @@ class TestClosedFormIntegrals:
         assert res.converged
         assert res.value == pytest.approx(-math.pi / 4 * math.log(2), abs=1e-8)
 
-    def test_grid_of_both_families(self):
-        for x1 in (0.0, 0.5, 1.0, 2.0):
-            for f, expected in family_integrands(x1):
-                res = integrate_quarter_plane(f, 1e-8)
-                assert res.converged
-                assert res.value == pytest.approx(expected, abs=1e-8), x1
-
 
 class TestMachinery:
     def test_zero_integrand(self):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from melontft import series
+from melontft import combinatorics, series
 from melontft.errors import DivergentIntegralError, ShapeMismatchError
 from melontft.series import (
     LogSeries,
@@ -19,7 +19,6 @@ from melontft.series import (
     eval_series,
     eval_series_transverse,
     extract_coefficients,
-    free_propagator,
     integrate_transverse,
     perturbative_order,
 )
@@ -86,7 +85,7 @@ def ref_partial_sum(n_max, x, lam):
 
 class TestAlgebra:
     def test_free_propagator(self):
-        s = free_propagator()
+        s = perturbative_order(0)
         assert s.order == 0
         assert term_set(s) == {(Fraction(1), 0, 0, 1)}
         assert eval_series(s, Point3(0, 0, 0)) == 1.0
@@ -121,7 +120,7 @@ class TestAlgebra:
 
 class TestTransverseIntegral:
     def test_free_propagator_subtraction(self):
-        s = integrate_transverse(free_propagator())
+        s = integrate_transverse(perturbative_order(0))
         assert s.order == 1
         assert term_set(s) == {(Fraction(-1, 2), 1, 0, 0)}
 
@@ -180,6 +179,35 @@ class TestOrders:
         perturbative_order(12)
         assert orders == [12]
 
+    def test_cold_order_nests_no_calls(self):
+        # the lower orders are built bottom-up, so a cold order needs a few
+        # frames, not one per order
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        for cached in (series._int_order, series._int_tadpole):
+            cached.cache_clear()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 40)
+        try:
+            got = perturbative_order(30)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == ref_order(30)
+
+    def test_ansatz_makes_one_fraction_per_term(self, monkeypatch):
+        # the closed form is summed on int pairs; only _series makes Fractions
+        made = []
+
+        def counting(*args):
+            made.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(series, "Fraction", counting)
+        combinatorics._closed_pair.cache_clear()
+        s = ansatz_order(12)
+        assert len(s.terms) == len(made) == 67
+
     def test_order_domain(self):
         with pytest.raises(ValueError):
             perturbative_order(-1)
@@ -217,7 +245,7 @@ class TestExtraction:
             extract_coefficients(LogSeries.build(3, items))
         # free propagator has no coefficient row
         with pytest.raises(ValueError):
-            extract_coefficients(free_propagator())
+            extract_coefficients(perturbative_order(0))
 
 
     def test_missing_leading_term(self):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -228,6 +229,12 @@ class TestShiftAndSolution:
     def test_shift_domain(self):
         with pytest.raises(ValueError):
             g_shift(-1.0, Coupling(1.0))
+
+    @pytest.mark.parametrize("x1", [-1.0, math.nan, math.inf])
+    def test_dressed_mass_rejects_raw_x1(self, x1):
+        # dressed_mass is public and takes a bare float, not a checked Point3
+        with pytest.raises(ValueError, match=re.escape(f"x1 must be finite and >= 0, got {x1!r}")):
+            dressed_mass(x1, Coupling(1.0))
 
     def test_g2_free_at_x1_zero(self):
         for lam in (0.01, 0.5, 3.0):
