@@ -22,7 +22,7 @@ from .combinatorics import CoeffTable, rational_str
 from .errors import MelonTFTError
 from .greens import PointTuple, connected_2k
 from .series import perturbative_order
-from .specialfn import Coupling, Point3, exact_record
+from .specialfn import Coupling, Point3, exact_record, exact_records
 from .verify import suite_coeffs, suite_greens, suite_identities, suite_lambert, suite_sde
 
 __all__ = ["main", "entry_point", "build_parser"]
@@ -65,16 +65,14 @@ def _write(args, payload, header: List[str], rows: Iterable[Sequence]) -> None:
     _emit(text, args.output)
 
 
-def _eval_record(x: Point3, coupling: Coupling) -> dict:
-    g, g2, residual = exact_record(x, coupling)
-    return {
-        "lambda": coupling.lam, "x": [x.x1, x.x2, x.x3],
-        "g": g, "G2": g2, "residual_algebraic": residual,
-    }
+def _eval_record(lam: float, x: List[float], record: Sequence[float]) -> dict:
+    g, g2, residual = record
+    return {"lambda": lam, "x": x, "g": g, "G2": g2, "residual_algebraic": residual}
 
 
 def cmd_eval(args) -> int:
-    r = _eval_record(_parse_point(args.x), Coupling(args.lam))
+    x, c = _parse_point(args.x), Coupling(args.lam)
+    r = _eval_record(c.lam, [x.x1, x.x2, x.x3], exact_record(x, c))
     header = ["lambda", "x1", "x2", "x3", "g", "G2", "residual_algebraic"]
     _write(args, r, header, [(r["lambda"], *r["x"], r["g"], r["G2"], r["residual_algebraic"])])
     return 0
@@ -118,22 +116,34 @@ def cmd_tabulate(args) -> int:
     x1s = _parse_floats(args.x1)
     if not lams or not x1s:
         raise ValueError("tabulate needs nonempty --lambda and --x1 grids")
+    x2, x3 = args.x2, args.x3
     # each axis value is validated once, the first point before the first coupling
-    points = [Point3(x1, args.x2, args.x3) for x1 in x1s]
+    points = [Point3(x1, x2, x3) for x1 in x1s]
     couplings = [Coupling(lam) for lam in lams]
-    # coupling-major row order
+    # coupling-major row order; each row is one exact_records call, formatted
+    # and dropped before the next, and the text is written once at the end
     if args.format == "json":
-        _emit(json.dumps([_eval_record(x, c) for c in couplings for x in points]) + "\n", args.output)
+        # json.dumps of a list is "[" + its items joined by ", " + "]", so the
+        # rows' item texts join to the bytes of one dumps of every record
+        rows = []
+        for c in couplings:
+            records = [
+                _eval_record(c.lam, [x1, x2, x3], record)
+                for x1, record in zip(x1s, exact_records(x1s, x2, x3, c))
+            ]
+            rows.append(json.dumps(records)[1:-1])
+        _emit("[" + ", ".join(rows) + "]\n", args.output)
         return 0
     # each axis value is formatted once, each record's floats by one "%"
     # ("%.17g" prints a float as _cell does)
-    x_cols = [(x, ",%.17g,%.17g,%.17g," % (x.x1, x.x2, x.x3)) for x in points]
+    x_texts = [",%.17g,%.17g,%.17g," % (x.x1, x.x2, x.x3) for x in points]
     lines = ["lambda,x1,x2,x3,G2,g,residual\n"]
     for c in couplings:
         lam = "%.17g" % c.lam
-        for x, x_text in x_cols:
-            g, g2, residual = exact_record(x, c)
-            lines.append(lam + x_text + "%.17g,%.17g,%.17g\n" % (g2, g, residual))
+        lines += [
+            lam + x_text + "%.17g,%.17g,%.17g\n" % (g2, g, residual)
+            for x_text, (g, g2, residual) in zip(x_texts, exact_records(x1s, x2, x3, c))
+        ]
     _emit("".join(lines), args.output)
     return 0
 

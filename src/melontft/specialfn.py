@@ -6,8 +6,10 @@ mass M = 1 + x1^2 + g, the root of
     M + z*log(M) = 1 + x1^2,   z = (pi/2)*lambda,
 
 so that M = z*W((1/z) * exp((1+x1^2)/z)) and the shift is g = -z*log(M).
-``dressed_mass`` is the one place that solves for M; every float result
-of the solution derives from it.
+``_masses`` is the one place that solves for M, for a row of x1 values
+at one coupling with z and log(z) taken once; every float result of the
+solution derives from it.  ``dressed_mass`` is its one-point view, and
+``exact_records`` (one row of ``exact_record``) is what ``tabulate`` calls.
 
 All W evaluations go through the Wright omega function in log space,
 omega(t) + log(omega(t)) = t with t = (1+x1^2)/z - log(z): for small
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .errors import NotConvergedError
 
@@ -37,6 +39,7 @@ __all__ = [
     "g2_exact",
     "sde_residual_algebraic",
     "exact_record",
+    "exact_records",
 ]
 
 # nearest-double branch point -1/e of the real Lambert branches
@@ -182,6 +185,26 @@ def lambert_wm1(y: float) -> float:
     return w
 
 
+def _masses(x1s: Sequence[float], coupling: Coupling) -> List[float]:
+    # The one solve body: M = z*omega(t) for each x1 of one coupling row,
+    # with z and log(z) taken once per row.  Checks every x1 in order and
+    # raises at the first bad one.
+    z = coupling.z
+    log_z = math.log(z)
+    masses = []
+    for x1 in x1s:
+        if not math.isfinite(x1) or x1 < 0:
+            raise ValueError(f"x1 must be finite and >= 0, got {x1!r}")
+        if x1 == 0.0:
+            masses.append(1.0)
+            continue
+        ratio = (1.0 + x1 * x1) / z
+        if not math.isfinite(ratio):
+            raise ValueError(f"(1+x1^2)/z must be finite, got x1={x1!r}, lambda={coupling.lam!r}")
+        masses.append(z * wright_omega(ratio - log_z))
+    return masses
+
+
 def dressed_mass(x1: float, coupling: Coupling) -> float:
     """Dressed mass M = 1 + x1^2 + g, the root of M + z*log(M) = 1 + x1^2.
 
@@ -189,15 +212,7 @@ def dressed_mass(x1: float, coupling: Coupling) -> float:
     exactly at x1 = 0, where the shift vanishes.  The domain ends where
     (1+x1^2)/z overflows binary64 (x1 above about 1.3e154, or tiny lambda).
     """
-    if not math.isfinite(x1) or x1 < 0:
-        raise ValueError(f"x1 must be finite and >= 0, got {x1!r}")
-    if x1 == 0.0:
-        return 1.0
-    z = coupling.z
-    ratio = (1.0 + x1 * x1) / z
-    if not math.isfinite(ratio):
-        raise ValueError(f"(1+x1^2)/z must be finite, got x1={x1!r}, lambda={coupling.lam!r}")
-    return z * wright_omega(ratio - math.log(z))
+    return _masses((x1,), coupling)[0]
 
 
 def g_shift(x1: float, coupling: Coupling) -> float:
@@ -230,19 +245,38 @@ def sde_residual_algebraic(x1: float, coupling: Coupling) -> float:
 
 def exact_record(x: Point3, coupling: Coupling) -> Tuple[float, float, float]:
     """(g, G2, algebraic residual) at x from one solve of the dressed mass."""
-    z, x1 = coupling.z, x.x1
-    mass = dressed_mass(x1, coupling)
-    if mass >= 2.0:
-        g = -z * math.log(mass)
-    else:
-        # Near M = 1, log(M) has an absolute, not a relative, error, so
-        # d = M - 1 is refined by one Newton step on d + z*log1p(d) = x1^2,
-        # whose error is second order in the seed's.  Below 1e-8, where
-        # M - 1 keeps few correct digits, the linearised root x1^2/(1+z),
-        # with relative error below d/2, is the better seed.
-        d = mass - 1.0
-        if d < 1e-8:
-            d = x1 * x1 / (1.0 + z)
-        d -= (d + z * math.log1p(d) - x1 * x1) / (1.0 + z / (1.0 + d))
-        g = 0.0 - z * math.log1p(d)  # +0.0, not -0.0, at x1 = 0
-    return g, g2_from_mass(mass, x.x2, x.x3), g + z * math.log(1.0 + x1 * x1 + g)
+    return exact_records((x.x1,), x.x2, x.x3, coupling)[0]
+
+
+def exact_records(
+    x1s: Iterable[float], x2: float, x3: float, coupling: Coupling
+) -> List[Tuple[float, float, float]]:
+    """``exact_record`` at (x1, x2, x3) for every x1 of ``x1s``, in order.
+
+    One coupling row: x2^2, x3^2, z and log(z) are computed once, and
+    every value is the double ``exact_record`` gives at that point.
+    ``x1s`` may be any iterable; each x1 is checked as ``dressed_mass``
+    checks it, x2 and x3 as ``Point3`` does.
+    """
+    Point3(0.0, x2, x3)  # x2 and x3 fail here with Point3's message
+    x1s = tuple(x1s)  # read twice, so a generator is taken in full first
+    z = coupling.z
+    x2sq, x3sq = x2 * x2, x3 * x3
+    records = []
+    for x1, mass in zip(x1s, _masses(x1s, coupling)):
+        x1sq = x1 * x1
+        if mass >= 2.0:
+            g = -z * math.log(mass)
+        else:
+            # Near M = 1, log(M) has an absolute, not a relative, error, so
+            # d = M - 1 is refined by one Newton step on d + z*log1p(d) = x1^2,
+            # whose error is second order in the seed's.  Below 1e-8, where
+            # M - 1 keeps few correct digits, the linearised root x1^2/(1+z),
+            # with relative error below d/2, is the better seed.
+            d = mass - 1.0
+            if d < 1e-8:
+                d = x1sq / (1.0 + z)
+            d -= (d + z * math.log1p(d) - x1sq) / (1.0 + z / (1.0 + d))
+            g = 0.0 - z * math.log1p(d)  # +0.0, not -0.0, at x1 = 0
+        records.append((g, 1.0 / (mass + x2sq + x3sq), g + z * math.log(1.0 + x1sq + g)))
+    return records

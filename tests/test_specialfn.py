@@ -13,6 +13,8 @@ from melontft.specialfn import (
     Coupling,
     Point3,
     dressed_mass,
+    exact_record,
+    exact_records,
     g2_exact,
     g_shift,
     lambert_w0,
@@ -34,6 +36,25 @@ def bisect_w0(y, lo=-1.0, hi=800.0):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def plain_exact_record(x, coupling):
+    """Per-record reference: one dressed-mass solve and one record, as
+    ``exact_record`` computed them before the row kernel (checks left out)."""
+    z, x1 = coupling.z, x.x1
+    if x1 == 0.0:
+        mass = 1.0
+    else:
+        mass = z * wright_omega((1.0 + x1 * x1) / z - math.log(z))
+    if mass >= 2.0:
+        g = -z * math.log(mass)
+    else:
+        d = mass - 1.0
+        if d < 1e-8:
+            d = x1 * x1 / (1.0 + z)
+        d -= (d + z * math.log1p(d) - x1 * x1) / (1.0 + z / (1.0 + d))
+        g = 0.0 - z * math.log1p(d)
+    return g, 1.0 / (mass + x.x2 * x.x2 + x.x3 * x.x3), g + z * math.log(1.0 + x1 * x1 + g)
 
 
 def bisect_wm1(y, lo=-800.0, hi=-1.0):
@@ -290,8 +311,8 @@ class TestAlgebraicResidual:
         # equation itself), so the residual is not zero by construction
         points = [(0.01, 2.0), (0.1, 5.0), (1.0, 5.0), (10.0, 100.0), (1e3, 1e4)]
         assert all(dressed_mass(x1, Coupling(lam)) >= 2.0 for lam, x1 in points)
-        mass = specialfn.dressed_mass
-        monkeypatch.setattr(specialfn, "dressed_mass", lambda x1, c: mass(x1, c) * (1.0 + 1e-9))
+        masses = specialfn._masses
+        monkeypatch.setattr(specialfn, "_masses", lambda x1s, c: [m * (1.0 + 1e-9) for m in masses(x1s, c)])
         for lam, x1 in points:
             assert abs(sde_residual_algebraic(x1, Coupling(lam))) > 1e-12, (lam, x1)
 
@@ -307,6 +328,74 @@ class TestAlgebraicResidual:
             g, _, residual = specialfn.exact_record(Point3(x1, 0.0, 0.0), c)
             floor = eps * (abs(g) * (1.0 + c.z / dressed_mass(x1, c)) + c.z)
             assert abs(residual) <= 32 * floor, (lam, x1, residual)
+
+
+class TestExactRecords:
+    """``exact_records``, one coupling row of ``exact_record``."""
+
+    X1S = (0.0, -0.0, 1e-12, 1e-8, 1e-5, 0.3, 1.0, 30.0, 1e4, 1e8)
+
+    def test_matches_plain_record_bit_for_bit(self):
+        rng = random.Random(16)
+        lams = [1e-4, 1e6] + [10.0 ** rng.uniform(-4, 6) for _ in range(40)]
+        x1s = list(self.X1S) + [10.0 ** rng.uniform(-12, 8) for _ in range(40)]
+        branches = set()
+        for lam in lams:
+            c = Coupling(lam)
+            x2, x3 = rng.uniform(0.01, 2.0), rng.uniform(0.01, 2.0)
+            row = exact_records(x1s, x2, x3, c)
+            assert len(row) == len(x1s)
+            for x1, got in zip(x1s, row):
+                want = plain_exact_record(Point3(x1, x2, x3), c)
+                assert [v.hex() for v in got] == [v.hex() for v in want], (lam, x1, x2, x3)
+                mass = dressed_mass(x1, c)
+                if mass >= 2.0:
+                    branches.add("M >= 2")
+                else:
+                    branches.add("M < 2, d < 1e-8" if mass - 1.0 < 1e-8 else "M < 2, d >= 1e-8")
+                if x1 != 0.0:
+                    t = (1.0 + x1 * x1) / c.z - math.log(c.z)
+                    branches.add("omega t <= 2" if t <= 2.0 else "omega t > 2")
+        assert branches == {"M >= 2", "M < 2, d < 1e-8", "M < 2, d >= 1e-8", "omega t <= 2", "omega t > 2"}
+
+    def test_wrappers_are_one_row(self):
+        c = Coupling(0.7)
+        for x1 in self.X1S:
+            x = Point3(x1, 0.25, 1.5)
+            assert exact_record(x, c) == exact_records((x1,), 0.25, 1.5, c)[0]
+            assert dressed_mass(x1, c) == specialfn._masses((x1,), c)[0]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_bad_x1_raises_dressed_mass_message(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"x1 must be finite and >= 0, got {bad!r}")):
+            exact_records([0.5, bad, 2.0], 0.5, 0.5, Coupling(1.0))
+
+    @pytest.mark.parametrize("x2, x3, name", [(-1.0, 0.5, "x2"), (0.5, math.nan, "x3"), (0.5, math.inf, "x3")])
+    def test_bad_transverse_raises_point3_message(self, x2, x3, name):
+        bad = x2 if name == "x2" else x3
+        with pytest.raises(ValueError, match=re.escape(f"momentum component {name}={bad!r} must be finite and >= 0")):
+            exact_records([0.5, 1.0], x2, x3, Coupling(1.0))
+
+    def test_mass_overflow_names_first_x1_and_keeps_earlier_rows(self):
+        # at lambda = 1e-300, (1+x1^2)/z first overflows at x1 = 1e5, and
+        # again at 1e100; the rows of the earlier couplings are whole
+        x1s = [1.0, 1e5, 1e100]
+        rows = {}
+        message = "(1+x1^2)/z must be finite, got x1=100000.0, lambda=1e-300"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            for lam in (1.0, 0.5, 1e-300):
+                rows[lam] = exact_records(x1s, 0.5, 0.5, Coupling(lam))
+        assert list(rows) == [1.0, 0.5]
+        for lam, row in rows.items():
+            assert row == [exact_record(Point3(x1, 0.5, 0.5), Coupling(lam)) for x1 in x1s]
+
+    def test_empty_row(self):
+        assert exact_records([], 0.5, 0.5, Coupling(1.0)) == []
+
+    def test_generator_is_read_once(self):
+        c = Coupling(3.0)
+        want = exact_records(list(self.X1S), 0.5, 0.25, c)
+        assert exact_records((x1 for x1 in self.X1S), 0.5, 0.25, c) == want
 
 
 class TestRelativeAccuracy:
