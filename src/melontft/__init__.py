@@ -12,8 +12,8 @@ immutable (Stirling rows, the (num, den) pairs of a(n,k,m), the integer
 pairs of perturbative orders and tadpoles, and their float tables) is
 memoised for the life of the process by ``functools.cache`` on a private
 helper; no ``LogSeries`` is cached.  Public names stay plain functions
-that check their arguments on every call and then delegate.  Any other
-memo (``connected_2k``'s, over point subsets) lives for one call.
+that check their arguments on every call and then delegate.  The one
+other memo, ``connected_2k``'s over point subsets, is a per-call ``functools.cache``.
 
 The top-level names are the union of the ``__all__`` lists of the
 modules imported below.

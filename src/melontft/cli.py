@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or domain error
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -117,26 +118,20 @@ def cmd_tabulate(args) -> int:
     if not lams or not x1s:
         raise ValueError("tabulate needs nonempty --lambda and --x1 grids")
     x2, x3 = args.x2, args.x3
-    # each axis value is validated once, the first point before the first coupling
-    points = [Point3(x1, x2, x3) for x1 in x1s]
     couplings = [Coupling(lam) for lam in lams]
-    # coupling-major row order; each row is one exact_records call, formatted
-    # and dropped before the next, and the text is written once at the end
+    # coupling-major rows, one exact_records call each (it checks every x1,
+    # x2 and x3); the text is written once, after the last row
     if args.format == "json":
-        # json.dumps of a list is "[" + its items joined by ", " + "]", so the
-        # rows' item texts join to the bytes of one dumps of every record
-        rows = []
-        for c in couplings:
-            records = [
-                _eval_record(c.lam, [x1, x2, x3], record)
-                for x1, record in zip(x1s, exact_records(x1s, x2, x3, c))
-            ]
-            rows.append(json.dumps(records)[1:-1])
-        _emit("[" + ", ".join(rows) + "]\n", args.output)
+        records = [
+            _eval_record(c.lam, [x1, x2, x3], record)
+            for c in couplings
+            for x1, record in zip(x1s, exact_records(x1s, x2, x3, c))
+        ]
+        _emit(json.dumps(records) + "\n", args.output)
         return 0
-    # each axis value is formatted once, each record's floats by one "%"
-    # ("%.17g" prints a float as _cell does)
-    x_texts = [",%.17g,%.17g,%.17g," % (x.x1, x.x2, x.x3) for x in points]
+    # each axis value is formatted once, each record's floats by one "%" ("%.17g"
+    # prints a float as _cell does), and each row before the next is solved
+    x_texts = [",%.17g,%.17g,%.17g," % (x1, x2, x3) for x1 in x1s]
     lines = ["lambda,x1,x2,x3,G2,g,residual\n"]
     for c in couplings:
         lam = "%.17g" % c.lam
@@ -164,14 +159,10 @@ def cmd_verify(args) -> int:
     names = list(suites) if args.suite == "all" else [args.suite]
     checks = [check for name in names for check in suites[name]()]
     if args.format == "json":
-        payload = [
-            {"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks
-        ]
-        _emit(json.dumps(payload) + "\n", args.output)
+        _emit(json.dumps([dataclasses.asdict(c) for c in checks]) + "\n", args.output)
     else:
         _emit("".join(c.line() + "\n" for c in checks), args.output)
-    failed = [c for c in checks if c.passed is False]
-    return 1 if failed else 0
+    return 1 if any(c.passed is False for c in checks) else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -183,8 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+    def add_common(p, formats=("json", "csv"), default="json"):
+        p.add_argument("--format", choices=formats, default=default)
         p.add_argument("--output", metavar="PATH", help="write to a file instead of stdout")
 
     p = sub.add_parser("eval", help="evaluate the exact 2-point function")
@@ -215,8 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x1", required=True, help="comma-separated x1 values")
     p.add_argument("--x2", type=float, default=0.0)
     p.add_argument("--x3", type=float, default=0.0)
-    p.add_argument("--format", choices=("json", "csv"), default="csv")
-    p.add_argument("--output", metavar="PATH")
+    add_common(p, default="csv")
     p.set_defaults(func=cmd_tabulate)
 
     p = sub.add_parser("verify", help="run verification suites")
@@ -227,8 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", default=None, help="momentum as 'x1,x2,x3'")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--numeric", action="store_true", help="include quadrature-based SDE checks")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--output", metavar="PATH")
+    add_common(p, ("text", "json"), "text")
     p.set_defaults(func=cmd_verify)
 
     return parser

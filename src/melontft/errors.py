@@ -27,9 +27,9 @@ class DivergentIntegralError(MelonTFTError):
 class ShapeMismatchError(MelonTFTError):
     """A generated series contains a term outside the closed-form shape.
 
-    Raised by coefficient extraction; hitting this at some order would
-    falsify the conjectured all-order structure rather than indicate a
-    recoverable condition.
+    Raised by coefficient extraction.  The closed form is a theorem (the
+    Lagrange-Buermann coefficient), so hitting this means a defect in the
+    series that was read, not a recoverable condition.
     """
 
 

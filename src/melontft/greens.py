@@ -10,14 +10,13 @@ integral equation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from functools import cache
+from typing import Tuple
 
 from .errors import CoincidentCoordinatesError
 from .specialfn import Coupling, Point3, dressed_mass, g2_exact, g2_from_mass
 
 __all__ = ["PointTuple", "connected_2k", "disconnected_4pt", "disconnected_4pt_residual"]
-
-Points = Tuple[Tuple[float, float, float], ...]
 
 
 @dataclass(frozen=True)
@@ -51,27 +50,24 @@ def connected_2k(x: PointTuple, coupling: Coupling) -> float:
     """Connected 2k-point function; k = 1 is the exact 2-point function.
 
     The dressed mass is solved once per distinct first component; the
-    recursion runs on plain (x1, x2, x3) tuples with a memo, per call,
-    keyed by the exact sub-tuple contents.
+    recursion runs on plain (x1, x2, x3) tuples under a ``functools.cache``
+    made per call, keyed by the exact sub-tuple contents.
     """
     mass = {p.x1: dressed_mass(p.x1, coupling) for p in x.points}
     lam2 = 2.0 * coupling.lam
-    memo: Dict[Points, float] = {}
 
-    def recurse(points: Points) -> float:
+    @cache
+    def recurse(points: Tuple[Tuple[float, float, float], ...]) -> float:
         if len(points) == 1:
             x1, x2, x3 = points[0]
             return g2_from_mass(mass[x1], x2, x3)
-        if points in memo:
-            return memo[points]
         (f1, f2, f3), (_, s2, s3) = points[0], points[1]
         total = 0.0
         for rho in range(1, len(points)):
             y1 = points[rho][0]
             num = recurse(points[:rho]) - recurse(((y1, f2, f3),) + points[1:rho])
             total += recurse(points[rho:]) * num / (f1 * f1 - y1 * y1)
-        value = memo[points] = lam2 * g2_from_mass(mass[f1], s2, s3) * total
-        return value
+        return lam2 * g2_from_mass(mass[f1], s2, s3) * total
 
     return recurse(tuple((p.x1, p.x2, p.x3) for p in x.points))
 

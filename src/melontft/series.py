@@ -14,8 +14,21 @@ pair, ``_series`` alone makes a ``LogSeries`` from one; a ``Fraction`` is
 made only there and read only from public inputs.  ``perturbative_order``
 runs the renormalized recursion (Taylor subtraction of the tadpole at
 k = 0) bottom-up on cached pairs with ``_integrate``, the one transverse
-integration rule.  ``_slots`` states the conjectured closed form once,
-for ``ansatz_order`` and ``extract_coefficients``.
+integration rule.  ``_slots`` states the closed form once, for
+``ansatz_order`` and ``extract_coefficients``.
+
+The closed form is a theorem, the Lagrange-Buermann coefficient.  With
+a = 1+x1^2, L = log(a) and B = 1+|x|^2, the shift g = M - a solves
+g = z*phi(g) with phi(w) = -log(a + w), so [z^n] g^m = (m/n) [w^(n-m)]
+phi(w)^n.  Expanding phi^n = (-1)^n (L + log(1 + w/a))^n binomially, with
+log(1+u)^j = j! sum_i s(i,j) u^i/i!, the z^n coefficient of
+G2 = sum_m (-g)^m / B^(m+1) at key (k, n-m, m+1) is
+
+    (-1)^(n+m) (m/n) C(n, n-k) (n-k)! s(n-m, n-k) / (n-m)!
+        = (-1)^(n+k) C(n-1, m-1) m!/k! |s(n-m, n-k)|,
+
+the sign of ``_slots`` times ``combinatorics._closed_pair``; m = n gives
+the leading coefficient 1 at key (n, 0, n+1).
 
 Float evaluation has one body, ``_eval_terms``; ``eval_partial_sum``
 feeds it the cached float table ``_float_order(n)`` and makes no
@@ -159,7 +172,7 @@ def _slots(n: int) -> Dict[Key, Tuple[int, int, int]]:
 
 
 def ansatz_order(n: int) -> LogSeries:
-    """Order-n series from the conjectured closed form."""
+    """Order-n series from the closed (Lagrange-Buermann) form."""
     if n < 1:
         raise ValueError("ansatz starts at order 1")
     slots = _slots(n).items()
@@ -172,8 +185,8 @@ def extract_coefficients(s: LogSeries) -> Dict[Tuple[int, int], Fraction]:
 
     Inverts the sign and power conventions of the closed form and checks
     the leading term log^n/(1+|x|^2)^(n+1) has coefficient exactly 1.  A
-    term that fits no slot raises ShapeMismatchError: at a new order that
-    would falsify the conjectured structure, so nothing is coerced.
+    term that fits no slot raises ShapeMismatchError: the closed form is a
+    theorem, so that would be a defect in the series, and nothing is coerced.
     """
     n = s.order
     if n < 1:

@@ -149,7 +149,11 @@ _SDE_X1S = (0.0, 0.5, 1.0, 2.0, 5.0)
 
 
 def fixed_point_algebraic(lams: Sequence[float], x1s: Sequence[float]) -> List[Check]:
-    """Algebraic fixed-point residual of the exact solution over a (lambda, x1) grid."""
+    """Algebraic fixed-point residual of the exact solution over a (lambda, x1) grid.
+
+    The 1e-12 bound is absolute, so a large z fails it falsely: 6.15e-09
+    at lambda = 1e6, x1 = 10, at any tol (ROADMAP.md item 3).
+    """
     worst = max(
         abs(specialfn.sde_residual_algebraic(x1, specialfn.Coupling(lv))) for lv in lams for x1 in x1s
     )
@@ -157,7 +161,12 @@ def fixed_point_algebraic(lams: Sequence[float], x1s: Sequence[float]) -> List[C
 
 
 def fixed_point_numeric(lam: float, x: specialfn.Point3, tol: float) -> List[Check]:
-    """Quadrature residuals of the SDE and of its integrated identity at one point."""
+    """Quadrature residuals of the SDE and of its integrated identity at one point.
+
+    The SDE residual scales the quadrature error by about 2*lambda*G2^2 but
+    is held to an absolute 1e-6, so lambda = 1e6, x = (10, 0.5, 0.5) fails
+    falsely at tol 1e-8 (-1.68e-04) and passes at tol 1e-12 (ROADMAP.md item 3).
+    """
     sde_name = f"numeric SDE residual at lambda={lam}, x=({x.x1},{x.x2},{x.x3})"
     identity_name = f"integrated-identity residual at lambda={lam}, x1={x.x1}"
     try:
@@ -187,22 +196,15 @@ def suite_sde(
 
 
 def suite_greens() -> List[Check]:
-    checks: List[Check] = []
     c = specialfn.Coupling(0.4)
     p = specialfn.Point3(1.0, 0.5, 2.0)
     single = greens.connected_2k(greens.PointTuple((p,)), c)
-    checks.append(
-        Check("2-point recursion base equals exact solution", single == specialfn.g2_exact(p, c))
-    )
     pts = greens.PointTuple((specialfn.Point3(1.0, 2.0, 3.0), specialfn.Point3(2.0, 1.0, 1.0)))
-    ratios = []
-    for lv in (1e-4, 1e-5):
-        val = greens.connected_2k(pts, specialfn.Coupling(lv))
-        ratios.append(val / lv)
+    ratios = [greens.connected_2k(pts, specialfn.Coupling(lv)) / lv for lv in (1e-4, 1e-5)]
     rel = abs(ratios[0] - ratios[1]) / abs(ratios[1])
-    checks.append(
-        Check("4-point value scales linearly in the coupling", rel < 5e-3, f"slope drift {rel:.2e}")
-    )
     resid = greens.disconnected_4pt_residual(p, specialfn.Point3(2.0, 1.0, 3.0), c)
-    checks.append(Check("disconnected 4-point self-check", resid == 0.0, f"residual {resid!r}"))
-    return checks
+    return [
+        Check("2-point recursion base equals exact solution", single == specialfn.g2_exact(p, c)),
+        Check("4-point value scales linearly in the coupling", rel < 5e-3, f"slope drift {rel:.2e}"),
+        Check("disconnected 4-point self-check", resid == 0.0, f"residual {resid!r}"),
+    ]

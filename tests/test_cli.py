@@ -243,6 +243,8 @@ class TestTabulate:
             (("--lambda", "1,-0.5", "--x1", "0,1"), "coupling must be finite and > 0, got -0.5"),
             # (1+x1^2)/z first overflows on the last record
             (("--lambda", "1,1e-300", "--x1", "1,1e5"), "(1+x1^2)/z must be finite"),
+            (("--lambda", "1", "--x1", "0,-1"), "x1 must be finite and >= 0, got -1.0"),
+            (("--lambda", "1", "--x1", "0,nan"), "x1 must be finite and >= 0, got nan"),
         ],
     )
     def test_domain_error_writes_nothing(self, capsys, tmp_path, argv, message, fmt):

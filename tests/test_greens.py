@@ -113,6 +113,14 @@ class TestConnected:
         for x, c in cases:
             assert connected_2k(x, c) == plain_connected_2k(x.points, c), (x, c)
 
+    def test_memo_lives_for_one_call(self):
+        # the same tuple at another coupling in between: a memo that outlived
+        # its call would answer a later call with an earlier call's values
+        x = seeded_tuple(random.Random(5), 5)
+        for lam in (0.3, 3.0, 0.3):
+            c = Coupling(lam)
+            assert connected_2k(x, c) == plain_connected_2k(x.points, c), lam
+
     def test_one_mass_solve_per_first_component(self, monkeypatch):
         calls = []
         omega = specialfn.wright_omega

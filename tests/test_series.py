@@ -330,3 +330,20 @@ class TestEvaluation:
     def test_partial_sum_rejects_non_finite_lambda(self, lam):
         with pytest.raises(ValueError, match="lambda must be finite"):
             eval_partial_sum(0, Point3(1, 2, 0.5), lam)
+
+
+def test_closed_form_is_lagrange_buermann():
+    # g = M - a solves g = z*phi(g), phi(w) = -log(a + w), so by Lagrange-Buermann
+    # [z^n] g^m = (m/n) [w^(n-m)] phi(w)^n; expanding phi^n in log(a) and
+    # log(1 + w/a) gives the z^n coefficient of sum_m (-g)^m / B^(m+1) at key
+    # (k, n-m, m+1), with signed Stirling numbers and no closed-form code;
+    # m = n adds only the leading 1, and zero coefficients have no term
+    s, binom, fact = combinatorics.stirling_first_signed, math.comb, math.factorial
+    for n in range(1, 31):
+        want = {(n, 0, n + 1): Fraction(1)}
+        for m in range(1, n):
+            for k in range(n + 1):
+                num = (-1) ** (n + m) * m * binom(n, n - k) * fact(n - k) * s(n - m, n - k)
+                if num:
+                    want[(k, n - m, m + 1)] = Fraction(num, n * fact(n - m))
+        assert want == {t.key(): t.coeff for t in perturbative_order(n).terms}, n
