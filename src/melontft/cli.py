@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from typing import Iterable, List, Optional, Sequence
 
@@ -22,6 +21,7 @@ from . import __version__
 from .combinatorics import CoeffTable, rational_str
 from .errors import MelonTFTError
 from .greens import PointTuple, connected_2k
+from .quadrature import _check_abs_tol
 from .series import perturbative_order
 from .specialfn import Coupling, Point3, exact_record, exact_records
 from .verify import suite_coeffs, suite_greens, suite_identities, suite_lambert, suite_sde
@@ -144,9 +144,7 @@ def cmd_tabulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # checked for every suite, so a bad --tol never passes unread
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise ValueError(f"abs_tol must be finite and > 0, got {args.tol}")
+    _check_abs_tol(args.tol)  # for every suite, so a bad --tol never passes unread
     x = _parse_point(args.x) if args.x else None
     # name -> suite; the key order is the order of "verify all"
     suites = {

@@ -1,10 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, each raised by some path:
+``ShapeMismatchError`` by coefficient extraction, ``NotConvergedError`` by
+the iterations and the quadrature, ``CoincidentCoordinatesError`` by
+``connected_2k``.
+"""
 
 from __future__ import annotations
 
 __all__ = [
     "MelonTFTError",
-    "DivergentIntegralError",
     "ShapeMismatchError",
     "NotConvergedError",
     "CoincidentCoordinatesError",
@@ -13,15 +16,6 @@ __all__ = [
 
 class MelonTFTError(Exception):
     """Base class for package-specific failures."""
-
-
-class DivergentIntegralError(MelonTFTError):
-    """A transverse integral was requested for a term that diverges.
-
-    Only the bare free propagator is integrated with Taylor subtraction;
-    any other term with fewer than two powers of (1+|x|^2) in the
-    denominator signals a logically impossible input.
-    """
 
 
 class ShapeMismatchError(MelonTFTError):

@@ -119,6 +119,12 @@ def _rules(f: Callable, rects: Sequence[Rect]) -> List[float]:
     return (vals.reshape(len(rects), -1).sum(axis=1) * 0.25 * (b - a) * (d - c)).tolist()
 
 
+def _check_abs_tol(abs_tol: float) -> None:
+    # the one rule for a tolerance, also applied to verify --tol
+    if not (math.isfinite(abs_tol) and abs_tol > 0):
+        raise ValueError(f"abs_tol must be finite and > 0, got {abs_tol}")
+
+
 def integrate_quarter_plane(
     f: Callable,
     abs_tol: float = 1.0e-8,
@@ -129,8 +135,7 @@ def integrate_quarter_plane(
     ``max_evals`` bounds the integrand points evaluated; it must cover
     the initial panel grid.
     """
-    if not (math.isfinite(abs_tol) and abs_tol > 0):
-        raise ValueError(f"abs_tol must be finite and > 0, got {abs_tol}")
+    _check_abs_tol(abs_tol)
 
     breaks = sorted({0.0, 0.25, 0.5, 0.75, _U_CUT, _U_CUT2, 1.0})
     edges = list(zip(breaks[:-1], breaks[1:]))

@@ -9,13 +9,16 @@ order, so pi enters only the numeric evaluation.  ``x1pow`` counts
 denominator powers (negative values are numerator factors of (1+x1^2)).
 
 Exact terms are integer pairs (D, {(logpow, x1pow, fullpow): num}) in
-lowest terms.  ``_pair`` alone sums (key, num, den) int triples into a
-pair, ``_series`` alone makes a ``LogSeries`` from one; a ``Fraction`` is
-made only there and read only from public inputs.  ``perturbative_order``
-runs the renormalized recursion (Taylor subtraction of the tadpole at
-k = 0) bottom-up on cached pairs with ``_integrate``, the one transverse
-integration rule.  ``_slots`` states the closed form once, for
-``ansatz_order`` and ``extract_coefficients``.
+lowest terms, and the way out of them is one-way: ``_series`` alone turns
+a pair into a ``LogSeries`` of ``Fraction`` coefficients, and no code
+turns a ``LogSeries`` back into a pair; ``extract_coefficients`` and the
+evaluators only read one.  ``_pair`` alone sums (key, num, den) int
+triples into a pair.  ``perturbative_order`` runs the renormalized
+recursion bottom-up on cached pairs: ``_int_order(n)`` sums the products
+of the tadpoles ``_int_tadpole(k)``, order k integrated over the
+transverse momenta (with Taylor subtraction at k = 0), and the lower
+orders.  ``_slots`` states the closed form once, for ``ansatz_order``
+and ``extract_coefficients``.
 
 The closed form is a theorem, the Lagrange-Buermann coefficient.  With
 a = 1+x1^2, L = log(a) and B = 1+|x|^2, the shift g = M - a solves
@@ -33,7 +36,8 @@ the leading coefficient 1 at key (n, 0, n+1).
 Float evaluation has one body, ``_eval_terms``; ``eval_partial_sum``
 feeds it the cached float table ``_float_order(n)`` and makes no
 ``Fraction``.  Evaluators raise ``ValueError`` once 1+x1^2 overflows
-binary64 (x1 above about 1.34e154).
+binary64 (x1 above about 1.34e154), or a power of lambda, log(1+x1^2)
+or pi/2 does.
 """
 
 from __future__ import annotations
@@ -45,20 +49,18 @@ from functools import cache
 from typing import Dict, Iterable, Tuple
 
 from .combinatorics import _closed_pair
-from .errors import DivergentIntegralError, ShapeMismatchError
+from .errors import ShapeMismatchError
 from .specialfn import Point3
 
 __all__ = [
-    "LogTerm", "LogSeries", "integrate_transverse", "perturbative_order", "ansatz_order",
+    "LogTerm", "LogSeries", "perturbative_order", "ansatz_order",
     "extract_coefficients", "eval_series", "eval_series_transverse", "eval_partial_sum",
 ]
 
 Key = Tuple[int, int, int]
-TermItem = Tuple[Fraction, int, int, int]
 IntTerm = Tuple[Key, int, int]  # (key, num, den > 0)
 FloatTerm = Tuple[float, int, int, int]
 IntPair = Tuple[int, Dict[Key, int]]
-_FREE: IntPair = (1, {(0, 0, 1): 1})
 
 
 @dataclass(frozen=True)
@@ -78,26 +80,6 @@ class LogSeries:
 
     order: int
     terms: Tuple[LogTerm, ...]
-
-    @classmethod
-    def build(cls, order: int, items: Iterable[TermItem]) -> "LogSeries":
-        """Merge, drop zeros and sort, exactly, through the integer pair."""
-        return _series(order, _pair(((lp, xp, fp), c.numerator, c.denominator) for c, lp, xp, fp in items))
-
-
-def integrate_transverse(s: LogSeries) -> LogSeries:
-    """Integrate over the two transverse momenta at fixed first component.
-
-    Each term with fullpow = q >= 2 integrates in closed form to
-    pi*(1+x1^2)^(1-q)/(4(q-1)) times its x1-dependent factors; absorbing
-    one pi/2 into the prefactor bumps the order and leaves the rational
-    factor 1/(2(q-1)).  The bare free propagator is the single divergent
-    case and is integrated with its Taylor subtraction, giving
-    -(1/2) log(1+x1^2) at order 1.  Any other term with fullpow < 2 means
-    the caller fed something outside the expansion and is rejected.
-    """
-    terms = ((t.key(), t.coeff.numerator, t.coeff.denominator) for t in s.terms)
-    return _series(s.order + 1, _integrate(s.order, _pair(terms)))
 
 
 def _reduced(den: int, nums: Dict[Key, int]) -> IntPair:
@@ -121,23 +103,10 @@ def _series(order: int, pair: IntPair) -> LogSeries:
     return LogSeries(order, tuple(LogTerm(Fraction(c, den), *key) for key, c in sorted(nums.items())))
 
 
-def _integrate(order: int, pair: IntPair) -> IntPair:
-    # the rule of integrate_transverse: each term over 2(q-1), at fullpow 0
-    if order == 0 and pair == _FREE:
-        return 2, {(1, 0, 0): -1}
-    den, nums = pair
-    for key in nums:
-        if key[2] < 2:
-            raise DivergentIntegralError(f"term {key} has no transverse decay; only "
-                                         "the bare free propagator is integrated with subtraction")
-    terms = (((lp, xp + q - 1, 0), c, den * 2 * (q - 1)) for (lp, xp, q), c in nums.items())
-    return _pair(terms)
-
-
 @cache
 def _int_order(n: int) -> IntPair:
     if n == 0:
-        return _FREE
+        return 1, {(0, 0, 1): 1}
     for k in range(n):  # lower orders bottom-up, so a cold order nests no calls
         _int_order(k)
     parts = [(_int_tadpole(k), _int_order(n - 1 - k)) for k in range(n)]
@@ -155,7 +124,14 @@ def _int_order(n: int) -> IntPair:
 
 @cache
 def _int_tadpole(k: int) -> IntPair:
-    return _integrate(k, _int_order(k))
+    # order k over the two transverse momenta: a term with fullpow q >= 2 (every
+    # key at k >= 1) gives pi*(1+x1^2)^(1-q)/(4(q-1)), so over 2(q-1) with one
+    # pi/2 to the prefactor; the free propagator (k = 0) diverges and is
+    # integrated with its Taylor subtraction at x1 = 0: -(1/2) log(1+x1^2)
+    if k == 0:
+        return 2, {(1, 0, 0): -1}
+    den, nums = _int_order(k)
+    return _pair(((lp, xp + q - 1, 0), c, den * 2 * (q - 1)) for (lp, xp, q), c in nums.items())
 
 
 def perturbative_order(n: int) -> LogSeries:
@@ -236,7 +212,7 @@ def eval_partial_sum(n_max: int, x: Point3, lam: float) -> float:
         raise ValueError(f"lambda must be finite, got {lam!r}")
     a, lg = _x1_factors(x.x1)
     b = a + (x.x2 * x.x2 + x.x3 * x.x3)
-    return sum(lam**n * _eval_terms(n, _float_order(n), a, lg, b) for n in range(n_max + 1))
+    return sum(_eval_terms(n, _float_order(n), a, lg, b, lam) for n in range(n_max + 1))
 
 
 @cache
@@ -254,9 +230,14 @@ def _x1_factors(x1: float) -> Tuple[float, float]:
     return a, math.log(a)
 
 
-def _eval_terms(order: int, terms: Iterable[FloatTerm], a: float, lg: float, b):
-    # the one evaluation body: a = 1+x1^2, lg = log(a), b = a + rho2
-    total = 0.0
-    for c, logpow, x1pow, fullpow in terms:
-        total = total + c * lg**logpow * a ** (-x1pow) * b ** (-fullpow)
-    return (0.5 * math.pi) ** order * total
+def _eval_terms(order: int, terms: Iterable[FloatTerm], a: float, lg: float, b, lam: float = 1.0):
+    # the one evaluation body: a = 1+x1^2, lg = log(a), b = a + rho2, and
+    # lam^order * (pi/2)^order * the terms (1.0 * y == y, so lam = 1 is exact)
+    try:
+        total = 0.0
+        for c, logpow, x1pow, fullpow in terms:
+            total = total + c * lg**logpow * a ** (-x1pow) * b ** (-fullpow)
+        return lam**order * ((0.5 * math.pi) ** order * total)
+    except OverflowError as err:
+        raise ValueError(f"order {order} overflows binary64: a power of lambda={lam!r}, "
+                         f"log(1+x1^2)={lg!r} or pi/2 exceeds about 1.8e308") from err
