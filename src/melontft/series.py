@@ -13,12 +13,21 @@ lowest terms, and the way out of them is one-way: ``_series`` alone turns
 a pair into a ``LogSeries`` of ``Fraction`` coefficients, and no code
 turns a ``LogSeries`` back into a pair; ``extract_coefficients`` and the
 evaluators only read one.  ``_pair`` alone sums (key, num, den) int
-triples into a pair.  ``perturbative_order`` runs the renormalized
-recursion bottom-up on cached pairs: ``_int_order(n)`` sums the products
-of the tadpoles ``_int_tadpole(k)``, order k integrated over the
-transverse momenta (with Taylor subtraction at k = 0), and the lower
-orders.  ``_slots`` states the closed form once, for ``ansatz_order``
-and ``extract_coefficients``.
+triples into a pair.  ``_slots`` states the closed form once, for
+``ansatz_order`` and ``extract_coefficients``.
+
+``perturbative_order`` runs the renormalized recursion bottom-up in the
+cached column kernel ``_kernel(n)``, whose pair views are ``_int_order(n)``
+and ``_int_tadpole(k)``.  Order n is held as columns over m = fullpow - 1
+(x1pow = n - m), each a row of numerators over logpow, and tadpole k,
+order k integrated over the transverse momenta, as one row over logpow.
+Column m of order n sums, over k, tadpole k times column m - 1 of order
+n - 1 - k: each product is one big-int product by Kronecker substitution
+(rows packed as sum c_i 2^(w i)), scaled to the common denominator and
+added into the column's integer, which is unpacked once per order into
+balanced digits.  The width w = 2 + bitlen(n) + the largest
+bitlen(|s_k| sum |T_k|) + bitlen(max |num|) over the k products (s_k the
+scale) keeps every slot in (-2^(w-1), 2^(w-1)); a remainder raises.
 
 The closed form is a theorem, the Lagrange-Buermann coefficient.  With
 a = 1+x1^2, L = log(a) and B = 1+|x|^2, the shift g = M - a solves
@@ -46,7 +55,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 from .combinatorics import _closed_pair
 from .errors import ShapeMismatchError
@@ -61,6 +70,9 @@ Key = Tuple[int, int, int]
 IntTerm = Tuple[Key, int, int]  # (key, num, den > 0)
 FloatTerm = Tuple[float, int, int, int]
 IntPair = Tuple[int, Dict[Key, int]]
+Row = Tuple[int, ...]
+KernelOrder = Tuple[int, Tuple[Row, ...], int]  # (D, columns, max |num|)
+KernelTadpole = Tuple[int, Row, int]  # (D, tadpole, sum |num|)
 
 
 @dataclass(frozen=True)
@@ -82,19 +94,16 @@ class LogSeries:
     terms: Tuple[LogTerm, ...]
 
 
-def _reduced(den: int, nums: Dict[Key, int]) -> IntPair:
-    g = math.gcd(den, *nums.values())
-    return den // g, {key: c // g for key, c in nums.items() if c}
-
-
 def _pair(terms: Iterable[IntTerm]) -> IntPair:
-    # the one keyed exact sum besides _int_order's: at the LCM of the denominators
+    # the one keyed exact sum (the recursion sums packed columns in _kernel):
+    # at the LCM of the denominators, reduced by the gcd of all its integers
     terms = list(terms)
     den = math.lcm(*(d for _, _, d in terms))
     nums: Dict[Key, int] = {}
     for key, c, d in terms:
         nums[key] = nums.get(key, 0) + c * (den // d)
-    return _reduced(den, nums)
+    g = math.gcd(den, *nums.values())
+    return den // g, {key: c // g for key, c in nums.items() if c}
 
 
 def _series(order: int, pair: IntPair) -> LogSeries:
@@ -103,35 +112,85 @@ def _series(order: int, pair: IntPair) -> LogSeries:
     return LogSeries(order, tuple(LogTerm(Fraction(c, den), *key) for key, c in sorted(nums.items())))
 
 
+def _pack(coeffs: Row, w: int) -> int:
+    # Kronecker substitution: the polynomial sum c_i y^i at y = 2^w, by Horner
+    x = 0
+    for c in reversed(coeffs):
+        x = (x << w) + c
+    return x
+
+
+def _unpack(x: int, w: int, size: int) -> Row:
+    # the balanced base-2^w digits of x, each in [-2^(w-1), 2^(w-1)); a
+    # remainder means a slot overflowed its width, a defect of the bound
+    half, full, mask = 1 << (w - 1), 1 << w, (1 << w) - 1
+    digits = []
+    for _ in range(size):
+        d = x & mask
+        if d >= half:
+            d -= full
+        digits.append(d)
+        x = (x - d) >> w
+    if x:
+        raise ArithmeticError(f"a Kronecker slot of width {w} overflowed")
+    return tuple(digits)
+
+
+def _reduced_rows(den: int, rows: Sequence[Row]) -> Tuple[int, Tuple[Row, ...]]:
+    g = math.gcd(den, *(c for row in rows for c in row))
+    return den // g, tuple(tuple(c // g for c in row) for row in rows)
+
+
 @cache
-def _int_order(n: int) -> IntPair:
+def _kernel(n: int) -> Tuple[KernelOrder, KernelTadpole]:
+    # Order n and its tadpole, each reduced.  cols[m][i] is the numerator at
+    # key (m + i, n - m, m + 1): every key has x1pow + fullpow = n + 1, and
+    # logpow >= m since each tadpole has logpow >= 1.  tad[i] is the
+    # numerator at key (1 + i, n, 0).  Column m of order n sums, over k,
+    # tadpole k times column m - 1 of order n - 1 - k, each product one int
+    # product of both rows packed at a width w that holds every slot of the sum
     if n == 0:
-        return 1, {(0, 0, 1): 1}
+        # the free propagator; its transverse integral diverges and is taken
+        # with its Taylor subtraction at x1 = 0: -(1/2) log(1+x1^2)
+        return (1, ((1,),), 1), (2, (-1,), 1)
     for k in range(n):  # lower orders bottom-up, so a cold order nests no calls
-        _int_order(k)
-    parts = [(_int_tadpole(k), _int_order(n - 1 - k)) for k in range(n)]
-    den = math.lcm(*(td * od for (td, _), (od, _) in parts))
-    acc: Dict[Key, int] = {}
-    for (td, tadpole), (od, rest) in parts:
-        scale = -2 * (den // (td * od))
-        for (tl, tp, tq), tc in tadpole.items():
-            c = scale * tc
-            for (ul, up, uq), uc in rest.items():
-                key = (tl + ul, tp + up, tq + uq + 1)
-                acc[key] = acc.get(key, 0) + c * uc
-    return _reduced(den, acc)
+        _kernel(k)
+    parts = [(_kernel(k)[1], _kernel(n - 1 - k)[0]) for k in range(n)]
+    den = math.lcm(*(td * od for (td, _, _), (od, _, _) in parts))
+    scaled = [(-2 * (den // (td * od)), tad, tsum, cols, big) for (td, tad, tsum), (od, cols, big) in parts]
+    # every slot is a sum over n values of k, each at most |s_k| sum|T_k| max|num|
+    w = 2 + n.bit_length() + max((abs(s) * ts).bit_length() + big.bit_length() for s, _, ts, _, big in scaled)
+    acc = [0] * (n + 1)
+    for s, tad, _, cols, _ in scaled:
+        packed = s * _pack(tad, w)
+        for m, col in enumerate(cols, 1):  # column m - 1 of order n - 1 - k
+            if col:
+                acc[m] += packed * _pack(col, w)
+    den, cols = _reduced_rows(den, [(), *(_unpack(acc[m], w, n + 1 - m) for m in range(1, n + 1))])
+    # the transverse integral: a term with fullpow q = m + 1 >= 2 gives
+    # pi*(1+x1^2)^(1-q)/(4(q-1)), so column m goes over 2m to key (logpow, n, 0)
+    # with one pi/2 to the prefactor
+    tden = den * 2 * math.lcm(*range(1, n + 1))
+    tad = [0] * n
+    for m in range(1, n + 1):
+        f = tden // (den * 2 * m)
+        for i, c in enumerate(cols[m], m - 1):
+            tad[i] += f * c
+    tden, (tad,) = _reduced_rows(tden, [tad])
+    big = max(abs(c) for col in cols for c in col)
+    return (den, cols, big), (tden, tad, sum(map(abs, tad)))
 
 
-@cache
+def _int_order(n: int) -> IntPair:
+    # order n as a reduced pair, a view of the kernel's columns
+    den, cols, _ = _kernel(n)[0]
+    return den, {(m + i, n - m, m + 1): c for m, col in enumerate(cols) for i, c in enumerate(col) if c}
+
+
 def _int_tadpole(k: int) -> IntPair:
-    # order k over the two transverse momenta: a term with fullpow q >= 2 (every
-    # key at k >= 1) gives pi*(1+x1^2)^(1-q)/(4(q-1)), so over 2(q-1) with one
-    # pi/2 to the prefactor; the free propagator (k = 0) diverges and is
-    # integrated with its Taylor subtraction at x1 = 0: -(1/2) log(1+x1^2)
-    if k == 0:
-        return 2, {(1, 0, 0): -1}
-    den, nums = _int_order(k)
-    return _pair(((lp, xp + q - 1, 0), c, den * 2 * (q - 1)) for (lp, xp, q), c in nums.items())
+    # order k integrated over the two transverse momenta, as a reduced pair
+    den, tad, _ = _kernel(k)[1]
+    return den, {(1 + i, k, 0): c for i, c in enumerate(tad) if c}
 
 
 def perturbative_order(n: int) -> LogSeries:

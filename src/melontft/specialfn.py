@@ -238,13 +238,20 @@ def sde_residual_algebraic(x1: float, coupling: Coupling) -> float:
     """Fixed-point residual g + z*log(1+x1^2+g) in product form.
 
     Vanishes identically in exact arithmetic; the product form stays
-    well-defined at x1 = 0 where the equivalent ratio form is 0/0.
+    well-defined at x1 = 0 where the equivalent ratio form is 0/0.  It is
+    nan where 1 + x1^2 + g rounds to <= 0, as ``exact_record`` explains.
     """
     return exact_record(Point3(x1, 0.0, 0.0), coupling)[2]
 
 
 def exact_record(x: Point3, coupling: Coupling) -> Tuple[float, float, float]:
-    """(g, G2, algebraic residual) at x from one solve of the dressed mass."""
+    """(g, G2, algebraic residual) at x from one solve of the dressed mass.
+
+    Where z >> x1^2 >> 1 (lambda = 1e25, x1 = 1e8, say), 1 + x1^2 + g
+    cancels in binary64 and can round to zero or below, so the residual's
+    log is undefined: the residual is then nan, and g and G2, which do not
+    form that sum, are returned as at any other point.
+    """
     return exact_records((x.x1,), x.x2, x.x3, coupling)[0]
 
 
@@ -278,5 +285,9 @@ def exact_records(
                 d = x1sq / (1.0 + z)
             d -= (d + z * math.log1p(d) - x1sq) / (1.0 + z / (1.0 + d))
             g = 0.0 - z * math.log1p(d)  # +0.0, not -0.0, at x1 = 0
-        records.append((g, 1.0 / (mass + x2sq + x3sq), g + z * math.log(1.0 + x1sq + g)))
+        try:
+            residual = g + z * math.log(1.0 + x1sq + g)
+        except ValueError:  # 1 + x1^2 + g rounded to <= 0
+            residual = math.nan
+        records.append((g, 1.0 / (mass + x2sq + x3sq), residual))
     return records

@@ -152,11 +152,13 @@ def fixed_point_algebraic(lams: Sequence[float], x1s: Sequence[float]) -> List[C
     """Algebraic fixed-point residual of the exact solution over a (lambda, x1) grid.
 
     The 1e-12 bound is absolute, so a large z fails it falsely: 6.15e-09
-    at lambda = 1e6, x1 = 10, at any tol (ROADMAP.md item 3).
+    at lambda = 1e6, x1 = 10, at any tol (ROADMAP.md item 3).  A nan
+    residual (its log argument rounded to <= 0) is the worst and fails.
     """
-    worst = max(
+    residuals = [
         abs(specialfn.sde_residual_algebraic(x1, specialfn.Coupling(lv))) for lv in lams for x1 in x1s
-    )
+    ]
+    worst = math.nan if any(map(math.isnan, residuals)) else max(residuals)  # max may drop a nan
     return [_bounded("algebraic fixed-point residual < 1e-12 on grid", worst, 1e-12)]
 
 

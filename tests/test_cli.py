@@ -19,6 +19,10 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+# (lambda, x1) where z >> x1^2 >> 1 and 1 + x1^2 + g rounds to <= 0
+CANCELLING_POINTS = [("1e25", "1e8"), ("1e30", "1e10"), ("1e200", "1e10")]
+
+
 class TestEval:
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "eval", "--lambda", "0.6366", "--x", "1,1,1")
@@ -76,6 +80,15 @@ class TestEval:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert "lambda=1.7e+308" in err and "wright_omega" not in err
+
+    @pytest.mark.parametrize("lam, x1", CANCELLING_POINTS)
+    def test_cancelling_residual_is_nan(self, capsys, lam, x1):
+        # 1 + x1^2 + g rounds to <= 0: g and G2 are returned, the residual is nan
+        code, out, err = run(capsys, "eval", "--lambda", lam, "--x", f"{x1},0,0")
+        assert code == 0 and err == ""
+        rec = json.loads(out)
+        g, g2, _ = specialfn.exact_record(Point3(float(x1), 0.0, 0.0), Coupling(float(lam)))
+        assert (rec["g"], rec["G2"]) == (g, g2) and math.isnan(rec["residual_algebraic"])
 
     def test_bad_point_exit_code(self, capsys):
         code, _, _ = run(capsys, "eval", "--lambda", "1", "--x", "1,2")
@@ -233,6 +246,14 @@ class TestTabulate:
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
+    @pytest.mark.parametrize("lam, x1", CANCELLING_POINTS)
+    def test_cancelling_residual_is_nan(self, capsys, lam, x1):
+        code, out, err = run(capsys, "tabulate", "--lambda", lam, "--x1", f"1,{x1}")
+        assert code == 0 and err == ""
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) == 3 and rows[2][6] == "nan"
+        assert all(math.isfinite(float(v)) for v in rows[2][4:6] + rows[1][4:])
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize(
         "argv, message",
@@ -285,6 +306,19 @@ class TestVerify:
         )
         assert code == 0
         assert out.count("[PASS]") == 3
+
+    @pytest.mark.parametrize("lam, x1", CANCELLING_POINTS)
+    def test_sde_fails_on_a_nan_residual(self, capsys, lam, x1):
+        code, out, err = run(capsys, "verify", "sde", "--lambda", lam, "--x", f"{x1},0,0")
+        assert code == 1 and err == ""
+        assert out == "[FAIL] algebraic fixed-point residual < 1e-12 on grid: worst nan\n"
+
+    def test_nan_residual_is_not_dropped_by_max(self):
+        # a nan after a passing residual would vanish in max()
+        from melontft import verify
+
+        [check] = verify.fixed_point_algebraic((1.0, 1e25), (0.5, 1e8))
+        assert check.passed is False and check.detail == "worst nan"
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "verify", "lambert", "--format", "json")

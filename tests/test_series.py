@@ -141,8 +141,7 @@ class TestOrders:
         # LogSeries, its own, and no lower order is turned into Fractions
         orders = []
         monkeypatch.setattr(series, "_series", recording_series(orders))
-        for cached in (series._int_order, series._int_tadpole):
-            cached.cache_clear()
+        series._kernel.cache_clear()
         perturbative_order(12)
         assert orders == [12]
 
@@ -152,8 +151,7 @@ class TestOrders:
         depth, frame = 0, sys._getframe()
         while frame is not None:
             depth, frame = depth + 1, frame.f_back
-        for cached in (series._int_order, series._int_tadpole):
-            cached.cache_clear()
+        series._kernel.cache_clear()
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(depth + 40)
         try:
@@ -174,6 +172,23 @@ class TestOrders:
         combinatorics._closed_pair.cache_clear()
         s = ansatz_order(12)
         assert len(s.terms) == len(made) == 67
+
+    @pytest.mark.parametrize("w", [2, 3, 17, 64, 200])
+    def test_pack_round_trip_at_slot_extremes(self, w):
+        lo, hi = -(1 << (w - 1)), (1 << (w - 1)) - 1
+        for size in (1, 2, 5, 31):
+            for digits in ((lo,) * size, (hi,) * size, tuple((lo, hi)[i % 2] for i in range(size)),
+                           tuple((hi, lo, 0)[i % 3] for i in range(size))):
+                assert series._unpack(series._pack(digits, w), w, size) == digits, (size, digits)
+
+    @pytest.mark.parametrize("w", [2, 17, 64])
+    def test_unpack_raises_on_overflowed_slot(self, w):
+        # an integer that no `size` balanced digits hold: a top slot at 2^(w-1)
+        # or below -2^(w-1), or a nonzero slot above the top
+        half = 1 << (w - 1)
+        for digits, size in (([half], 1), ([0, -half - 1], 2), ([1, 1, 1], 2)):
+            with pytest.raises(ArithmeticError, match=f"width {w} overflowed"):
+                series._unpack(series._pack(digits, w), w, size)
 
     def test_order_domain(self):
         with pytest.raises(ValueError):
@@ -254,7 +269,7 @@ class TestEvaluation:
         # a cold order is never turned into a LogSeries of Fractions
         orders = []
         monkeypatch.setattr(series, "_series", recording_series(orders))
-        for cached in (series._float_order, series._int_order, series._int_tadpole):
+        for cached in (series._float_order, series._kernel):
             cached.cache_clear()
         eval_partial_sum(20, Point3(0.7, 1.2, 0.3), 0.25)
         assert orders == []
@@ -311,9 +326,10 @@ def test_closed_form_is_lagrange_buermann():
     # [z^n] g^m = (m/n) [w^(n-m)] phi(w)^n; expanding phi^n in log(a) and
     # log(1 + w/a) gives the z^n coefficient of sum_m (-g)^m / B^(m+1) at key
     # (k, n-m, m+1), with signed Stirling numbers and no closed-form code;
-    # m = n adds only the leading 1, and zero coefficients have no term
+    # m = n adds only the leading 1, and zero coefficients have no term;
+    # orders 31..40 lie past the pinned order 30, where the packing width is largest
     s, binom, fact = combinatorics.stirling_first_signed, math.comb, math.factorial
-    for n in range(1, 31):
+    for n in range(1, 41):
         want = {(n, 0, n + 1): Fraction(1)}
         for m in range(1, n):
             for k in range(n + 1):

@@ -329,6 +329,23 @@ class TestAlgebraicResidual:
             floor = eps * (abs(g) * (1.0 + c.z / dressed_mass(x1, c)) + c.z)
             assert abs(residual) <= 32 * floor, (lam, x1, residual)
 
+    def test_no_record_raises_over_the_domain(self):
+        # log-uniform draws inside the Coupling and _masses domain, and three
+        # points where z >> x1^2 >> 1: the residual is nan exactly where
+        # 1 + x1^2 + g rounds to <= 0, and g and G2 are still returned
+        rng = random.Random(7)
+        points = [(10.0 ** rng.uniform(0, 300), 10.0 ** rng.uniform(-3, 150)) for _ in range(2000)]
+        cancelling = [(1e25, 1e8), (1e30, 1e10), (1e200, 1e10)]
+        nans = []
+        for lam, x1 in points + cancelling:
+            g, g2, residual = exact_record(Point3(x1, 0.0, 0.0), Coupling(lam))
+            # G2 = 1/M <= 1, up to M's error of about |t|*eps, |t| < 700 here
+            assert math.isfinite(g) and 0.0 < g2 < 1.0 + 700 * 2.0**-52, (lam, x1)
+            assert math.isnan(residual) == (1.0 + x1 * x1 + g <= 0.0), (lam, x1)
+            if math.isnan(residual):
+                nans.append((lam, x1))
+        assert set(cancelling) < set(nans)
+
 
 class TestExactRecords:
     """``exact_records``, one coupling row of ``exact_record``."""
