@@ -1,28 +1,31 @@
-"""Adaptive 2-D quadrature over the quarter plane [0, inf)^2.
+"""Adaptive quadrature of transverse integrals over the quarter plane [0, inf)^2.
 
-Each semi-infinite axis is mapped to the unit interval with the rational
-map q = u/(1-u); the integral is then done with product 8-point
-Gauss-Legendre rules under dyadic adaptive refinement.  A panel's value
-is the sum of the rules on its four half-size quarters, and its error
-estimate is the difference from the single rule on the whole panel.  The
-worst panel is split until the summed estimate meets the tolerance or
-the evaluation budget runs out.
+Every transverse integrand the model produces is a function of
+q2^2 + q3^2 alone: the self-energy depends on x1 only, so the
+Schwinger-Dyson equation closes on such integrands.  Their quarter-plane
+integral is one radial integral,
 
-The rules are batched: each split of the worst panel evaluates the 16
-quarter rules of its four children in one call of the integrand on a
-(16, 8, 8) array of nodes, and each rule is summed as its own 64-point
-row.  A child's single rule is never evaluated again: its rectangle is
-one of the parent's quarters, whose rule values the panel carries on the
-heap.  Only the initial panels need their own single rule; all of them
-and their quarters are done in one further call.
+    int_0^inf int_0^inf f(q2, q3) dq2 dq3 = (pi/2) int_0^inf f(rho, 0) rho drho,
 
-Integrands are called as f(q2, q3) with broadcastable numpy arrays and
-must decay at least like |q|^-4 (after any subtraction, which therefore
-has to happen inside the integrand, never as a difference of divergent
-integrals).  Tail correctness is checked by comparing the integral
-restricted to q <= Q against q <= 2Q for an intermediate cutoff Q; the
-initial panel grid is aligned with both cutoffs so the restricted sums
-are exact panel aggregates.
+and that is what is computed: ``f`` is called with Python floats as
+f(rho, 0.0).  A function of (q2, q3) that is not a function of
+q2^2 + q3^2 is outside this module's contract and gets a wrong answer.
+
+The semi-infinite axis is mapped to the unit interval with the rational
+map rho = u/(1-u), and the integral is done with 8-point Gauss-Legendre
+rules under dyadic adaptive refinement.  A panel's value is the sum of
+the rules on its two halves, and its error estimate is the difference
+from the single rule on the whole panel.  The worst panel is split until
+the summed estimate meets the tolerance or the evaluation budget runs
+out.  A child's single rule is never evaluated again: it is one of the
+parent's halves, whose rule values the panel carries on the heap.
+
+Integrands must decay at least like |q|^-4 (after any subtraction, which
+therefore has to happen inside the integrand, never as a difference of
+divergent integrals).  Tail correctness is checked by comparing the
+integral restricted to rho <= R against rho <= 2R for an intermediate
+cutoff R; the initial panels are aligned with both cutoffs so the
+restricted sums are exact panel aggregates.
 
 The map, breakpoints and cutoffs suit integrands that vary on the length
 scale 1.  The Schwinger-Dyson integrand 1/(M + q^2) - 1/(1 + q^2), with
@@ -31,10 +34,7 @@ p = q/sqrt(M); in q its far-field mass ~ (M-1)/q^4 would fall in a few
 wide panels whose two rules agree and are both wrong.
 
 Everything is evaluated in a fixed order, so results are deterministic
-for a given (integrand, tolerance, budget).
-
-numpy is imported, and the Gauss nodes and weights are computed, on the
-first rule evaluated, so importing melontft does not load numpy.
+for a given (integrand, tolerance, budget).  The module is pure Python.
 """
 
 from __future__ import annotations
@@ -43,8 +43,9 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from functools import cache
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Tuple
 
 from .errors import NotConvergedError
 from .specialfn import Coupling, Point3, dressed_mass, g2_from_mass
@@ -57,37 +58,69 @@ __all__ = [
     "integrated_identity_residual",
 ]
 
-_RULE_EVALS = 64  # integrand points per product rule, 8 x 8 Gauss nodes
-# a split evaluates the four quarter rules of each of the four children
-_SPLIT_EVALS = 16 * _RULE_EVALS
-
-# intermediate tail cutoffs Q = 1e5 and 2Q, mapped to the unit interval
+_GAUSS_POINTS = 8
+# breakpoints in u: three unit-scale panels, then the tail cut at the
+# intermediate cutoffs R = 1e5 and 2R
 _U_CUT = 1.0e5 / (1.0 + 1.0e5)
 _U_CUT2 = 2.0e5 / (1.0 + 2.0e5)
+_BREAKS = (0.0, 0.25, 0.5, 0.75, _U_CUT, _U_CUT2, 1.0)
+# an initial panel evaluates its own rule and its two halves'; a split
+# evaluates the two halves of each of its two children
+_INITIAL_EVALS = (len(_BREAKS) - 1) * 3 * _GAUSS_POINTS
+_SPLIT_EVALS = 4 * _GAUSS_POINTS
 
-Rect = Tuple[float, float, float, float]  # (a, b, c, d) = [a, b] x [c, d] in (u, v)
+
+def _legendre(x: Decimal) -> Tuple[Decimal, Decimal]:
+    # P_8(x) and P_8'(x) by the three-term recurrence
+    p0, p1 = Decimal(1), x
+    for k in range(2, _GAUSS_POINTS + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    return p1, _GAUSS_POINTS * (x * p1 - p0) / (x * x - 1)
 
 
 @cache
-def _gauss_rule():
-    import numpy as np
+def _gauss_rule() -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+    """8-point Gauss-Legendre nodes, ascending, and weights on [-1, 1].
 
-    return np.polynomial.legendre.leggauss(8)
+    Newton's method on the Legendre recurrence in 50-digit decimal
+    arithmetic, so both are the correctly rounded binary64 values.
+    """
+    nodes, weights = [], []
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for i in range(_GAUSS_POINTS):
+            x = Decimal(math.cos(math.pi * (i + 0.75) / (_GAUSS_POINTS + 0.5)))
+            for _ in range(6):  # quadratic convergence from a 1e-3 guess
+                p, dp = _legendre(x)
+                x -= p / dp
+            _, dp = _legendre(x)
+            nodes.append(-float(x))
+            weights.append(float(2 / ((1 - x * x) * dp * dp)))
+    return tuple(nodes), tuple(weights)
 
 
-def _map_rational(u):
-    w = 1.0 - u
-    return u / w, 1.0 / (w * w)
+def _rule(f: Callable, a: float, b: float) -> float:
+    """Gauss-Legendre on [a, b] in u of (pi/2) f(rho, 0) rho, rho = u/(1-u)."""
+    nodes, weights = _gauss_rule()
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    total = 0.0
+    for x, w in zip(nodes, weights):
+        u = mid + half * x
+        v = 1.0 - u
+        rho = u / v
+        total += w * rho * f(rho, 0.0) / (v * v)
+    return 0.5 * math.pi * half * total
 
 
 @dataclass(frozen=True)
 class QuadResult:
     """Outcome of one adaptive integral, with what it took to get there.
 
-    ``panels`` counts the final panels, ``stuck_panels`` those too thin
-    to split further.  ``inside_cut`` and ``inside_cut2`` are the panel
-    sums restricted to q2, q3 <= 1e5 and <= 2e5, which the tail check
-    compares with each other and with ``value``.
+    ``panels`` counts the final radial panels, ``stuck_panels`` those
+    too thin to split further.  ``inside_cut`` and ``inside_cut2`` are
+    the panel sums restricted to the quarter discs |q| <= 1e5 and
+    <= 2e5, which the tail check compares with each other and with
+    ``value``.
     """
 
     value: float
@@ -100,25 +133,6 @@ class QuadResult:
     inside_cut2: float
 
 
-def _quarters(a: float, b: float, c: float, d: float) -> Tuple[Rect, Rect, Rect, Rect]:
-    mu, mv = 0.5 * (a + b), 0.5 * (c + d)
-    return (a, mu, c, mv), (mu, b, c, mv), (a, mu, mv, d), (mu, b, mv, d)
-
-
-def _rules(f: Callable, rects: Sequence[Rect]) -> List[float]:
-    """Product Gauss-Legendre on each (u, v) rectangle, one integrand call."""
-    import numpy as np
-
-    nodes, weights = _gauss_rule()
-    a, b, c, d = np.array(rects).T
-    u = 0.5 * (b - a)[:, None] * nodes + 0.5 * (a + b)[:, None]
-    v = 0.5 * (d - c)[:, None] * nodes + 0.5 * (c + d)[:, None]
-    qu, ju = _map_rational(u)
-    qv, jv = _map_rational(v)
-    vals = f(qu[:, :, None], qv[:, None, :]) * (ju * weights)[:, :, None] * (jv * weights)[:, None, :]
-    return (vals.reshape(len(rects), -1).sum(axis=1) * 0.25 * (b - a) * (d - c)).tolist()
-
-
 def _check_abs_tol(abs_tol: float) -> None:
     # the one rule for a tolerance, also applied to verify --tol
     if not (math.isfinite(abs_tol) and abs_tol > 0):
@@ -128,58 +142,53 @@ def _check_abs_tol(abs_tol: float) -> None:
 def integrate_quarter_plane(
     f: Callable,
     abs_tol: float = 1.0e-8,
-    max_evals: int = 10_000_000,
+    max_evals: int = 1_000_000,
 ) -> QuadResult:
-    """Integrate f(q2, q3) over the quarter plane to absolute tolerance.
+    """Integrate a transverse f(q2, q3) over the quarter plane to absolute tolerance.
 
+    ``f`` must be a function of q2^2 + q3^2; it is called as f(rho, 0.0)
+    with Python floats along one radial line (module docstring).
     ``max_evals`` bounds the integrand points evaluated; it must cover
-    the initial panel grid.
+    the initial panels' 144.
     """
     _check_abs_tol(abs_tol)
+    if max_evals < _INITIAL_EVALS:
+        raise ValueError(f"max_evals must be >= {_INITIAL_EVALS}, the initial panels' cost")
 
-    breaks = sorted({0.0, 0.25, 0.5, 0.75, _U_CUT, _U_CUT2, 1.0})
-    edges = list(zip(breaks[:-1], breaks[1:]))
-    initial = [(a, b, c, d) for a, b in edges for c, d in edges]
-    # each initial panel needs its single rule besides its four quarters
-    rects = [r for panel in initial for r in (panel, *_quarters(*panel))]
-    if max_evals < len(rects) * _RULE_EVALS:
-        raise ValueError(f"max_evals must be >= {len(rects) * _RULE_EVALS}, the initial panels' cost")
-
-    heap = []  # (-err, counter, rect, value, quarter rule values)
+    heap = []  # (-err, counter, a, b, value, (left half rule, right half rule))
     counter = itertools.count()
 
-    def push(rect: Rect, coarse: float, quarters: List[float]) -> float:
-        value = quarters[0] + quarters[1] + quarters[2] + quarters[3]
+    def push(a: float, b: float, coarse: float) -> float:
+        mid = 0.5 * (a + b)
+        halves = (_rule(f, a, mid), _rule(f, mid, b))
+        value = halves[0] + halves[1]
         err = abs(value - coarse)
-        heapq.heappush(heap, (-err, next(counter), rect, value, quarters))
+        heapq.heappush(heap, (-err, next(counter), a, b, value, halves))
         return err
 
-    values = _rules(f, rects)
-    evals = len(rects) * _RULE_EVALS
     total_err = 0.0
-    for i, panel in enumerate(initial):
-        total_err += push(panel, values[5 * i], values[5 * i + 1 : 5 * i + 5])
+    for a, b in zip(_BREAKS, _BREAKS[1:]):
+        total_err += push(a, b, _rule(f, a, b))
+    evals = _INITIAL_EVALS
 
-    stuck = []  # (rect, value) of panels too thin to split further
+    stuck = []  # (b, value) of panels too thin to split further
     while total_err > abs_tol and heap and evals + _SPLIT_EVALS <= max_evals:
-        neg_err, _, rect, value, quarters = heapq.heappop(heap)
+        neg_err, _, a, b, value, halves = heapq.heappop(heap)
         total_err += neg_err  # neg_err = -err
-        a, b, c, d = rect
-        if b - a < 1e-13 or d - c < 1e-13:
+        if b - a < 1e-13:
             # too thin to split; keep its error counted but stop refining it
-            stuck.append((rect, value))
+            stuck.append((b, value))
             total_err -= neg_err
             continue
-        children = _quarters(a, b, c, d)
-        values = _rules(f, [r for child in children for r in _quarters(*child)])
+        mid = 0.5 * (a + b)
+        total_err += push(a, mid, halves[0])
+        total_err += push(mid, b, halves[1])
         evals += _SPLIT_EVALS
-        for j, child in enumerate(children):
-            total_err += push(child, quarters[j], values[4 * j : 4 * j + 4])
 
-    panels = [(rect, value) for _, _, rect, value, _ in heap] + stuck
+    panels = [(b, value) for _, _, _, b, value, _ in heap] + stuck
     value = math.fsum(v for _, v in panels)
-    inside_cut = math.fsum(v for (_, b, _, d), v in panels if b <= _U_CUT and d <= _U_CUT)
-    inside_cut2 = math.fsum(v for (_, b, _, d), v in panels if b <= _U_CUT2 and d <= _U_CUT2)
+    inside_cut = math.fsum(v for b, v in panels if b <= _U_CUT)
+    inside_cut2 = math.fsum(v for b, v in panels if b <= _U_CUT2)
 
     tail_tol = max(10.0 * abs_tol, 4.0 * total_err)
     tail_ok = (

@@ -165,9 +165,11 @@ def fixed_point_algebraic(lams: Sequence[float], x1s: Sequence[float]) -> List[C
 def fixed_point_numeric(lam: float, x: specialfn.Point3, tol: float) -> List[Check]:
     """Quadrature residuals of the SDE and of its integrated identity at one point.
 
-    The SDE residual scales the quadrature error by about 2*lambda*G2^2 but
-    is held to an absolute 1e-6, so lambda = 1e6, x = (10, 0.5, 0.5) fails
-    falsely at tol 1e-8 (-1.68e-04) and passes at tol 1e-12 (ROADMAP.md item 3).
+    The SDE residual scales the quadrature error by about 2*lambda*G2^2
+    (8.9e5 at lambda = 1e6, x = (10, 0.5, 0.5)) but is held to an absolute
+    1e-6 (ROADMAP.md item 3).  It passes there at tol 1e-8 (4.59e-10)
+    only because the radial quadrature's actual error lies far below its
+    tol; a residual bound scaled by that factor is still to come.
     """
     sde_name = f"numeric SDE residual at lambda={lam}, x=({x.x1},{x.x2},{x.x3})"
     identity_name = f"integrated-identity residual at lambda={lam}, x1={x.x1}"

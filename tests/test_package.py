@@ -26,10 +26,19 @@ def test_readme_quickstart_runs():
         exec(compile(block, "README.md", "exec"), {})
 
 
-def test_import_loads_no_numpy():
-    # only quadrature needs numpy, and it imports it on its first rule
+def _loads_numpy(code):
+    """Whether running ``code`` in a fresh interpreter on src/ loads numpy."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, melontft, melontft.cli; print('numpy' in sys.modules)"
+    code += "; print('numpy' in sys.modules, file=sys.stderr)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "False\n"
+    return out.stderr.splitlines()[-1] == "True"
+
+
+def test_import_loads_no_numpy():
+    assert not _loads_numpy("import sys, melontft, melontft.cli")
+
+
+def test_verify_all_loads_no_numpy():
+    # the package is pure Python, quadrature included
+    assert not _loads_numpy("import sys; from melontft import cli; assert cli.main(['verify', 'all']) == 0")
