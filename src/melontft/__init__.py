@@ -9,7 +9,7 @@ quadrature residual checks and the recursion for higher-point functions.
 
 Caching policy: a pure function of integer indices whose results are
 immutable (Stirling rows, the (num, den) pairs of a(n,k,m), the integer
-columns of perturbative orders and tadpoles, and their float tables) is
+columns of perturbative orders and tadpoles, and their float columns) is
 memoised for the life of the process by ``functools.cache`` on a private
 helper; no ``LogSeries`` is cached.  Public names stay plain functions
 that check their arguments on every call and then delegate.  The one

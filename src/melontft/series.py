@@ -42,11 +42,17 @@ G2 = sum_m (-g)^m / B^(m+1) at key (k, n-m, m+1) is
 the sign of ``_slots`` times ``combinatorics._closed_pair``; m = n gives
 the leading coefficient 1 at key (n, 0, n+1).
 
-Float evaluation has one body, ``_eval_terms``; ``eval_partial_sum``
-feeds it the cached float table ``_float_order(n)`` and makes no
-``Fraction``.  Evaluators raise ``ValueError`` once 1+x1^2 overflows
-binary64 (x1 above about 1.34e154), or a power of lambda, log(1+x1^2)
-or pi/2 does.
+Float evaluation has one body, ``_eval_columns``, over columns
+(lo, x1pow, fullpow, coefficients): each is Horner's rule in
+lg = log(1+x1^2) over its coefficients at logpow lo, lo+1, ..., times
+lg^lo (1+x1^2)^(-x1pow) (1+|x|^2)^(-fullpow).  ``_float_order(n)`` caches
+the kernel's columns of order n as floats, trimmed of zeros at both ends;
+``eval_series_transverse`` groups any ``LogSeries``'s terms by
+(x1pow, fullpow) into the same layout, so an order evaluates to the same
+bits by either route, and ``eval_partial_sum`` makes no ``Fraction``.
+Evaluators raise ``ValueError`` once 1+x1^2 overflows binary64 (x1 above
+about 1.34e154), a power of lambda, log(1+x1^2) or pi/2 does, or, for a
+float rho2, the value is not finite.
 """
 
 from __future__ import annotations
@@ -68,7 +74,7 @@ __all__ = [
 
 Key = Tuple[int, int, int]
 IntTerm = Tuple[Key, int, int]  # (key, num, den > 0)
-FloatTerm = Tuple[float, int, int, int]
+FloatColumn = Tuple[int, int, int, Tuple[float, ...]]  # (lo, x1pow, fullpow, coeffs from the top logpow)
 IntPair = Tuple[int, Dict[Key, int]]
 Row = Tuple[int, ...]
 KernelOrder = Tuple[int, Tuple[Row, ...], int]  # (D, columns, max |num|)
@@ -245,14 +251,24 @@ def extract_coefficients(s: LogSeries) -> Dict[Tuple[int, int], Fraction]:
 def eval_series_transverse(s: LogSeries, x1: float, rho2):
     """Evaluate at points (x1, q2, q3) with rho2 = q2^2 + q3^2.
 
-    ``rho2`` may be a float or an array, the natural shape for
-    transverse integrands.  An array's values agree with scalar calls to
-    within a few ulps of the sum of the terms' magnitudes, not bit for
-    bit: numpy's power and the C library's pow differ by about an ulp.
+    ``rho2`` may be a float or an array, the natural shape for transverse
+    integrands: the body applies only ``+``, ``*`` and ``b ** (-fullpow)``
+    to b = 1 + x1^2 + rho2.  An array's values agree with scalar calls to
+    within a few ulps of the sum of the terms' magnitudes, not bit for bit,
+    because numpy's power on b and the C library's pow differ by about an
+    ulp.  A float ``rho2`` must be finite and >= 0, and a non-finite value
+    raises ``ValueError``; an array goes unchecked, both in and out.
     """
+    if isinstance(rho2, float) and not 0.0 <= rho2 < math.inf:
+        raise ValueError(f"rho2 must be finite and >= 0, got {rho2!r}")
     a, lg = _x1_factors(x1)
-    terms = ((float(t.coeff), t.logpow, t.x1pow, t.fullpow) for t in s.terms)
-    return _eval_terms(s.order, terms, a, lg, a + rho2)
+    rows: Dict[Tuple[int, int], Dict[int, float]] = {}
+    for t in s.terms:  # keyed (fullpow, x1pow), so sorted in the kernel's column order
+        row = rows.setdefault((t.fullpow, t.x1pow), {})
+        row[t.logpow] = row.get(t.logpow, 0.0) + float(t.coeff)
+    cols = ((min(row), p, q, [row.get(i, 0.0) for i in range(min(row), max(row) + 1)])
+            for (q, p), row in sorted(rows.items()))
+    return _eval_columns(s.order, _columns(cols), a, lg, a + rho2)
 
 
 def eval_series(s: LogSeries, x: Point3) -> float:
@@ -263,7 +279,7 @@ def eval_series(s: LogSeries, x: Point3) -> float:
 def eval_partial_sum(n_max: int, x: Point3, lam: float) -> float:
     """Partial sum of the coupling expansion through order n_max.
 
-    Reads the cached float table of each order; no ``Fraction`` is made.
+    Reads the cached float columns of each order; no ``Fraction`` is made.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -271,15 +287,27 @@ def eval_partial_sum(n_max: int, x: Point3, lam: float) -> float:
         raise ValueError(f"lambda must be finite, got {lam!r}")
     a, lg = _x1_factors(x.x1)
     b = a + (x.x2 * x.x2 + x.x3 * x.x3)
-    return sum(_eval_terms(n, _float_order(n), a, lg, b, lam) for n in range(n_max + 1))
+    return sum(_eval_columns(n, _float_order(n), a, lg, b, lam) for n in range(n_max + 1))
+
+
+def _columns(cols: Iterable[Tuple[int, int, int, Sequence[float]]]) -> Tuple[FloatColumn, ...]:
+    # (lo, x1pow, fullpow, coefficients at logpow lo, lo + 1, ...) in the body's
+    # layout: zeros trimmed from both ends, empty columns dropped, and the
+    # coefficients reversed, highest logpow first, for Horner's rule
+    out = []
+    for lo, p, q, cs in cols:
+        nz = [i for i, c in enumerate(cs) if c]
+        if nz:
+            out.append((lo + nz[0], p, q, tuple(reversed(cs[nz[0]:nz[-1] + 1]))))
+    return tuple(out)
 
 
 @cache
-def _float_order(n: int) -> Tuple[FloatTerm, ...]:
-    # (num/D, logpow, x1pow, fullpow) in the key order of LogSeries.terms;
+def _float_order(n: int) -> Tuple[FloatColumn, ...]:
+    # the kernel's columns m = 0..n, at logpow m, x1pow n - m, fullpow m + 1;
     # int/int division is correctly rounded, so num/D == float(Fraction(num, D))
-    den, nums = _int_order(n)
-    return tuple((c / den, *key) for key, c in sorted(nums.items()))
+    den, cols, _ = _kernel(n)[0]
+    return _columns((m, n - m, m + 1, [c / den for c in col]) for m, col in enumerate(cols))
 
 
 def _x1_factors(x1: float) -> Tuple[float, float]:
@@ -289,14 +317,22 @@ def _x1_factors(x1: float) -> Tuple[float, float]:
     return a, math.log(a)
 
 
-def _eval_terms(order: int, terms: Iterable[FloatTerm], a: float, lg: float, b, lam: float = 1.0):
-    # the one evaluation body: a = 1+x1^2, lg = log(a), b = a + rho2, and
-    # lam^order * (pi/2)^order * the terms (1.0 * y == y, so lam = 1 is exact)
+def _eval_columns(order: int, columns: Iterable[FloatColumn], a: float, lg: float, b, lam: float = 1.0):
+    # the one evaluation body: a = 1+x1^2, lg = log(a), b = a + rho2; each
+    # column is Horner's rule in lg times lg^lo * a^(-x1pow) * b^(-fullpow),
+    # and the value is lam^order * (pi/2)^order * their sum (1.0 * y == y,
+    # so lam = 1 is exact)
     try:
         total = 0.0
-        for c, logpow, x1pow, fullpow in terms:
-            total = total + c * lg**logpow * a ** (-x1pow) * b ** (-fullpow)
-        return lam**order * ((0.5 * math.pi) ** order * total)
+        for lo, x1pow, fullpow, coeffs in columns:
+            h = 0.0
+            for c in coeffs:
+                h = h * lg + c
+            total = total + h * lg**lo * a ** (-x1pow) * b ** (-fullpow)
+        value = lam**order * ((0.5 * math.pi) ** order * total)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise OverflowError("a product or a Horner step overflowed")
+        return value
     except OverflowError as err:
         raise ValueError(f"order {order} overflows binary64: a power of lambda={lam!r}, "
-                         f"log(1+x1^2)={lg!r} or pi/2 exceeds about 1.8e308") from err
+                         f"log(1+x1^2)={lg!r} or pi/2, or a product of them, exceeds about 1.8e308") from err

@@ -1,5 +1,6 @@
 import functools
 import math
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -79,9 +80,52 @@ def recording_series(orders):
 
 
 # Reference: the partial sum as one eval_series call per order, the form
-# the cached float tables replaced, kept to check them bit for bit.
+# the cached float columns replaced, kept to check them bit for bit.
 def ref_partial_sum(n_max, x, lam):
     return sum(lam**n * eval_series(perturbative_order(n), x) for n in range(n_max + 1))
+
+
+# Reference: 80-digit sums of the same integer pairs the evaluators read.
+@functools.cache
+def pair_columns(n):
+    # order n's pair as (D, [(m, lo, nums, |nums|) ...]): column m = fullpow - 1
+    # = n - x1pow holds the numerators at logpow lo, lo + 1, ..., zeros filled
+    den, nums = series._int_order(n)
+    rows = {}
+    for (logpow, x1pow, fullpow), c in nums.items():
+        assert x1pow + fullpow == n + 1
+        rows.setdefault(fullpow - 1, {})[logpow] = c
+    cols = []
+    for m, row in rows.items():
+        cs = [row.get(i, 0) for i in range(min(row), max(row) + 1)]
+        cols.append((m, min(row), cs, [abs(c) for c in cs]))
+    return den, cols
+
+
+def oracle_orders(x, n_max, mpmath):
+    # (sum of the terms, sum of their magnitudes) of orders 0..n_max, (pi/2)^n
+    # included, at the rounded a = 1+x1^2, L = log(a), b = a + rho2 and pi/2 the
+    # evaluators use, so input rounding is excluded.  Order n is
+    # (pi/2)^n / (D a^n b) * sum_m (a/b)^m sum_l num L^l; with each double
+    # v = vn / 2^ev, the double sum times 2^((el + ea) n) bn^n is an exact
+    # integer, rounded once to 80 digits
+    a = 1.0 + x.x1 * x.x1
+    lg, b = math.log(a), a + (x.x2 * x.x2 + x.x3 * x.x3)
+    (an, ea), (ln, el), (bn, eb) = ((vn, vd.bit_length() - 1) for vn, vd in (v.as_integer_ratio() for v in (a, lg, b)))
+    out = []
+    with mpmath.workdps(80):
+        big_a, big_b, half_pi = (mpmath.mpf(v) for v in (a, b, 0.5 * math.pi))
+        for n in range(n_max + 1):
+            den, cols = pair_columns(n)
+            logs = [ln**i << el * (n - i) for i in range(n + 1)]
+            total = magnitude = 0
+            for m, lo, nums, mags in cols:
+                f = an**m * bn ** (n - m) << eb * m + ea * (n - m)
+                total += f * sum(map(operator.mul, nums, logs[lo:]))
+                magnitude += f * sum(map(operator.mul, mags, logs[lo:]))
+            scale = mpmath.ldexp(half_pi**n / (big_a**n * big_b * (bn**n * den)), -(el + ea) * n)
+            out.append((scale * total, scale * magnitude))
+    return out
 
 
 class TestAlgebra:
@@ -265,7 +309,7 @@ class TestEvaluation:
                     assert got.hex() == want.hex(), (n, x, lam)
 
     def test_cold_partial_sum_builds_no_series(self, monkeypatch):
-        # the partial sum reads float tables made from the integer kernel;
+        # the partial sum reads float columns made from the integer kernel;
         # a cold order is never turned into a LogSeries of Fractions
         orders = []
         monkeypatch.setattr(series, "_series", recording_series(orders))
@@ -275,6 +319,25 @@ class TestEvaluation:
         assert orders == []
         perturbative_order(3)  # the recorder sees the series that are made
         assert orders == [3]
+
+    def test_within_16_eps_of_80_digit_sum(self):
+        # the body against an 80-digit sum of the same pairs: orders n <= 12
+        # and partial sums through 20 and 30 stay within 16 eps of the sum of
+        # their terms' magnitudes (Horner's bound is gamma_2n of it)
+        mpmath = pytest.importorskip("mpmath")
+        eps = sys.float_info.epsilon
+        rng = random.Random(21)
+        for i in range(100):
+            x1 = 0.0 if i % 25 == 0 else 10 ** rng.uniform(-3, 6)
+            x, lam = Point3(x1, rng.uniform(0, 2), rng.uniform(0, 2)), 10 ** rng.uniform(-4, 2)
+            orders = oracle_orders(x, 30, mpmath)
+            for n in range(13):
+                want, magnitude = orders[n]
+                assert abs(eval_series(perturbative_order(n), x) - want) <= 16 * eps * magnitude, (n, x)
+            with mpmath.workdps(80):
+                for n_max in (20, 30):
+                    want, magnitude = (sum(mpmath.mpf(lam) ** n * orders[n][j] for n in range(n_max + 1)) for j in (0, 1))
+                    assert abs(eval_partial_sum(n_max, x, lam) - want) <= 16 * eps * magnitude, (n_max, x, lam)
 
     def test_transverse_array_matches_scalars(self):
         # numpy's power and the C library's pow may differ by about an ulp,
@@ -309,6 +372,18 @@ class TestEvaluation:
         steep = LogSeries(1, (LogTerm(Fraction(1), 120, 0, 0),))
         with pytest.raises(ValueError, match="order 1 overflows binary64"):
             eval_series(steep, Point3(1e150, 0, 0))
+
+    def test_product_overflow_names_itself(self):
+        # a product past binary64 that no pow overflows raises, not inf or nan
+        big = LogTerm(Fraction(10**300), 3, 0, 0)
+        for terms in ((big,), (big, LogTerm(Fraction(-(10**300)), 3, 0, 1))):
+            with pytest.raises(ValueError, match="order 1 overflows binary64"):
+                eval_series(LogSeries(1, terms), Point3(1e150, 0, 0))
+
+    @pytest.mark.parametrize("rho2", [-1.0, math.inf, math.nan])
+    def test_transverse_rejects_bad_rho2(self, rho2):
+        with pytest.raises(ValueError, match="rho2 must be finite and >= 0"):
+            eval_series_transverse(perturbative_order(2), 0.5, rho2)
 
     def test_largest_x1_evaluates(self):
         x = Point3(1.34e154, 1.0, 1.0)
