@@ -8,26 +8,18 @@ with rational coefficients; the prefactor (pi/2)^n is carried by the
 order, so pi enters only the numeric evaluation.  ``x1pow`` counts
 denominator powers (negative values are numerator factors of (1+x1^2)).
 
-Exact terms are integer pairs (D, {(logpow, x1pow, fullpow): num}) in
-lowest terms, and the way out of them is one-way: ``_series`` alone turns
-a pair into a ``LogSeries`` of ``Fraction`` coefficients, and no code
-turns a ``LogSeries`` back into a pair; ``extract_coefficients`` and the
-evaluators only read one.  ``_pair`` alone sums (key, num, den) int
-triples into a pair.  ``_slots`` states the closed form once, for
-``ansatz_order`` and ``extract_coefficients``.
-
-``perturbative_order`` runs the renormalized recursion bottom-up in the
-cached column kernel ``_kernel(n)``, whose pair views are ``_int_order(n)``
-and ``_int_tadpole(k)``.  Order n is held as columns over m = fullpow - 1
-(x1pow = n - m), each a row of numerators over logpow, and tadpole k,
-order k integrated over the transverse momenta, as one row over logpow.
-Column m of order n sums, over k, tadpole k times column m - 1 of order
-n - 1 - k: each product is one big-int product by Kronecker substitution
-(rows packed as sum c_i 2^(w i)), scaled to the common denominator and
-added into the column's integer, which is unpacked once per order into
-balanced digits.  The width w = 2 + bitlen(n) + the largest
-bitlen(|s_k| sum |T_k|) + bitlen(max |num|) over the k products (s_k the
-scale) keeps every slot in (-2^(w-1), 2^(w-1)); a remainder raises.
+An order's one exact form is its entry of the cached kernel ``_kernel(n)``:
+a denominator D and integer columns, reduced by their gcd, whose layout
+``_key`` states once: entry i of column m sits at logpow m + i, x1pow
+n - m and fullpow m + 1.  ``perturbative_order`` builds them bottom-up
+by the renormalized recursion, column m of order n summing, over k,
+tadpole k (order k integrated over the transverse momenta, one row over
+logpow) times column m - 1 of order n - 1 - k, each product one big-int
+product of rows packed at a width that bounds every slot of the sum
+(Kronecker substitution).  ``ansatz_order`` fills the same columns from
+the closed form, whose slots ``_slots`` states once, also for
+``extract_coefficients``.  ``_series`` alone turns columns into a
+``LogSeries`` of ``Fraction`` coefficients, and no code turns one back.
 
 The closed form is a theorem, the Lagrange-Buermann coefficient.  With
 a = 1+x1^2, L = log(a) and B = 1+|x|^2, the shift g = M - a solves
@@ -42,14 +34,13 @@ G2 = sum_m (-g)^m / B^(m+1) at key (k, n-m, m+1) is
 the sign of ``_slots`` times ``combinatorics._closed_pair``; m = n gives
 the leading coefficient 1 at key (n, 0, n+1).
 
-Float evaluation has one body, ``_eval_columns``, over columns
-(lo, x1pow, fullpow, coefficients): each is Horner's rule in
-lg = log(1+x1^2) over its coefficients at logpow lo, lo+1, ..., times
-lg^lo (1+x1^2)^(-x1pow) (1+|x|^2)^(-fullpow).  ``_float_order(n)`` caches
-the kernel's columns of order n as floats, trimmed of zeros at both ends;
-``eval_series_transverse`` groups any ``LogSeries``'s terms by
-(x1pow, fullpow) into the same layout, so an order evaluates to the same
-bits by either route, and ``eval_partial_sum`` makes no ``Fraction``.
+Float evaluation has one body, ``_eval_columns``: each column
+(lo, x1pow, fullpow, coefficients) is Horner's rule in lg = log(1+x1^2)
+over logpow lo, lo+1, ..., times lg^lo (1+x1^2)^(-x1pow) (1+|x|^2)^(-fullpow).
+``_float_order(n)`` caches the kernel's columns of order n as floats, and
+``eval_series_transverse`` groups any ``LogSeries``'s terms into the same
+layout, so an order evaluates to the same bits by either route, and
+``eval_partial_sum`` makes no ``Fraction``.
 Evaluators raise ``ValueError`` once 1+x1^2 overflows binary64 (x1 above
 about 1.34e154), a power of lambda, log(1+x1^2) or pi/2 does, or, for a
 float rho2, the value is not finite.
@@ -61,7 +52,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 from .combinatorics import _closed_pair
 from .errors import ShapeMismatchError
@@ -73,9 +64,7 @@ __all__ = [
 ]
 
 Key = Tuple[int, int, int]
-IntTerm = Tuple[Key, int, int]  # (key, num, den > 0)
 FloatColumn = Tuple[int, int, int, Tuple[float, ...]]  # (lo, x1pow, fullpow, coeffs from the top logpow)
-IntPair = Tuple[int, Dict[Key, int]]
 Row = Tuple[int, ...]
 KernelOrder = Tuple[int, Tuple[Row, ...], int]  # (D, columns, max |num|)
 KernelTadpole = Tuple[int, Row, int]  # (D, tadpole, sum |num|)
@@ -100,22 +89,16 @@ class LogSeries:
     terms: Tuple[LogTerm, ...]
 
 
-def _pair(terms: Iterable[IntTerm]) -> IntPair:
-    # the one keyed exact sum (the recursion sums packed columns in _kernel):
-    # at the LCM of the denominators, reduced by the gcd of all its integers
-    terms = list(terms)
-    den = math.lcm(*(d for _, _, d in terms))
-    nums: Dict[Key, int] = {}
-    for key, c, d in terms:
-        nums[key] = nums.get(key, 0) + c * (den // d)
-    g = math.gcd(den, *nums.values())
-    return den // g, {key: c // g for key, c in nums.items() if c}
+def _key(n: int, m: int, i: int) -> Key:
+    # the kernel's layout: entry i of column m of order n
+    return m + i, n - m, m + 1
 
 
-def _series(order: int, pair: IntPair) -> LogSeries:
-    # the only place a LogSeries is made: one Fraction per key of a reduced pair
-    den, nums = pair
-    return LogSeries(order, tuple(LogTerm(Fraction(c, den), *key) for key, c in sorted(nums.items())))
+def _series(n: int, den: int, cols: Sequence[Row]) -> LogSeries:
+    # the only place a LogSeries is made from exact data: one Fraction per
+    # nonzero numerator of reduced columns, in key order
+    terms = sorted((_key(n, m, i), c) for m, col in enumerate(cols) for i, c in enumerate(col) if c)
+    return LogSeries(n, tuple(LogTerm(Fraction(c, den), *key) for key, c in terms))
 
 
 def _pack(coeffs: Row, w: int) -> int:
@@ -150,11 +133,10 @@ def _reduced_rows(den: int, rows: Sequence[Row]) -> Tuple[int, Tuple[Row, ...]]:
 @cache
 def _kernel(n: int) -> Tuple[KernelOrder, KernelTadpole]:
     # Order n and its tadpole, each reduced.  cols[m][i] is the numerator at
-    # key (m + i, n - m, m + 1): every key has x1pow + fullpow = n + 1, and
-    # logpow >= m since each tadpole has logpow >= 1.  tad[i] is the
-    # numerator at key (1 + i, n, 0).  Column m of order n sums, over k,
-    # tadpole k times column m - 1 of order n - 1 - k, each product one int
-    # product of both rows packed at a width w that holds every slot of the sum
+    # _key(n, m, i): every key has x1pow + fullpow = n + 1, and logpow >= m
+    # since each tadpole has logpow >= 1.  tad[i] is the numerator at key
+    # (1 + i, n, 0).  Each product packs its two rows at a width w that
+    # holds every slot of the sum
     if n == 0:
         # the free propagator; its transverse integral diverges and is taken
         # with its Taylor subtraction at x1 = 0: -(1/2) log(1+x1^2)
@@ -187,38 +169,31 @@ def _kernel(n: int) -> Tuple[KernelOrder, KernelTadpole]:
     return (den, cols, big), (tden, tad, sum(map(abs, tad)))
 
 
-def _int_order(n: int) -> IntPair:
-    # order n as a reduced pair, a view of the kernel's columns
-    den, cols, _ = _kernel(n)[0]
-    return den, {(m + i, n - m, m + 1): c for m, col in enumerate(cols) for i, c in enumerate(col) if c}
-
-
-def _int_tadpole(k: int) -> IntPair:
-    # order k integrated over the two transverse momenta, as a reduced pair
-    den, tad, _ = _kernel(k)[1]
-    return den, {(1 + i, k, 0): c for i, c in enumerate(tad) if c}
-
-
 def perturbative_order(n: int) -> LogSeries:
     """Order-n series from the recursion (one interaction, colour 1)."""
     if n < 0:
         raise ValueError("order must be >= 0")
-    return _series(n, _int_order(n))
+    den, cols, _ = _kernel(n)[0]
+    return _series(n, den, cols)
 
 
-def _slots(n: int) -> Dict[Key, Tuple[int, int, int]]:
-    # the closed form at order n: key (k, n-m, m+1) -> (k, m, sign) of its term
-    # sign * a(n,k,m), 1 <= m <= k < n; the leading key (n, 0, n+1) holds 1
-    return {(k, n - m, m + 1): (k, m, (-1) ** (n + k)) for k in range(1, n) for m in range(1, k + 1)}
+def _slots(n: int) -> Iterator[Tuple[int, int, int]]:
+    # the closed form at order n, as (m, k, sign): column m holds sign * a(n,k,m)
+    # at logpow k, entry k - m, with sign (-1)^(n+k), for 1 <= m <= k < n;
+    # column n holds the leading 1 at logpow n
+    return ((m, k, (-1) ** (n + k)) for m in range(1, n) for k in range(m, n))
 
 
 def ansatz_order(n: int) -> LogSeries:
     """Order-n series from the closed (Lagrange-Buermann) form."""
     if n < 1:
         raise ValueError("ansatz starts at order 1")
-    slots = _slots(n).items()
-    terms = [(key, sign * c, d) for key, (k, m, sign) in slots for c, d in [_closed_pair(n, k, m)]]
-    return _series(n, _pair([((n, 0, n + 1), 1, 1), *terms]))
+    terms = [(m, k, sign, *_closed_pair(n, k, m)) for m, k, sign in _slots(n)]
+    den = math.lcm(*(d for *_, d in terms))
+    cols = [[0] * (n - m) for m in range(n)] + [[den]]
+    for m, k, sign, c, d in terms:
+        cols[m][k - m] = sign * c * (den // d)
+    return _series(n, *_reduced_rows(den, cols))
 
 
 def extract_coefficients(s: LogSeries) -> Dict[Tuple[int, int], Fraction]:
@@ -226,23 +201,24 @@ def extract_coefficients(s: LogSeries) -> Dict[Tuple[int, int], Fraction]:
 
     Inverts the sign and power conventions of the closed form and checks
     the leading term log^n/(1+|x|^2)^(n+1) has coefficient exactly 1.  A
-    term that fits no slot raises ShapeMismatchError: the closed form is a
-    theorem, so that would be a defect in the series, and nothing is coerced.
+    term that fits no slot, or a key that repeats, raises ShapeMismatchError:
+    the closed form is a theorem, so that would be a defect in the series,
+    and nothing is coerced.
     """
     n = s.order
     if n < 1:
         raise ValueError("coefficient extraction needs order >= 1")
-    slots = _slots(n)
+    slots = {_key(n, m, k - m): (k, m, sign) for m, k, sign in _slots(n)}
+    slots[_key(n, n, 0)] = (n, n, 1)  # the leading 1, read as a(n, n, n) and popped below
     row: Dict[Tuple[int, int], Fraction] = {}
-    lead = Fraction(0)
     for t in s.terms:
-        if t.key() == (n, 0, n + 1):
-            lead = t.coeff
-        elif t.key() in slots:
-            k, m, sign = slots[t.key()]
-            row[(k, m)] = sign * t.coeff
-        else:
+        if t.key() not in slots:
             raise ShapeMismatchError(f"term {t} fits no slot at order {n}")
+        k, m, sign = slots[t.key()]
+        if (k, m) in row:
+            raise ShapeMismatchError(f"key {t.key()} repeats in the order-{n} series")
+        row[(k, m)] = sign * t.coeff
+    lead = row.pop((n, n), 0)
     if lead != 1:  # 0 when the leading term is missing
         raise ShapeMismatchError(f"order-{n} leading log^n term has coefficient {lead}, not 1")
     return row
@@ -304,10 +280,10 @@ def _columns(cols: Iterable[Tuple[int, int, int, Sequence[float]]]) -> Tuple[Flo
 
 @cache
 def _float_order(n: int) -> Tuple[FloatColumn, ...]:
-    # the kernel's columns m = 0..n, at logpow m, x1pow n - m, fullpow m + 1;
-    # int/int division is correctly rounded, so num/D == float(Fraction(num, D))
+    # the kernel's columns m = 0..n, each from its first key; int/int division
+    # is correctly rounded, so num/D == float(Fraction(num, D))
     den, cols, _ = _kernel(n)[0]
-    return _columns((m, n - m, m + 1, [c / den for c in col]) for m, col in enumerate(cols))
+    return _columns((*_key(n, m, 0), [c / den for c in col]) for m, col in enumerate(cols))
 
 
 def _x1_factors(x1: float) -> Tuple[float, float]:

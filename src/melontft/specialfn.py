@@ -21,6 +21,7 @@ branch enters the solution; W_{-1} is provided for completeness/testing.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, List, Sequence, Tuple
@@ -164,23 +165,43 @@ def lambert_w0(y: float) -> float:
     return _halley_we_w(w, y)
 
 
+def _wm1_log(s: float) -> float:
+    # -W_{-1}(y) for s = -log(-y), the root v of v - log(v) = s: Newton from
+    # v = s + log(s) in log space, where e^w cannot underflow; stops like wright_omega
+    v, last = s + math.log(s), math.inf
+    for _ in range(_MAX_ITER):
+        step = (v - math.log(v) - s) * v / (v - 1.0)
+        v -= step
+        if abs(step) <= 1e-16 * v or abs(step) >= last:
+            return v
+        last = abs(step)
+    raise NotConvergedError(f"lambert_wm1 did not converge in {_MAX_ITER} steps at log(-y)={-s!r}")
+
+
 def lambert_wm1(y: float) -> float:
     """Secondary real branch: w <= -1 with w*e^w = y, for -1/e <= y < 0."""
     if not (_BRANCH_POINT <= y < 0.0):
         raise ValueError(f"lambert_wm1 needs -1/e <= y < 0, got {y!r}")
-    p = math.sqrt(max(0.0, 2.0 * (math.e * y + 1.0)))
-    if p < 1e-4:
-        return _branch_series(-p)
-    if y < -0.25:
-        w = _branch_series(-p)
+    if y > -sys.float_info.min:
+        # subnormal y: e^w underflows in the Halley step, so solve in log
+        # space and check the relative residual there, as log(w*e^w / y)
+        w = -_wm1_log(-math.log(-y))
+        off = abs(w + math.log(-w) - math.log(-y)) > 1e-10
     else:
-        l1 = math.log(-y)
-        l2 = math.log(-l1)
-        w = l1 - l2 + l2 / l1
-    w = _halley_we_w(w, y)
+        p = math.sqrt(max(0.0, 2.0 * (math.e * y + 1.0)))
+        if p < 1e-4:
+            return _branch_series(-p)
+        if y < -0.25:
+            w = _branch_series(-p)
+        else:
+            l1 = math.log(-y)
+            l2 = math.log(-l1)
+            w = l1 - l2 + l2 / l1
+        w = _halley_we_w(w, y)
+        off = abs(w * math.exp(w) - y) > 1e-10 * abs(y)
     # w*e^w is decreasing on (-inf, -1]; a root off that branch or a loose
     # residual means the seed was not on it
-    if w > -1.0 or abs(w * math.exp(w) - y) > 1e-10 * abs(y):
+    if w > -1.0 or off:
         raise NotConvergedError(f"lambert_wm1 did not reach the secondary branch at y={y!r}")
     return w
 

@@ -72,9 +72,9 @@ def recording_series(orders):
     # series._series, the one constructor of a LogSeries, noting each order it makes
     make = series._series
 
-    def recording(order, pair):
-        orders.append(order)
-        return make(order, pair)
+    def recording(n, den, cols):
+        orders.append(n)
+        return make(n, den, cols)
 
     return recording
 
@@ -85,21 +85,13 @@ def ref_partial_sum(n_max, x, lam):
     return sum(lam**n * eval_series(perturbative_order(n), x) for n in range(n_max + 1))
 
 
-# Reference: 80-digit sums of the same integer pairs the evaluators read.
+# Reference: 80-digit sums of the same integer columns the evaluators read.
 @functools.cache
-def pair_columns(n):
-    # order n's pair as (D, [(m, lo, nums, |nums|) ...]): column m = fullpow - 1
-    # = n - x1pow holds the numerators at logpow lo, lo + 1, ..., zeros filled
-    den, nums = series._int_order(n)
-    rows = {}
-    for (logpow, x1pow, fullpow), c in nums.items():
-        assert x1pow + fullpow == n + 1
-        rows.setdefault(fullpow - 1, {})[logpow] = c
-    cols = []
-    for m, row in rows.items():
-        cs = [row.get(i, 0) for i in range(min(row), max(row) + 1)]
-        cols.append((m, min(row), cs, [abs(c) for c in cs]))
-    return den, cols
+def kernel_columns(n):
+    # order n's kernel columns as (D, [(m, nums, |nums|) ...]): column m =
+    # fullpow - 1 = n - x1pow holds the numerators at logpow m, m + 1, ...
+    den, cols, _ = series._kernel(n)[0]
+    return den, [(m, col, [abs(c) for c in col]) for m, col in enumerate(cols)]
 
 
 def oracle_orders(x, n_max, mpmath):
@@ -116,13 +108,13 @@ def oracle_orders(x, n_max, mpmath):
     with mpmath.workdps(80):
         big_a, big_b, half_pi = (mpmath.mpf(v) for v in (a, b, 0.5 * math.pi))
         for n in range(n_max + 1):
-            den, cols = pair_columns(n)
+            den, cols = kernel_columns(n)
             logs = [ln**i << el * (n - i) for i in range(n + 1)]
             total = magnitude = 0
-            for m, lo, nums, mags in cols:
+            for m, nums, mags in cols:
                 f = an**m * bn ** (n - m) << eb * m + ea * (n - m)
-                total += f * sum(map(operator.mul, nums, logs[lo:]))
-                magnitude += f * sum(map(operator.mul, mags, logs[lo:]))
+                total += f * sum(map(operator.mul, nums, logs[m:]))
+                magnitude += f * sum(map(operator.mul, mags, logs[m:]))
             scale = mpmath.ldexp(half_pi**n / (big_a**n * big_b * (bn**n * den)), -(el + ea) * n)
             out.append((scale * total, scale * magnitude))
     return out
@@ -138,13 +130,15 @@ class TestAlgebra:
 
 
 def tadpole(k):
-    # order k integrated over the transverse momenta, as the kernel holds it
-    return series._series(k + 1, series._int_tadpole(k))
+    # order k integrated over the transverse momenta, as the kernel holds it:
+    # entry i of its row at key (1 + i, k, 0), one pi/2 to the prefactor
+    den, row, _ = series._kernel(k)[1]
+    return LogSeries(k + 1, tuple(LogTerm(Fraction(c, den), 1 + i, k, 0) for i, c in enumerate(row) if c))
 
 
 class TestTransverseIntegral:
     def test_free_propagator_subtraction(self):
-        assert series._int_tadpole(0) == (2, {(1, 0, 0): -1})
+        assert series._kernel(0)[1][:2] == (2, (-1,))
         assert term_set(tadpole(0)) == {(Fraction(-1, 2), 1, 0, 0)}
 
     def test_g1_tadpole(self):
@@ -158,11 +152,13 @@ class TestTransverseIntegral:
     def test_every_integrated_term_decays(self):
         # order n >= 1 keeps x1pow + fullpow = n + 1 with fullpow >= 2, so
         # only the free propagator needs the subtraction, and tadpole k is
-        # a function of x1 alone with x1pow = k
+        # a function of x1 alone, one row over logpow 1..max(k, 1) whose
+        # top entry, from the leading log^k term, is nonzero
         for n in range(1, 31):
-            assert all(q >= 2 and xp + q == n + 1 for _, xp, q in series._int_order(n)[1]), n
+            assert all(t.fullpow >= 2 and t.x1pow + t.fullpow == n + 1 for t in perturbative_order(n).terms), n
         for k in range(30):
-            assert all(xp == k and q == 0 for _, xp, q in series._int_tadpole(k)[1]), k
+            row = series._kernel(k)[1][1]
+            assert len(row) == max(k, 1) and row[-1], k
 
 
 class TestOrders:
@@ -181,7 +177,7 @@ class TestOrders:
             assert perturbative_order(n) == ref_order(n), n
 
     def test_only_the_asked_order_is_built(self, monkeypatch):
-        # the recursion runs on integer pairs; a cold order makes one
+        # the recursion runs on integer columns; a cold order makes one
         # LogSeries, its own, and no lower order is turned into Fractions
         orders = []
         monkeypatch.setattr(series, "_series", recording_series(orders))
@@ -205,7 +201,7 @@ class TestOrders:
         assert got == ref_order(30)
 
     def test_ansatz_makes_one_fraction_per_term(self, monkeypatch):
-        # the closed form is summed on int pairs; only _series makes Fractions
+        # the closed form is summed on int columns; only _series makes Fractions
         made = []
 
         def counting(*args):
@@ -268,10 +264,21 @@ class TestExtraction:
         # corrupted leading coefficient
         with pytest.raises(ShapeMismatchError):
             extract_coefficients(LogSeries(3, (LogTerm(Fraction(2), 3, 0, 4), *terms[:-1])))
+        # one misfit key of each kind: x1pow off, m = 0, m > k and k >= n
+        for key in ((2, 1, 2), (1, 3, 1), (1, 1, 3), (3, 2, 2)):
+            with pytest.raises(ShapeMismatchError, match="fits no slot"):
+                extract_coefficients(LogSeries(3, (*terms, LogTerm(Fraction(1), *key))))
         # free propagator has no coefficient row
         with pytest.raises(ValueError):
             extract_coefficients(perturbative_order(0))
 
+    def test_repeated_key(self):
+        # two terms at one key are not summed: eval_series would add them,
+        # so keeping either coefficient would misreport the series
+        lead = LogTerm(Fraction(1), 2, 0, 3)
+        twice = LogSeries(2, (LogTerm(Fraction(1), 1, 1, 2), LogTerm(Fraction(5), 1, 1, 2), lead))
+        with pytest.raises(ShapeMismatchError, match=r"key \(1, 1, 2\) repeats"):
+            extract_coefficients(twice)
 
     def test_missing_leading_term(self):
         # every other term of order 3 fits its slot; the log^3 term is gone
@@ -321,7 +328,7 @@ class TestEvaluation:
         assert orders == [3]
 
     def test_within_16_eps_of_80_digit_sum(self):
-        # the body against an 80-digit sum of the same pairs: orders n <= 12
+        # the body against an 80-digit sum of the same columns: orders n <= 12
         # and partial sums through 20 and 30 stay within 16 eps of the sum of
         # their terms' magnitudes (Horner's bound is gamma_2n of it)
         mpmath = pytest.importorskip("mpmath")
@@ -402,7 +409,8 @@ def test_closed_form_is_lagrange_buermann():
     # log(1 + w/a) gives the z^n coefficient of sum_m (-g)^m / B^(m+1) at key
     # (k, n-m, m+1), with signed Stirling numbers and no closed-form code;
     # m = n adds only the leading 1, and zero coefficients have no term;
-    # orders 31..40 lie past the pinned order 30, where the packing width is largest
+    # orders 31..40 lie past the pinned order 30, where the packing width is
+    # largest; the closed form's own columns, ansatz_order, match throughout
     s, binom, fact = combinatorics.stirling_first_signed, math.comb, math.factorial
     for n in range(1, 41):
         want = {(n, 0, n + 1): Fraction(1)}
@@ -412,3 +420,4 @@ def test_closed_form_is_lagrange_buermann():
                 if num:
                     want[(k, n - m, m + 1)] = Fraction(num, n * fact(n - m))
         assert want == {t.key(): t.coeff for t in perturbative_order(n).terms}, n
+        assert ansatz_order(n) == perturbative_order(n), n

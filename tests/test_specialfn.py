@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -154,12 +155,28 @@ class TestLambert:
             assert w <= -1.0, y
             assert abs(w * math.exp(w) - y) < 1e-13 * abs(y), y
 
+    def test_wm1_subnormal_against_mpmath(self):
+        # below the smallest normal double e^w underflows, so w is found in log
+        # space; each y is held to 1e-15 relative of mpmath's W_{-1}
+        mp = pytest.importorskip("mpmath")
+        tiny = sys.float_info.min
+        ys = [-tiny, -math.nextafter(tiny, 0.0), -1e-310, -1e-315, -1e-320, -5e-324, -1e-323]
+        ys += [-(10.0 ** -(307.66 + 15.6 * i / 400)) for i in range(401)]
+        with mp.workdps(40):
+            for y in ys:
+                w = lambert_wm1(y)
+                assert abs(w / mp.lambertw(y, -1).real - 1) <= 1e-15, y
+
     def test_wm1_off_branch_raises(self, monkeypatch):
         # a Halley root on the principal branch is reported, not repaired
         halley = specialfn._halley_we_w
         monkeypatch.setattr(specialfn, "_halley_we_w", lambda w, y: halley(-0.5, y))
         with pytest.raises(NotConvergedError, match="secondary branch"):
             lambert_wm1(-0.2)
+        # below the smallest normal double the residual is checked in log space
+        monkeypatch.setattr(specialfn, "_wm1_log", lambda s: 1.001 * s)
+        with pytest.raises(NotConvergedError, match="secondary branch"):
+            lambert_wm1(-1e-310)
 
 
 class TestWrightOmega:
