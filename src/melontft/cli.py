@@ -14,7 +14,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
+from contextlib import nullcontext
 from typing import Iterable, List, Optional, Sequence
 
 from . import __version__
@@ -119,27 +121,32 @@ def cmd_tabulate(args) -> int:
         raise ValueError("tabulate needs nonempty --lambda and --x1 grids")
     x2, x3 = args.x2, args.x3
     couplings = [Coupling(lam) for lam in lams]
-    # coupling-major rows, one exact_records call each (it checks every x1,
-    # x2 and x3); the text is written once, after the last row
-    if args.format == "json":
-        records = [
-            _eval_record(c.lam, [x1, x2, x3], record)
-            for c in couplings
-            for x1, record in zip(x1s, exact_records(x1s, x2, x3, c))
-        ]
-        _emit(json.dumps(records) + "\n", args.output)
-        return 0
-    # each axis value is formatted once, each record's floats by one "%" ("%.17g"
-    # prints a float as _cell does), and each row before the next is solved
-    x_texts = [",%.17g,%.17g,%.17g," % (x1, x2, x3) for x1 in x1s]
-    lines = ["lambda,x1,x2,x3,G2,g,residual\n"]
-    for c in couplings:
-        lam = "%.17g" % c.lam
-        lines += [
-            lam + x_text + "%.17g,%.17g,%.17g\n" % (g2, g, residual)
-            for x_text, (g, g2, residual) in zip(x_texts, exact_records(x1s, x2, x3, c))
-        ]
-    _emit("".join(lines), args.output)
+    # The grid is checked before the sink opens, so a domain error writes
+    # nothing.  The first row's exact_records checks x2, x3 and every x1; a
+    # later row can then fail only where (1+x1^2)/z overflows, first at the
+    # largest x1, and such a row is solved to raise its own error.
+    first = exact_records(x1s, x2, x3, couplings[0])
+    x1_max = max(x1s)
+    for c in couplings[1:]:
+        if not math.isfinite((1.0 + x1_max * x1_max) / c.z):
+            exact_records(x1s, x2, x3, c)
+    # then coupling-major rows are solved, formatted and written one at a time
+    rows = ((c, exact_records(x1s, x2, x3, c) if i else first) for i, c in enumerate(couplings))
+    with open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout) as fh:
+        if args.format == "json":  # each row a slice of one json.dumps of every record
+            for i, (c, records) in enumerate(rows):
+                row = [_eval_record(c.lam, [x1, x2, x3], r) for x1, r in zip(x1s, records)]
+                fh.write((", " if i else "[") + json.dumps(row)[1:-1])
+            fh.write("]\n")
+        else:
+            # each x1's text is formatted once; a row's lambda text joins them
+            # into a template ("%.17g" prints as _cell does, never a "%") that
+            # one "%" fills with the row's G2, g and residual
+            pieces = ["", *(",%.17g,%.17g,%.17g," % (x1, x2, x3) + "%.17g,%.17g,%.17g\n" for x1 in x1s)]
+            fh.write("lambda,x1,x2,x3,G2,g,residual\n")
+            for c, records in rows:
+                values = tuple([v for g, g2, residual in records for v in (g2, g, residual)])
+                fh.write(("%.17g" % c.lam).join(pieces) % values)
     return 0
 
 

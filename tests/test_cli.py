@@ -3,7 +3,9 @@ import hashlib
 import io
 import json
 import math
+import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -246,6 +248,28 @@ class TestTabulate:
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memory_is_one_row(self, tmp_path, fmt):
+        # rows are written as they are solved, so the traced peak grows with
+        # a row, not with the grid: four times the rows cost under 1.5 times
+        rng = random.Random(23)
+        lams = [repr(10.0 ** rng.uniform(-4, 6)) for _ in range(120)]
+        x1s = ",".join(repr(10.0 ** rng.uniform(-6, 8)) for _ in range(300))
+
+        def peak(rows):
+            argv = ["tabulate", "--lambda", ",".join(lams[:rows]), "--x1", x1s, "--x2", "0.5", "--x3", "1.5"]
+            argv += ["--format", fmt, "--output", str(tmp_path / "table")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # first-call allocations (argparse's regexes, say) are not the grid's
+        small, large = peak(30), peak(120)
+        assert large < 1.5 * small, (small, large)
+
     @pytest.mark.parametrize("lam, x1", CANCELLING_POINTS)
     def test_cancelling_residual_is_nan(self, capsys, lam, x1):
         code, out, err = run(capsys, "tabulate", "--lambda", lam, "--x1", f"1,{x1}")
@@ -266,6 +290,10 @@ class TestTabulate:
             (("--lambda", "1,1e-300", "--x1", "1,1e5"), "(1+x1^2)/z must be finite"),
             (("--lambda", "1", "--x1", "0,-1"), "x1 must be finite and >= 0, got -1.0"),
             (("--lambda", "1", "--x1", "0,nan"), "x1 must be finite and >= 0, got nan"),
+            # x1^2 overflows binary64: a domain error, not a traceback
+            (("--lambda", "1", "--x1", "0,1e160"), "(1+x1^2)/z must be finite"),
+            # the message names the first row that fails, not a later one
+            (("--lambda", "1,1e-300,1e-301", "--x1", "1,1e5"), "x1=100000.0, lambda=1e-300\n"),
         ],
     )
     def test_domain_error_writes_nothing(self, capsys, tmp_path, argv, message, fmt):
@@ -380,13 +408,17 @@ class TestVerify:
         assert err.startswith("error: abs_tol must be finite and > 0, got ")
 
 
-@pytest.mark.parametrize("argv", [("series", "--order", "2"), ("verify", "lambert")])
+@pytest.mark.parametrize(
+    "argv",
+    [("series", "--order", "2"), ("verify", "lambert"), ("tabulate", "--lambda", "0.1,1", "--x1", "0,1")],
+)
 def test_unwritable_output_is_a_usage_error(capsys, tmp_path, argv):
-    # exit 1 stays reserved for a verification failure
+    # exit 1 stays reserved for a verification failure; tabulate opens its
+    # file after checking the grid and before writing the first row
     path = tmp_path / "missing" / "out.json"
-    code, _, err = run(capsys, *argv, "--output", str(path))
-    assert code == 2
-    assert err.startswith("error: ")
+    code, out, err = run(capsys, *argv, "--output", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"

@@ -58,6 +58,33 @@ def plain_exact_record(x, coupling):
     return g, 1.0 / (mass + x.x2 * x.x2 + x.x3 * x.x3), g + z * math.log(1.0 + x1 * x1 + g)
 
 
+def plain_wright_omega(t):
+    """Reference: ``wright_omega`` as a plain Newton loop, before its per-call
+    costs were cut; the cap is read from ``specialfn`` at call time."""
+    if not math.isfinite(t):
+        raise ValueError(f"wright_omega needs finite t, got {t!r}")
+    if t > 2.0:
+        w = t - math.log(t)
+        last = math.inf
+        for _ in range(specialfn._MAX_ITER):
+            step = (w + math.log(w) - t) * w / (w + 1.0)
+            w -= step
+            if abs(step) <= 1e-16 * w or abs(step) >= last:
+                return w
+            last = abs(step)
+    else:
+        u = t - 1.0 if t > -1.0 else t
+        last = math.inf
+        for _ in range(specialfn._MAX_ITER):
+            eu = math.exp(u)
+            step = (u + eu - t) / (1.0 + eu)
+            u -= step
+            if abs(step) <= 1e-16 * (1.0 + abs(u)) or abs(step) >= last:
+                return math.exp(u)
+            last = abs(step)
+    raise NotConvergedError(f"wright_omega did not converge in {specialfn._MAX_ITER} steps at t={t!r}")
+
+
 def bisect_wm1(y, lo=-800.0, hi=-1.0):
     """Secondary branch oracle; w*exp(w) is decreasing on (-inf, -1]."""
     for _ in range(200):
@@ -235,6 +262,24 @@ class TestWrightOmega:
             CountingMath.calls = 0
             solve(arg)
             assert CountingMath.calls <= 12, (solve.__name__, arg, CountingMath.calls)
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, specialfn._MAX_ITER])
+    def test_matches_plain_newton_bit_for_bit(self, monkeypatch, cap):
+        # results and exceptions alike, on both branches, at the default cap
+        # and at caps small enough to stop some solves unconverged
+        def outcome(solve, t):
+            try:
+                return solve(t).hex()
+            except (ValueError, NotConvergedError) as exc:
+                return type(exc).__name__, str(exc)
+
+        rng = random.Random(41)
+        ts = [rng.uniform(-740.0, 2.0) for _ in range(3000)]
+        ts += [10.0 ** rng.uniform(math.log10(2.0), 300.0) for _ in range(3000)]
+        ts += [-1.0, 2.0, math.nextafter(2.0, 3.0), 1e300, math.inf, -math.inf, math.nan, *self.STALLING_T]
+        monkeypatch.setattr(specialfn, "_MAX_ITER", cap)
+        mismatched = [t for t in ts if outcome(wright_omega, t) != outcome(plain_wright_omega, t)]
+        assert mismatched == []
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(specialfn, "_MAX_ITER", 1)
