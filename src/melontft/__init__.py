@@ -15,6 +15,11 @@ helper; no ``LogSeries`` is cached.  Public names stay plain functions
 that check their arguments on every call and then delegate.  The one
 other memo, ``connected_2k``'s over point subsets, is a per-call ``functools.cache``.
 
+The value types are frozen records built from closures by one class
+decorator, ``errors._record``, which compiles no code, so importing the
+package loads neither ``inspect`` nor numpy: only standard modules that
+its numerical code uses (``fractions``, ``decimal``, ``heapq``).
+
 The top-level names are the union of the ``__all__`` lists of the
 modules imported below.
 """

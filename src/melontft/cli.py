@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 verification failure, 2 usage or domain error
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -164,7 +163,8 @@ def cmd_verify(args) -> int:
     names = list(suites) if args.suite == "all" else [args.suite]
     checks = [check for name in names for check in suites[name]()]
     if args.format == "json":
-        _emit(json.dumps([dataclasses.asdict(c) for c in checks]) + "\n", args.output)
+        # vars of a Check is its fields as a dict, in order (``errors._record``)
+        _emit(json.dumps([vars(c) for c in checks]) + "\n", args.output)
     else:
         _emit("".join(c.line() + "\n" for c in checks), args.output)
     return 1 if any(c.passed is False for c in checks) else 0

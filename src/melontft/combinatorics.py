@@ -18,11 +18,12 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, gcd, lcm
 from typing import Callable, Dict, Iterable, Mapping, Tuple
+
+from .errors import _record
 
 __all__ = [
     "stirling_first_signed",
@@ -162,7 +163,7 @@ def a_recur(n: int, k: int, m: int) -> Fraction:
     return Fraction(*_recur_pair(n, k, m))
 
 
-@dataclass(frozen=True)
+@_record
 class CoeffTable:
     """Exact table of a(n,k,m) for 2 <= n <= max_order, 1 <= m <= k <= n-1."""
 
@@ -203,7 +204,7 @@ class CoeffTable:
         return {(k, m): v for (nn, k, m), v in self.entries.items() if nn == n}
 
 
-@dataclass(frozen=True)
+@_record
 class IdentityCheck:
     """Both sides of an exact identity, as derived and as printed.
 

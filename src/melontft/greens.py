@@ -9,17 +9,16 @@ integral equation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from typing import Tuple
 
-from .errors import CoincidentCoordinatesError
+from .errors import CoincidentCoordinatesError, _record
 from .specialfn import Coupling, Point3, dressed_mass, g2_exact, g2_from_mass
 
 __all__ = ["PointTuple", "connected_2k", "disconnected_4pt", "disconnected_4pt_residual"]
 
 
-@dataclass(frozen=True)
+@_record
 class PointTuple:
     """Ordered external momenta (x^1, ..., x^k), distinct per colour.
 

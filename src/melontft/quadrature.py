@@ -42,12 +42,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from functools import cache
 from typing import Callable, Tuple
 
-from .errors import NotConvergedError
+from .errors import NotConvergedError, _record
 from .specialfn import Coupling, Point3, dressed_mass, g2_from_mass
 
 __all__ = [
@@ -112,7 +111,7 @@ def _rule(f: Callable, a: float, b: float) -> float:
     return 0.5 * math.pi * half * total
 
 
-@dataclass(frozen=True)
+@_record
 class QuadResult:
     """Outcome of one adaptive integral, with what it took to get there.
 

@@ -49,13 +49,12 @@ float rho2, the value is not finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 from .combinatorics import _closed_pair
-from .errors import ShapeMismatchError
+from .errors import ShapeMismatchError, _record
 from .specialfn import Point3
 
 __all__ = [
@@ -70,7 +69,7 @@ KernelOrder = Tuple[int, Tuple[Row, ...], int]  # (D, columns, max |num|)
 KernelTadpole = Tuple[int, Row, int]  # (D, tadpole, sum |num|)
 
 
-@dataclass(frozen=True)
+@_record
 class LogTerm:
     coeff: Fraction
     logpow: int
@@ -81,7 +80,7 @@ class LogTerm:
         return (self.logpow, self.x1pow, self.fullpow)
 
 
-@dataclass(frozen=True)
+@_record
 class LogSeries:
     """Canonical term list at a fixed order (= power of the (pi/2) prefactor)."""
 

@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, List, Sequence, Tuple
 
-from .errors import NotConvergedError
+from .errors import NotConvergedError, _record
 
 __all__ = [
     "Point3",
@@ -51,7 +50,7 @@ _BRANCH_POINT = -math.exp(-1.0)
 _MAX_ITER = 100
 
 
-@dataclass(frozen=True)
+@_record
 class Point3:
     """External momentum (x1, x2, x3), componentwise nonnegative and finite."""
 
@@ -70,7 +69,7 @@ class Point3:
         return self.x1 * self.x1 + self.x2 * self.x2 + self.x3 * self.x3
 
 
-@dataclass(frozen=True)
+@_record
 class Coupling:
     """Positive coupling lambda; z = (pi/2)*lambda drives the W argument."""
 

@@ -8,12 +8,11 @@ derivation) carry ``passed=None`` and never fail a suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Mapping, Optional, Sequence
 
 from . import combinatorics as comb
 from . import greens, quadrature, series, specialfn
-from .errors import NotConvergedError
+from .errors import NotConvergedError, _record
 
 __all__ = [
     "Check", "orders_match_closed_form", "coefficient_routes_agree", "fixed_point_algebraic",
@@ -21,7 +20,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_record
 class Check:
     name: str
     passed: Optional[bool]  # None marks an informational line
@@ -152,7 +151,8 @@ def fixed_point_algebraic(lams: Sequence[float], x1s: Sequence[float]) -> List[C
     """Algebraic fixed-point residual of the exact solution over a (lambda, x1) grid.
 
     The 1e-12 bound is absolute, so a large z fails it falsely: 6.15e-09
-    at lambda = 1e6, x1 = 10, at any tol (ROADMAP.md item 3).  A nan
+    at lambda = 1e6, x1 = 10, at any tol (ROADMAP.md, "Checks that state
+    their own error budget").  A nan
     residual (its log argument rounded to <= 0) is the worst and fails.
     """
     residuals = [
@@ -167,9 +167,10 @@ def fixed_point_numeric(lam: float, x: specialfn.Point3, tol: float) -> List[Che
 
     The SDE residual scales the quadrature error by about 2*lambda*G2^2
     (8.9e5 at lambda = 1e6, x = (10, 0.5, 0.5)) but is held to an absolute
-    1e-6 (ROADMAP.md item 3).  It passes there at tol 1e-8 (4.59e-10)
-    only because the radial quadrature's actual error lies far below its
-    tol; a residual bound scaled by that factor is still to come.
+    1e-6 (ROADMAP.md, "Checks that state their own error budget").  It
+    passes there at tol 1e-8 (4.59e-10) only because the radial
+    quadrature's actual error lies far below its tol; a residual bound
+    scaled by that factor is still to come.
     """
     sde_name = f"numeric SDE residual at lambda={lam}, x=({x.x1},{x.x2},{x.x3})"
     identity_name = f"integrated-identity residual at lambda={lam}, x1={x.x1}"

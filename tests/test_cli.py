@@ -353,6 +353,11 @@ class TestVerify:
         assert code == 0
         payload = json.loads(out)
         assert all(c["passed"] for c in payload)
+        # the benchmark reads each record's keys by name; pin them and their order
+        code, out, _ = run(capsys, "verify", "all", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload and all(list(c) == ["name", "passed", "detail"] for c in payload)
 
     def test_not_converged_is_a_failure(self, capsys, monkeypatch):
         import melontft.verify as verify_mod

@@ -3,10 +3,13 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import melontft
-from melontft import combinatorics, errors, greens, quadrature, series, specialfn
+from melontft import combinatorics, errors, greens, quadrature, series, specialfn, verify
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "melontft"
@@ -54,19 +57,82 @@ def test_private_names_in_source_resolve():
     assert not missing, missing
 
 
-def _loads_numpy(code):
-    """Whether running ``code`` in a fresh interpreter on src/ loads numpy."""
+def _loaded(code, names):
+    """The modules among ``names`` that a fresh interpreter on src/ has loaded after ``code``."""
     src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code += "; print('numpy' in sys.modules, file=sys.stderr)"
+    code += f"; import sys; print(*[n for n in {list(names)!r} if n in sys.modules], file=sys.stderr)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    return out.stderr.splitlines()[-1] == "True"
+    return set(out.stderr.splitlines()[-1].split())
+
+
+IMPORT_CLI = "import melontft, melontft.cli"
+VERIFY_ALL = "from melontft import cli; assert cli.main(['verify', 'all']) == 0"
 
 
 def test_import_loads_no_numpy():
-    assert not _loads_numpy("import sys, melontft, melontft.cli")
+    assert not _loaded(IMPORT_CLI, ["numpy"])
 
 
 def test_verify_all_loads_no_numpy():
     # the package is pure Python, quadrature included
-    assert not _loads_numpy("import sys; from melontft import cli; assert cli.main(['verify', 'all']) == 0")
+    assert not _loaded(VERIFY_ALL, ["numpy"])
+
+
+@pytest.mark.parametrize("code", [IMPORT_CLI, VERIFY_ALL], ids=["import", "verify_all"])
+def test_loads_no_dataclasses_or_inspect(code):
+    # the value types are built without generated code (errors._record)
+    assert not _loaded(code, ["dataclasses", "inspect"])
+
+
+# one sample per value type: its fields, in order, with valid values
+RECORDS = [
+    (specialfn.Point3, {"x1": 1.0, "x2": 0.5, "x3": 2.0}),
+    (specialfn.Coupling, {"lam": 1.5}),
+    (combinatorics.CoeffTable, {"max_order": 2, "entries": {(2, 1, 1): Fraction(1)}}),
+    (combinatorics.IdentityCheck, {
+        "lhs": Fraction(1, 2), "rhs": Fraction(1, 2),
+        "printed_lhs": Fraction(1, 3), "printed_rhs": Fraction(1, 2),
+    }),
+    (greens.PointTuple, {"points": (specialfn.Point3(1.0, 2.0, 3.0), specialfn.Point3(2.0, 1.0, 1.0))}),
+    (series.LogTerm, {"coeff": Fraction(1, 3), "logpow": 2, "x1pow": 1, "fullpow": 3}),
+    (series.LogSeries, {"order": 2, "terms": (series.LogTerm(Fraction(1, 3), 2, 1, 3),)}),
+    (quadrature.QuadResult, {
+        "value": 0.25, "error_estimate": 1e-12, "evaluations": 144, "converged": True,
+        "panels": 6, "stuck_panels": 0, "inside_cut": 0.2, "inside_cut2": 0.24,
+    }),
+    (verify.Check, {"name": "a check", "passed": True, "detail": "exact"}),
+]
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
+def test_record_contract(cls, fields):
+    values = tuple(fields.values())
+    a, b = cls(*values), cls(**fields)
+    assert tuple(getattr(a, name) for name in fields) == tuple(getattr(b, name) for name in fields) == values
+    assert a == b and not a != b
+    if cls is combinatorics.CoeffTable:
+        with pytest.raises(TypeError):  # its entries are a dict, so it has no hash
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+    assert a != values and values != a
+    assert repr(a) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in fields.items())})"
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == b
+    # no arguments, a surplus positional, an unknown keyword, a field given twice
+    first = next(iter(fields))
+    for args, kwargs in [((), {}), (values + (None,), {}), (values, {"unknown": 1}), (values, {first: 1})]:
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+
+
+def test_record_defaults_and_keyword_validation():
+    assert verify.Check("a check", None) == verify.Check("a check", None, "")
+    assert verify.Check(name="a check", passed=False).detail == ""
+    with pytest.raises(ValueError):  # __post_init__ runs for keyword arguments too
+        specialfn.Point3(x1=-1.0, x2=0.0, x3=0.0)
