@@ -18,7 +18,8 @@ other memo, ``connected_2k``'s over point subsets, is a per-call ``functools.cac
 The value types are frozen records built from closures by one class
 decorator, ``errors._record``, which compiles no code, so importing the
 package loads neither ``inspect`` nor numpy: only standard modules that
-its numerical code uses (``fractions``, ``decimal``, ``heapq``).
+its numerical code uses, ``fractions`` (which itself imports ``decimal``)
+and ``heapq``.
 
 The top-level names are the union of the ``__all__`` lists of the
 modules imported below.

@@ -46,12 +46,15 @@ def _cell(v) -> str:
     return format(v, ".17g") if isinstance(v, float) else str(v)
 
 
+def _sink(output: Optional[str]):
+    # the one way to open --output, else stdout; called only once the output
+    # is known to be valid, so a domain error leaves an existing file as it was
+    return open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout)
+
+
 def _emit(text: str, output: Optional[str]) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _sink(output) as fh:
+        fh.write(text)
 
 
 def _write(args, payload, header: List[str], rows: Iterable[Sequence]) -> None:
@@ -131,7 +134,7 @@ def cmd_tabulate(args) -> int:
             exact_records(x1s, x2, x3, c)
     # then coupling-major rows are solved, formatted and written one at a time
     rows = ((c, exact_records(x1s, x2, x3, c) if i else first) for i, c in enumerate(couplings))
-    with open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout) as fh:
+    with _sink(args.output) as fh:
         if args.format == "json":  # each row a slice of one json.dumps of every record
             for i, (c, records) in enumerate(rows):
                 row = [_eval_record(c.lam, [x1, x2, x3], r) for x1, r in zip(x1s, records)]

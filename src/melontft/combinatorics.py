@@ -244,9 +244,7 @@ def check_identity_stirling_621(n: int, k: int) -> IdentityCheck:
     tops = [stirling_first_unsigned(n - 1 - l, n - 1 - k) for l in range(1, k + 1)]
     rhs = _pair_sum((c, (n - 1) * factorial(n - 1 - l)) for l, c in enumerate(tops, 1))
     printed_rhs = _pair_sum((c, factorial(n - l)) for l, c in enumerate(tops, 1))
-    return IdentityCheck(
-        lhs=lhs, rhs=Fraction(*rhs), printed_lhs=lhs, printed_rhs=Fraction(*printed_rhs)
-    )
+    return IdentityCheck(lhs, Fraction(*rhs), lhs, Fraction(*printed_rhs))
 
 
 def check_identity_harmonic(n: int, k: int) -> IdentityCheck:
@@ -259,7 +257,7 @@ def check_identity_harmonic(n: int, k: int) -> IdentityCheck:
     lhs = harmonic(k)
     c, d = _pair_sum((n + 1 - k + l, l * (k + 1 - l)) for l in range(1, k + 1))
     rhs = Fraction((k + 1) * c, (2 * n + 3 - k) * d)
-    return IdentityCheck(lhs=lhs, rhs=rhs, printed_lhs=lhs, printed_rhs=rhs)
+    return IdentityCheck(lhs, rhs, lhs, rhs)
 
 
 def check_identity_big_stirling(n: int, k: int, m: int) -> IdentityCheck:
@@ -290,8 +288,8 @@ def check_identity_big_stirling(n: int, k: int, m: int) -> IdentityCheck:
             terms.extend((num * c(p - r, p - l), den * factorial(p - r)) for r in range(1, l + 1))
     # ground truth is the recurrence acting on the coefficients themselves
     return IdentityCheck(
-        lhs=a_closed(n, k, m),
-        rhs=Fraction(*_generic_rhs(n, k, m, _closed_pair)),
-        printed_lhs=printed_lhs,
-        printed_rhs=Fraction(*_pair_sum(terms)),
+        a_closed(n, k, m),
+        Fraction(*_generic_rhs(n, k, m, _closed_pair)),
+        printed_lhs,
+        Fraction(*_pair_sum(terms)),
     )

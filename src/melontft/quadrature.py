@@ -1,24 +1,22 @@
 """Adaptive quadrature of transverse integrals over the quarter plane [0, inf)^2.
 
 Every transverse integrand the model produces is a function of
-q2^2 + q3^2 alone: the self-energy depends on x1 only, so the
-Schwinger-Dyson equation closes on such integrands.  Their quarter-plane
-integral is one radial integral,
+rho^2 = q2^2 + q3^2 alone: the self-energy depends on x1 only, so the
+Schwinger-Dyson equation closes on such integrands.  The integrand is
+therefore passed as f(rho2), one function of one Python float rho2 >= 0,
+and its quarter-plane integral is one radial integral,
 
-    int_0^inf int_0^inf f(q2, q3) dq2 dq3 = (pi/2) int_0^inf f(rho, 0) rho drho,
-
-and that is what is computed: ``f`` is called with Python floats as
-f(rho, 0.0).  A function of (q2, q3) that is not a function of
-q2^2 + q3^2 is outside this module's contract and gets a wrong answer.
+    int_0^inf int_0^inf f(q2^2 + q3^2) dq2 dq3 = (pi/2) int_0^inf f(rho^2) rho drho.
 
 The semi-infinite axis is mapped to the unit interval with the rational
 map rho = u/(1-u), and the integral is done with 8-point Gauss-Legendre
-rules under dyadic adaptive refinement.  A panel's value is the sum of
-the rules on its two halves, and its error estimate is the difference
-from the single rule on the whole panel.  The worst panel is split until
-the summed estimate meets the tolerance or the evaluation budget runs
-out.  A child's single rule is never evaluated again: it is one of the
-parent's halves, whose rule values the panel carries on the heap.
+rules, written out as literal nodes and weights, under dyadic adaptive
+refinement.  A panel's value is the sum of the rules on its two halves,
+and its error estimate is the difference from the single rule on the
+whole panel.  The worst panel is split until the summed estimate meets
+the tolerance or the evaluation budget runs out.  A child's single rule
+is never evaluated again: it is one of the parent's halves, whose rule
+values the panel carries on the heap.
 
 Integrands must decay at least like |q|^-4 (after any subtraction, which
 therefore has to happen inside the integrand, never as a difference of
@@ -42,8 +40,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from decimal import Decimal, localcontext
-from functools import cache
 from typing import Callable, Tuple
 
 from .errors import NotConvergedError, _record
@@ -57,7 +53,16 @@ __all__ = [
     "integrated_identity_residual",
 ]
 
-_GAUSS_POINTS = 8
+# the 8-point Gauss-Legendre rule on [-1, 1], nodes ascending: the
+# correctly rounded binary64 values
+_NODES = (
+    -0.9602898564975363, -0.7966664774136267, -0.525532409916329, -0.1834346424956498,
+    0.1834346424956498, 0.525532409916329, 0.7966664774136267, 0.9602898564975363,
+)
+_WEIGHTS = (
+    0.10122853629037626, 0.22238103445337448, 0.31370664587788727, 0.362683783378362,
+    0.362683783378362, 0.31370664587788727, 0.22238103445337448, 0.10122853629037626,
+)
 # breakpoints in u: three unit-scale panels, then the tail cut at the
 # intermediate cutoffs R = 1e5 and 2R
 _U_CUT = 1.0e5 / (1.0 + 1.0e5)
@@ -65,49 +70,19 @@ _U_CUT2 = 2.0e5 / (1.0 + 2.0e5)
 _BREAKS = (0.0, 0.25, 0.5, 0.75, _U_CUT, _U_CUT2, 1.0)
 # an initial panel evaluates its own rule and its two halves'; a split
 # evaluates the two halves of each of its two children
-_INITIAL_EVALS = (len(_BREAKS) - 1) * 3 * _GAUSS_POINTS
-_SPLIT_EVALS = 4 * _GAUSS_POINTS
-
-
-def _legendre(x: Decimal) -> Tuple[Decimal, Decimal]:
-    # P_8(x) and P_8'(x) by the three-term recurrence
-    p0, p1 = Decimal(1), x
-    for k in range(2, _GAUSS_POINTS + 1):
-        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-    return p1, _GAUSS_POINTS * (x * p1 - p0) / (x * x - 1)
-
-
-@cache
-def _gauss_rule() -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
-    """8-point Gauss-Legendre nodes, ascending, and weights on [-1, 1].
-
-    Newton's method on the Legendre recurrence in 50-digit decimal
-    arithmetic, so both are the correctly rounded binary64 values.
-    """
-    nodes, weights = [], []
-    with localcontext() as ctx:
-        ctx.prec = 50
-        for i in range(_GAUSS_POINTS):
-            x = Decimal(math.cos(math.pi * (i + 0.75) / (_GAUSS_POINTS + 0.5)))
-            for _ in range(6):  # quadratic convergence from a 1e-3 guess
-                p, dp = _legendre(x)
-                x -= p / dp
-            _, dp = _legendre(x)
-            nodes.append(-float(x))
-            weights.append(float(2 / ((1 - x * x) * dp * dp)))
-    return tuple(nodes), tuple(weights)
+_INITIAL_EVALS = (len(_BREAKS) - 1) * 3 * len(_NODES)
+_SPLIT_EVALS = 4 * len(_NODES)
 
 
 def _rule(f: Callable, a: float, b: float) -> float:
-    """Gauss-Legendre on [a, b] in u of (pi/2) f(rho, 0) rho, rho = u/(1-u)."""
-    nodes, weights = _gauss_rule()
+    """Gauss-Legendre on [a, b] in u of (pi/2) f(rho^2) rho, rho = u/(1-u)."""
     half, mid = 0.5 * (b - a), 0.5 * (a + b)
     total = 0.0
-    for x, w in zip(nodes, weights):
+    for x, w in zip(_NODES, _WEIGHTS):
         u = mid + half * x
         v = 1.0 - u
         rho = u / v
-        total += w * rho * f(rho, 0.0) / (v * v)
+        total += w * rho * f(rho * rho) / (v * v)
     return 0.5 * math.pi * half * total
 
 
@@ -143,12 +118,11 @@ def integrate_quarter_plane(
     abs_tol: float = 1.0e-8,
     max_evals: int = 1_000_000,
 ) -> QuadResult:
-    """Integrate a transverse f(q2, q3) over the quarter plane to absolute tolerance.
+    """Integrate f(q2^2 + q3^2) over the quarter plane to absolute tolerance.
 
-    ``f`` must be a function of q2^2 + q3^2; it is called as f(rho, 0.0)
-    with Python floats along one radial line (module docstring).
-    ``max_evals`` bounds the integrand points evaluated; it must cover
-    the initial panels' 144.
+    ``f`` takes one Python float, rho2 = q2^2 + q3^2 >= 0 (module
+    docstring).  ``max_evals`` bounds the integrand points evaluated; it
+    must cover the initial panels' 144.
     """
     _check_abs_tol(abs_tol)
     if max_evals < _INITIAL_EVALS:
@@ -190,10 +164,7 @@ def integrate_quarter_plane(
     inside_cut2 = math.fsum(v for b, v in panels if b <= _U_CUT2)
 
     tail_tol = max(10.0 * abs_tol, 4.0 * total_err)
-    tail_ok = (
-        abs(inside_cut2 - inside_cut) <= tail_tol
-        and abs(value - inside_cut2) <= tail_tol
-    )
+    tail_ok = abs(inside_cut2 - inside_cut) <= tail_tol and abs(value - inside_cut2) <= tail_tol
     converged = total_err <= abs_tol and tail_ok
     return QuadResult(
         value, total_err, evals, converged, len(panels), len(stuck), inside_cut, inside_cut2
@@ -202,10 +173,9 @@ def integrate_quarter_plane(
 
 def _subtracted_integrand(mass: float) -> Callable:
     # G2(x1, q2, q3) - free(q2, q3) in p = q/sqrt(M), times the Jacobian M:
-    # a rational function of rho^2 = p2^2 + p3^2 whose tail, about
-    # -(M-1)/(M rho^4), no longer grows with M
-    def f(p2, p3):
-        rho2 = p2 * p2 + p3 * p3
+    # a rational function of rho2 = p2^2 + p3^2 whose tail, about
+    # -(M-1)/(M rho2^2), no longer grows with M
+    def f(rho2):
         return 1.0 / (1.0 + rho2) - mass / (1.0 + mass * rho2)
 
     return f
@@ -243,9 +213,7 @@ def sde_residual_numeric(x: Point3, coupling: Coupling, abs_tol: float = 1.0e-8)
     return fixed_point_residuals(x, coupling, abs_tol)[0]
 
 
-def integrated_identity_residual(
-    x1: float, coupling: Coupling, abs_tol: float = 1.0e-8
-) -> float:
+def integrated_identity_residual(x1: float, coupling: Coupling, abs_tol: float = 1.0e-8) -> float:
     """Quadrature minus closed form for the integrated solution.
 
     The subtracted transverse integral of the exact 2-point function

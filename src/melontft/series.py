@@ -133,9 +133,11 @@ def _reduced_rows(den: int, rows: Sequence[Row]) -> Tuple[int, Tuple[Row, ...]]:
 def _kernel(n: int) -> Tuple[KernelOrder, KernelTadpole]:
     # Order n and its tadpole, each reduced.  cols[m][i] is the numerator at
     # _key(n, m, i): every key has x1pow + fullpow = n + 1, and logpow >= m
-    # since each tadpole has logpow >= 1.  tad[i] is the numerator at key
-    # (1 + i, n, 0).  Each product packs its two rows at a width w that
-    # holds every slot of the sum
+    # since each tadpole has logpow >= 1.  Column m < n holds n - m entries,
+    # logpow m..n-1, and column n the leading entry alone: tadpole k reaches
+    # logpow max(k, 1), and only tadpole 0 times a leading column reaches
+    # logpow n.  tad[i] is the numerator at key (1 + i, n, 0).  Each product
+    # packs its two rows at a width w that holds every slot of the sum
     if n == 0:
         # the free propagator; its transverse integral diverges and is taken
         # with its Taylor subtraction at x1 = 0: -(1/2) log(1+x1^2)
@@ -153,7 +155,7 @@ def _kernel(n: int) -> Tuple[KernelOrder, KernelTadpole]:
         for m, col in enumerate(cols, 1):  # column m - 1 of order n - 1 - k
             if col:
                 acc[m] += packed * _pack(col, w)
-    den, cols = _reduced_rows(den, [(), *(_unpack(acc[m], w, n + 1 - m) for m in range(1, n + 1))])
+    den, cols = _reduced_rows(den, [(), *(_unpack(acc[m], w, n - m or 1) for m in range(1, n + 1))])
     # the transverse integral: a term with fullpow q = m + 1 >= 2 gives
     # pi*(1+x1^2)^(1-q)/(4(q-1)), so column m goes over 2m to key (logpow, n, 0)
     # with one pi/2 to the prefactor

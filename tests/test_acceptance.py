@@ -82,15 +82,11 @@ def test_c06_closed_form_integrals():
     worst = 0.0
     for x1 in (0.0, 0.5, 1.0, 2.0):
         a = 1 + x1 * x1
-        res = m.integrate_quarter_plane(
-            lambda q2, q3: 1 / (a + q2 * q2 + q3 * q3) - 1 / (1 + q2 * q2 + q3 * q3), 1e-8
-        )
+        res = m.integrate_quarter_plane(lambda r2: 1 / (a + r2) - 1 / (1 + r2), 1e-8)
         assert res.converged
         worst = max(worst, abs(res.value + math.pi / 4 * math.log(a)))
         for n in (2, 3, 4):
-            res = m.integrate_quarter_plane(
-                lambda q2, q3: (a + q2 * q2 + q3 * q3) ** float(-n), 1e-8
-            )
+            res = m.integrate_quarter_plane(lambda r2: (a + r2) ** float(-n), 1e-8)
             assert res.converged
             worst = max(worst, abs(res.value - math.pi * a ** (1 - n) / (4 * (n - 1))))
     assert worst < 1e-8

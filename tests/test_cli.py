@@ -426,6 +426,26 @@ def test_unwritable_output_is_a_usage_error(capsys, tmp_path, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--lambda", "-1", "--x", "1,1,1"),
+        ("series", "--order", "-1"),
+        ("coeffs", "--max-order", "1"),
+        ("greens", "--lambda", "1", "--points", "1,2,3;1,1,1"),
+        ("verify", "lambert", "--tol", "nan"),
+    ],
+)
+def test_domain_error_keeps_existing_output(capsys, tmp_path, argv):
+    # the --output file opens only once the output is known, so a domain
+    # error leaves an existing file's bytes as they were
+    path = tmp_path / "out"
+    path.write_bytes(b"kept\n")
+    code, out, err = run(capsys, *argv, "--output", str(path))
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert path.read_bytes() == b"kept\n"
+
+
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 

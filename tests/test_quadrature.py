@@ -19,37 +19,36 @@ from melontft.series import eval_series, eval_series_transverse, perturbative_or
 from melontft.specialfn import Coupling, Point3, dressed_mass
 
 
-def gaussian(q2, q3):
-    return np.exp(-q2 * q2 - q3 * q3)
+# every integrand is a function of r2 = q2^2 + q3^2, a float for the
+# radial kernel and an array for the 2-D reference below
+def gaussian(r2):
+    return np.exp(-r2)
 
 
-def inverse_square(q2, q3):
-    return (1 + q2 * q2 + q3 * q3) ** -2.0
+def inverse_square(r2):
+    return (1 + r2) ** -2.0
 
 
-def subtracted_log(q2, q3):
-    return 1 / (2 + q2 * q2 + q3 * q3) - 1 / (1 + q2 * q2 + q3 * q3)
+def subtracted_log(r2):
+    return 1 / (2 + r2) - 1 / (1 + r2)
 
 
-def zero(q2, q3):
-    return 0.0 * (q2 + q3)
+def zero(r2):
+    return 0.0 * r2
 
 
-def divergent(q2, q3):
+def divergent(r2):
     # decays only like 1/|q|^2: logarithmically divergent
-    return 1 / (1 + q2 * q2 + q3 * q3)
+    return 1 / (1 + r2)
 
 
 def family_integrands(x1):
     """The subtracted log and the three powers at a = 1 + x1^2, with their values."""
     a = 1 + x1 * x1
-    yield (
-        lambda q2, q3: 1 / (a + q2 * q2 + q3 * q3) - 1 / (1 + q2 * q2 + q3 * q3),
-        -math.pi / 4 * math.log(a),
-    )
+    yield (lambda r2: 1 / (a + r2) - 1 / (1 + r2)), -math.pi / 4 * math.log(a)
     for n in (2, 3, 4):
         expected = math.pi * a ** (1 - n) / (4 * (n - 1))
-        yield (lambda q2, q3, n=n: (a + q2 * q2 + q3 * q3) ** float(-n)), expected
+        yield (lambda r2, n=n: (a + r2) ** float(-n)), expected
 
 
 def subtracted(lam, x1):
@@ -61,30 +60,29 @@ def recursion_integrand(k, x1):
     """Transverse factor of the order-k term in the perturbative recursion."""
     gk = perturbative_order(k)
     if k == 0:
-        return lambda q2, q3: eval_series_transverse(gk, x1, q2 * q2 + q3 * q3) - 1.0 / (
-            1.0 + q2 * q2 + q3 * q3
-        )
-    return lambda q2, q3: eval_series_transverse(gk, x1, q2 * q2 + q3 * q3)
+        return lambda r2: eval_series_transverse(gk, x1, r2) - 1.0 / (1.0 + r2)
+    return lambda r2: eval_series_transverse(gk, x1, r2)
 
 
 # Oracle: the algorithm in two dimensions, one panel at a time, on numpy
-# arrays.  It integrates f over the quarter plane with product 8 x 8
-# Gauss-Legendre rules in (u, v), so it needs no radial symmetry and
-# shares nothing with the radial kernel but the breakpoints, the map and
-# the refinement rule.
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(8)
+# arrays.  It integrates f(q2^2 + q3^2) over the quarter plane with
+# product 8 x 8 Gauss-Legendre rules in (u, v), forming q2^2 + q3^2 on its
+# own grid, so it uses no radial reduction and shares nothing with the
+# radial kernel but the breakpoints, the map and the refinement rule.
+_REF_NODES, _REF_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _REF_PANEL_EVALS = 5 * 64
 _REF_SPLIT_EVALS = 4 * _REF_PANEL_EVALS
 _REF_INITIAL_EVALS = 36 * _REF_PANEL_EVALS
 
 
 def _ref_panel_rule(f, a, b, c, d):
-    u = 0.5 * (b - a) * _NODES + 0.5 * (a + b)
-    v = 0.5 * (d - c) * _NODES + 0.5 * (c + d)
+    u = 0.5 * (b - a) * _REF_NODES + 0.5 * (a + b)
+    v = 0.5 * (d - c) * _REF_NODES + 0.5 * (c + d)
     wu, wv = 1.0 - u, 1.0 - v
     qu, ju = u / wu, 1.0 / (wu * wu)
     qv, jv = v / wv, 1.0 / (wv * wv)
-    vals = f(qu[:, None], qv[None, :]) * (ju * _WEIGHTS)[:, None] * (jv * _WEIGHTS)[None, :]
+    r2 = qu[:, None] ** 2 + qv[None, :] ** 2
+    vals = f(r2) * (ju * _REF_WEIGHTS)[:, None] * (jv * _REF_WEIGHTS)[None, :]
     return float(np.sum(vals)) * 0.25 * (b - a) * (d - c)
 
 
@@ -181,14 +179,14 @@ class TestMachinery:
     def test_evaluations_are_the_points_evaluated(self):
         points = []
 
-        def counting(q2, q3):
-            points.append((q2, q3))
-            return gaussian(q2, q3)
+        def counting(*args):
+            points.append(args)
+            return gaussian(*args)
 
         res = integrate_quarter_plane(counting, 1e-12)
         assert res.evaluations == len(points)
-        # the integrand is called at Python floats along one radial line
-        assert all(type(q2) is float and q3 == 0.0 for q2, q3 in points)
+        # each call receives one Python float, rho^2 >= 0
+        assert all(len(args) == 1 and type(args[0]) is float and args[0] >= 0.0 for args in points)
         # a split replaces one panel by two and evaluates the two halves
         # of each child, 4 rules of 8 points
         splits, rest = divmod(res.evaluations - _INITIAL_EVALS, _SPLIT_EVALS)
@@ -196,10 +194,23 @@ class TestMachinery:
         assert res.panels == 6 + splits
         assert res.stuck_panels == 0
 
+    def test_two_argument_integrand_raises(self):
+        # an integrand of (q2, q3) does not fit the one-variable contract:
+        # the first call raises, before any value is summed
+        calls = []
+
+        def planar(q2, q3):
+            calls.append((q2, q3))
+            return inverse_square(q2 * q2 + q3 * q3)
+
+        with pytest.raises(TypeError):
+            integrate_quarter_plane(planar, 1e-8)
+        assert calls == []
+
 
 class TestGaussRule:
     def test_matches_numpy(self):
-        nodes, weights = quadrature._gauss_rule()
+        nodes, weights = quadrature._NODES, quadrature._WEIGHTS
         ref_nodes, ref_weights = np.polynomial.legendre.leggauss(8)
         assert nodes == tuple(sorted(nodes)) and len(weights) == 8
         for x, ref in zip(nodes, ref_nodes):
@@ -211,7 +222,7 @@ class TestGaussRule:
 
     def test_correctly_rounded(self):
         mpmath = pytest.importorskip("mpmath")
-        nodes, weights = quadrature._gauss_rule()
+        nodes, weights = quadrature._NODES, quadrature._WEIGHTS
         with mpmath.workdps(40):
             for x, w in zip(nodes, weights):
                 root = mpmath.findroot(lambda t: mpmath.legendre(8, t), x)
@@ -221,7 +232,7 @@ class TestGaussRule:
 
     @pytest.mark.parametrize("k", range(16))
     def test_exact_for_degree_up_to_15(self, k):
-        nodes, weights = quadrature._gauss_rule()
+        nodes, weights = quadrature._NODES, quadrature._WEIGHTS
         exact = 0.0 if k % 2 else 2.0 / (k + 1)
         assert abs(sum(w * x**k for x, w in zip(nodes, weights)) - exact) <= 1e-15
 

@@ -176,6 +176,14 @@ class TestOrders:
         for n in range(25):
             assert perturbative_order(n) == ref_order(n), n
 
+    def test_kernel_columns_hold_only_live_slots(self):
+        # column m < n of order n stops at logpow n - 1, and column n holds
+        # the leading 1 alone
+        for n in range(1, 41):
+            den, cols, _ = series._kernel(n)[0]
+            assert len(cols) == n + 1 and cols[0] == () and cols[n] == (den,), n
+            assert [len(cols[m]) for m in range(1, n)] == list(range(n - 1, 0, -1)), n
+
     def test_only_the_asked_order_is_built(self, monkeypatch):
         # the recursion runs on integer columns; a cold order makes one
         # LogSeries, its own, and no lower order is turned into Fractions
