@@ -2,17 +2,20 @@
 
 Stirling numbers of the first kind, harmonic numbers and the coefficient
 family a(n, k, m) that organizes the logarithmic terms of the perturbative
-2-point function.  Everything here is exact.  Rationals are computed as
-reduced (numerator, denominator) int pairs, and every sum goes through
-``_pair_sum``, which adds its terms at the LCM of their own denominators;
-a ``fractions.Fraction`` is made only for a value a public name returns.
+2-point function.  Everything here is exact.  The family is carried as the
+integer B(n, k, m) = k! a(n, k, m) = C(n-1, m-1) m! |s(n-m, n-k)|: its
+recurrences are integer sums with integer scale factors, and B is divided
+by k! only where a public ``fractions.Fraction`` is made.  The identity
+checks sum over denominators known in closed form; ``_pair_sum``, which
+adds reduced (num, den) pairs at the LCM of their denominators, remains
+for the harmonic identity's right-hand side and the big Stirling
+identity's printed side.
 
 Conventions
 -----------
-* ``stirling_first_signed`` uses s(0,0) = 1, s(n,0) = 0 for n > 0,
-  s(n,k) = 0 for k > n, and the recurrence
-  s(n,k) = s(n-1,k-1) - (n-1) s(n-1,k).
-* The unsigned variant is ``|s(n,k)| = (-1)^(n-k) s(n,k)``.
+* ``_stirling_row(n)`` holds c(n,k) = |s(n,k)|: c(0,0) = 1, c(n,0) = 0 for
+  n > 0, c(n,k) = 0 for k > n, and c(n,k) = c(n-1,k-1) + (n-1) c(n-1,k).
+* ``stirling_first_signed`` is s(n,k) = (-1)^(n-k) c(n,k).
 * Empty summation ranges contribute 0.
 """
 
@@ -49,27 +52,26 @@ def rational_str(value: Fraction) -> str:
 
 
 @cache
-def _signed_stirling_row(n: int) -> Tuple[int, ...]:
-    """Row (s(n,0), ..., s(n,n)), built up from row 0 without recursion."""
+def _stirling_row(n: int) -> Tuple[int, ...]:
+    """Row (c(n,0), ..., c(n,n)) of unsigned numbers, built up from row 0 without recursion."""
     row: Tuple[int, ...] = (1,)
     for i in range(1, n + 1):
         prev = row + (0,)
-        row = (0,) + tuple(prev[k - 1] - (i - 1) * prev[k] for k in range(1, i + 1))
+        row = (0,) + tuple(prev[k - 1] + (i - 1) * prev[k] for k in range(1, i + 1))
     return row
-
-
-def stirling_first_signed(n: int, k: int) -> int:
-    """Signed Stirling number of the first kind s(n, k)."""
-    if n < 0 or k < 0:
-        raise ValueError("Stirling indices must be nonnegative")
-    if k > n:
-        return 0
-    return _signed_stirling_row(n)[k]
 
 
 def stirling_first_unsigned(n: int, k: int) -> int:
     """Unsigned Stirling number of the first kind |s(n, k)|."""
-    return abs(stirling_first_signed(n, k))
+    if n < 0 or k < 0:
+        raise ValueError("Stirling indices must be nonnegative")
+    return _stirling_row(n)[k] if k <= n else 0
+
+
+def stirling_first_signed(n: int, k: int) -> int:
+    """Signed Stirling number of the first kind s(n, k)."""
+    c = stirling_first_unsigned(n, k)
+    return -c if (n - k) % 2 else c
 
 
 def binomial(n: int, k: int) -> int:
@@ -93,11 +95,18 @@ def _pair_sum(terms: Iterable[Pair]) -> Pair:
     return num // g, den // g
 
 
+@cache
+def _harmonic_pair(k: int) -> Tuple[int, int]:
+    # H_k over k!, unreduced: the Fraction made from it reduces it
+    f = factorial(k)
+    return sum(f // j for j in range(1, k + 1)), f
+
+
 def harmonic(k: int) -> Fraction:
     """Harmonic number H_k = sum_{j<=k} 1/j as an exact Fraction."""
     if k < 1:
         raise ValueError("harmonic number needs k >= 1")
-    return Fraction(*_pair_sum((1, j) for j in range(1, k + 1)))
+    return Fraction(*_harmonic_pair(k))
 
 
 def _check_index(n: int, k: int, m: int) -> None:
@@ -106,10 +115,9 @@ def _check_index(n: int, k: int, m: int) -> None:
 
 
 @cache
-def _closed_pair(n: int, k: int, m: int) -> Pair:
-    # a one-term sum, to reduce C(n-1, m-1) * m!/k! * |s(n-m, n-k)|
-    num = binomial(n - 1, m - 1) * factorial(m) * stirling_first_unsigned(n - m, n - k)
-    return _pair_sum([(num, factorial(k))])
+def _closed_int(n: int, k: int, m: int) -> int:
+    # B(n,k,m) = k! a(n,k,m) = C(n-1, m-1) * m! * |s(n-m, n-k)|
+    return comb(n - 1, m - 1) * factorial(m) * _stirling_row(n - m)[n - k]
 
 
 def a_closed(n: int, k: int, m: int) -> Fraction:
@@ -118,39 +126,41 @@ def a_closed(n: int, k: int, m: int) -> Fraction:
     a(n,k,m) = C(n-1, m-1) * m!/k! * |s(n-m, n-k)|.
     """
     _check_index(n, k, m)
-    return Fraction(*_closed_pair(n, k, m))
+    return Fraction(_closed_int(n, k, m), factorial(k))
 
 
-def _generic_rhs(n: int, k: int, m: int, a: Callable[[int, int, int], Pair]) -> Pair:
-    """Right-hand side of the generic recurrence (2 <= m <= k <= n-2).
+def _generic_rhs(n: int, k: int, m: int, b: Callable[[int, int, int], int]) -> int:
+    """k! times the right-hand side of the generic recurrence (2 <= m <= k <= n-2).
 
-    ``a(n, k, m)`` supplies the coefficients as pairs: the closed form, or
-    the recurrence itself.  Each sum_l a(N-1, K, l)/l reads as a(N, K, 1) by
-    ``_recur_pair``'s m = 1 rule (K <= N-2 throughout); k = n-2 empties the
-    p-sum.
+    ``b(n, k, m)`` supplies B = k! a as integers: the closed form, or the
+    recurrence itself.  Each sum_l a(N-1, K, l)/l reads as a(N, K, 1) by
+    ``_recur_int``'s m = 1 rule (K <= N-2 throughout); k = n-2 empties the
+    p-sum.  Each term's scale factor is k! over the k-index factorials of
+    its B's, an integer: k, k!/(k-m+1)!, k!/(r! (k-r)) and C(k, r).
     """
-    terms = [a(n - 1, k - 1, m - 1), a(n - m + 1, k - m + 1, 1)]
+    fk = factorial(k)
+    total = k * b(n - 1, k - 1, m - 1) + fk // factorial(k - m + 1) * b(n - m + 1, k - m + 1, 1)
     for r in range(m - 1, k):
-        c, d = a(n - 1 + r - k, r, m - 1)
-        terms.append((c, d * (k - r)))
-        for p in range(k - r + 1, n - 1 - r):
-            (c1, d1), (c2, d2) = a(p + 1, k - r, 1), a(n - p - 1, r, m - 1)
-            terms.append((c1 * c2, d1 * d2))
-    return _pair_sum(terms)
+        tail = sum(b(p + 1, k - r, 1) * b(n - p - 1, r, m - 1) for p in range(k - r + 1, n - 1 - r))
+        total += fk // (factorial(r) * (k - r)) * b(n - 1 + r - k, r, m - 1) + comb(k, r) * tail
+    return total
 
 
 @cache
-def _recur_pair(n: int, k: int, m: int) -> Pair:
+def _recur_int(n: int, k: int, m: int) -> int:
     if k == n - 1:
         if m == 1:
-            return 1, n - 1
-        return _pair_sum([(1, n - m), _recur_pair(n - 1, n - 2, m - 1)])
+            return factorial(n - 2)
+        return factorial(n - 1) // (n - m) + (n - 1) * _recur_int(n - 1, n - 2, m - 1)
     if m == 1:
-        # applies for k <= n-2; at k = 1 it reduces to a(n,1,1) = a(n-1,1,1)
-        terms = [_recur_pair(n - 1, k, l) for l in range(1, k + 1)]
-        return _pair_sum((c, d * l) for l, (c, d) in enumerate(terms, 1))
+        # applies for k <= n-2; at k = 1 it reduces to a(n,1,1) = a(n-1,1,1).
+        # l! divides B(n-1,k,l), so a quotient with a remainder is a defect
+        quotients = [divmod(_recur_int(n - 1, k, l), l) for l in range(1, k + 1)]
+        if any(rem for _, rem in quotients):
+            raise ArithmeticError(f"some B({n - 1},{k},l) is not a multiple of l <= {k}")
+        return sum(q for q, _ in quotients)
     # generic case: 2 <= m <= k <= n-2
-    return _generic_rhs(n, k, m, _recur_pair)
+    return _generic_rhs(n, k, m, _recur_int)
 
 
 def a_recur(n: int, k: int, m: int) -> Fraction:
@@ -160,7 +170,7 @@ def a_recur(n: int, k: int, m: int) -> Fraction:
     routes can be compared exactly.
     """
     _check_index(n, k, m)
-    return Fraction(*_recur_pair(n, k, m))
+    return Fraction(_recur_int(n, k, m), factorial(k))
 
 
 @_record
@@ -171,11 +181,11 @@ class CoeffTable:
     entries: Mapping[Index, Fraction]
 
     @classmethod
-    def _build(cls, max_order: int, a: Callable[[int, int, int], Pair]) -> "CoeffTable":
+    def _build(cls, max_order: int, b: Callable[[int, int, int], int]) -> "CoeffTable":
         if max_order < 2:
             raise ValueError("max_order must be >= 2")
         entries = {
-            (n, k, m): Fraction(*a(n, k, m))
+            (n, k, m): Fraction(b(n, k, m), factorial(k))
             for n in range(2, max_order + 1)
             for k in range(1, n)
             for m in range(1, k + 1)
@@ -184,11 +194,11 @@ class CoeffTable:
 
     @classmethod
     def from_closed_form(cls, max_order: int) -> "CoeffTable":
-        return cls._build(max_order, _closed_pair)
+        return cls._build(max_order, _closed_int)
 
     @classmethod
     def from_recurrences(cls, max_order: int) -> "CoeffTable":
-        return cls._build(max_order, _recur_pair)
+        return cls._build(max_order, _recur_int)
 
     def __getitem__(self, key: Index) -> Fraction:
         n, k, m = key
@@ -240,11 +250,12 @@ def check_identity_stirling_621(n: int, k: int) -> IdentityCheck:
     """
     if n < 4 or not (1 <= k <= n - 3):
         raise ValueError(f"identity index out of range: (n,k)=({n},{k})")
-    lhs = Fraction(stirling_first_unsigned(n - 1, n - k), factorial(n - 1))
-    tops = [stirling_first_unsigned(n - 1 - l, n - 1 - k) for l in range(1, k + 1)]
-    rhs = _pair_sum((c, (n - 1) * factorial(n - 1 - l)) for l, c in enumerate(tops, 1))
-    printed_rhs = _pair_sum((c, factorial(n - l)) for l, c in enumerate(tops, 1))
-    return IdentityCheck(lhs, Fraction(*rhs), lhs, Fraction(*printed_rhs))
+    # all three sides over (n-1)!: the l-th c scales by (n-2)!/(n-1-l)! in rhs, by (n-1)!/(n-l)! in printed_rhs
+    den, tops = factorial(n - 1), [(l, _stirling_row(n - 1 - l)[n - 1 - k]) for l in range(1, k + 1)]
+    rhs = sum(c * (factorial(n - 2) // factorial(n - 1 - l)) for l, c in tops)
+    printed_rhs = sum(c * (den // factorial(n - l)) for l, c in tops)
+    lhs = Fraction(_stirling_row(n - 1)[n - k], den)
+    return IdentityCheck(lhs, Fraction(rhs, den), lhs, Fraction(printed_rhs, den))
 
 
 def check_identity_harmonic(n: int, k: int) -> IdentityCheck:
@@ -270,26 +281,26 @@ def check_identity_big_stirling(n: int, k: int, m: int) -> IdentityCheck:
     if n < 5 or not (2 <= k <= n - 3) or not (2 <= m <= k):
         raise ValueError(f"identity index out of range: (n,k,m)=({n},{k},{m})")
 
-    c = stirling_first_unsigned
+    row = _stirling_row
     printed_lhs = Fraction(
-        ((n - 1) * m - k * (m - 1)) * factorial(n - 2) * c(n - m, n - k),
+        ((n - 1) * m - k * (m - 1)) * factorial(n - 2) * row(n - m)[n - k],
         factorial(k) * factorial(n - m),
     )
     terms = []
     for l in range(1, k - m + 2):
         # weight * bracket, with weight |s(n-m-l, n-k-1)|/(n-m-l)!
-        w, wd = c(n - m - l, n - k - 1), factorial(n - m - l)
+        w, wd = row(n - m - l)[n - k - 1], factorial(n - m - l)
         terms.append((w * factorial(n - 1 - m), wd * factorial(k - m + 1)))
         terms.append((w * (m - 1) * factorial(n - l - 2), wd * l * factorial(k - l)))
         # outer (m-1)/(l!(k-l)!) times each p-term of inner times its tail's r-terms
         for p in range(l + 1, n - 1 - k + l):
-            num = (m - 1) * factorial(p - 1) * factorial(n - 2 - p) * c(n - m - p, n - k - 1 - p + l)
+            num = (m - 1) * factorial(p - 1) * factorial(n - 2 - p) * row(n - m - p)[n - k - 1 - p + l]
             den = factorial(l) * factorial(k - l) * factorial(n - m - p)
-            terms.extend((num * c(p - r, p - l), den * factorial(p - r)) for r in range(1, l + 1))
+            terms.extend((num * row(p - r)[p - l], den * factorial(p - r)) for r in range(1, l + 1))
     # ground truth is the recurrence acting on the coefficients themselves
     return IdentityCheck(
         a_closed(n, k, m),
-        Fraction(*_generic_rhs(n, k, m, _closed_pair)),
+        Fraction(_generic_rhs(n, k, m, _closed_int), factorial(k)),
         printed_lhs,
         Fraction(*_pair_sum(terms)),
     )

@@ -31,8 +31,8 @@ G2 = sum_m (-g)^m / B^(m+1) at key (k, n-m, m+1) is
     (-1)^(n+m) (m/n) C(n, n-k) (n-k)! s(n-m, n-k) / (n-m)!
         = (-1)^(n+k) C(n-1, m-1) m!/k! |s(n-m, n-k)|,
 
-the sign of ``_slots`` times ``combinatorics._closed_pair``; m = n gives
-the leading coefficient 1 at key (n, 0, n+1).
+the sign of ``_slots`` times ``combinatorics._closed_int``, the integer k! a(n,k,m),
+over k!; m = n gives the leading coefficient 1 at key (n, 0, n+1).
 
 Float evaluation has one body, ``_eval_columns``: each column
 (lo, x1pow, fullpow, coefficients) is Horner's rule in lg = log(1+x1^2)
@@ -53,7 +53,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
-from .combinatorics import _closed_pair
+from .combinatorics import _closed_int
 from .errors import ShapeMismatchError, _record
 from .specialfn import Point3
 
@@ -189,11 +189,10 @@ def ansatz_order(n: int) -> LogSeries:
     """Order-n series from the closed (Lagrange-Buermann) form."""
     if n < 1:
         raise ValueError("ansatz starts at order 1")
-    terms = [(m, k, sign, *_closed_pair(n, k, m)) for m, k, sign in _slots(n)]
-    den = math.lcm(*(d for *_, d in terms))
+    den = math.factorial(n - 1)  # every column over (n-1)!, which each k! with k < n divides
     cols = [[0] * (n - m) for m in range(n)] + [[den]]
-    for m, k, sign, c, d in terms:
-        cols[m][k - m] = sign * c * (den // d)
+    for m, k, sign in _slots(n):
+        cols[m][k - m] = sign * _closed_int(n, k, m) * (den // math.factorial(k))
     return _series(n, *_reduced_rows(den, cols))
 
 

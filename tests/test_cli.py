@@ -253,8 +253,8 @@ class TestTabulate:
         # rows are written as they are solved, so the traced peak grows with
         # a row, not with the grid: four times the rows cost under 1.5 times
         rng = random.Random(23)
-        lams = [repr(10.0 ** rng.uniform(-4, 6)) for _ in range(120)]
-        x1s = ",".join(repr(10.0 ** rng.uniform(-6, 8)) for _ in range(300))
+        lams = [repr(10.0 ** rng.uniform(-4, 6)) for _ in range(32)]
+        x1s = ",".join(repr(10.0 ** rng.uniform(-6, 8)) for _ in range(100))
 
         def peak(rows):
             argv = ["tabulate", "--lambda", ",".join(lams[:rows]), "--x1", x1s, "--x2", "0.5", "--x3", "1.5"]
@@ -267,7 +267,7 @@ class TestTabulate:
                 tracemalloc.stop()
 
         peak(1)  # first-call allocations (argparse's regexes, say) are not the grid's
-        small, large = peak(30), peak(120)
+        small, large = peak(8), peak(32)
         assert large < 1.5 * small, (small, large)
 
     @pytest.mark.parametrize("lam, x1", CANCELLING_POINTS)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from melontft import combinatorics
+from melontft import combinatorics, series
 from melontft.combinatorics import (
     CoeffTable,
     a_closed,
@@ -93,6 +93,18 @@ class TestStirling:
         expected = stirling_first_signed(n - 1, k - 1) - (n - 1) * stirling_first_signed(n - 1, k)
         assert stirling_first_signed(n, k) == expected
 
+    def test_signed_recurrence_to_30(self):
+        # the signed triangle built here, s(n,k) = s(n-1,k-1) - (n-1) s(n-1,k),
+        # against the library's unsigned triangle with its sign applied
+        row = [1]
+        for n in range(31):
+            if n:
+                prev = row + [0]
+                row = [0] + [prev[k - 1] - (n - 1) * prev[k] for k in range(1, n + 1)]
+            for k in range(n + 3):
+                assert stirling_first_signed(n, k) == (row[k] if k <= n else 0), (n, k)
+                assert stirling_first_unsigned(n, k) == abs(stirling_first_signed(n, k))
+
     def test_row_deeper_than_recursion_limit(self):
         # a cold row is built without one stack frame per row
         n = sys.getrecursionlimit() + 10
@@ -146,16 +158,17 @@ class TestCoefficients:
             assert a_closed(n, n - 1, 1) == Fraction(1, n - 1)
 
     @pytest.mark.parametrize(
-        "a, pair, top",
-        [(a_closed, combinatorics._closed_pair, 12), (a_recur, combinatorics._recur_pair, 20)],
+        "a, b, top",
+        [(a_closed, combinatorics._closed_int, 12), (a_recur, combinatorics._recur_int, 20)],
         ids=["closed", "recur"],
     )
-    def test_folded_generic_rhs_matches_paper_form(self, a, pair, top):
-        # every generic index 2 <= m <= k <= n-2; n <= 12 is the big-Stirling range
+    def test_folded_generic_rhs_matches_paper_form(self, a, b, top):
+        # every generic index 2 <= m <= k <= n-2; n <= 12 is the big-Stirling range;
+        # _generic_rhs is k! times the right-hand side, over the integers k! a
         for n in range(4, top + 1):
             for k in range(2, n - 1):
                 for m in range(2, k + 1):
-                    rhs = Fraction(*combinatorics._generic_rhs(n, k, m, pair))
+                    rhs = Fraction(combinatorics._generic_rhs(n, k, m, b), math.factorial(k))
                     assert rhs == paper_generic_rhs(n, k, m, a) == a(n, k, m), (n, k, m)
 
     def test_recurrence_route_never_reads_closed_form(self, monkeypatch):
@@ -166,13 +179,34 @@ class TestCoefficients:
         def unavailable(*args):
             raise AssertionError("recurrence route reached the closed form")
 
-        combinatorics._recur_pair.cache_clear()
+        combinatorics._recur_int.cache_clear()
         monkeypatch.setattr(combinatorics, "a_closed", unavailable)
-        monkeypatch.setattr(combinatorics, "_closed_pair", unavailable)
+        monkeypatch.setattr(combinatorics, "_closed_int", unavailable)
         assert CoeffTable.from_recurrences(10) == closed
 
+    def test_cold_integer_routes_agree_to_order_30(self):
+        # past the digests' order 20: both routes, and the columns ansatz_order
+        # puts over (n-1)!, rebuilt from empty caches
+        for value in vars(combinatorics).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+        series._kernel.cache_clear()
+        assert CoeffTable.from_recurrences(30) == CoeffTable.from_closed_form(30)
+        for n in range(1, 31):
+            assert series.ansatz_order(n) == series.perturbative_order(n), n
+
+    def test_inexact_m1_quotient_raises(self, monkeypatch):
+        # B(4,2,1) = B(3,2,1)/1 + B(3,2,2)/2; an odd B(3,2,2) must raise, not floor
+        recur = combinatorics._recur_int.__wrapped__
+        assert recur(4, 2, 1) == 3  # 2! a(4,2,1) = 2 * 3/2
+        monkeypatch.setattr(
+            combinatorics, "_recur_int", lambda n, k, m: 5 if (n, k, m) == (3, 2, 2) else recur(n, k, m)
+        )
+        with pytest.raises(ArithmeticError, match="not a multiple"):
+            recur(4, 2, 1)
+
     def test_cold_recurrence_table_makes_one_fraction_per_entry(self, monkeypatch):
-        # the recurrences run on int pairs; a Fraction is made only per entry
+        # the recurrences run on the integers k! a; a Fraction is made only per entry
         made = []
 
         def counting(*args):

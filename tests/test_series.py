@@ -217,7 +217,7 @@ class TestOrders:
             return Fraction(*args)
 
         monkeypatch.setattr(series, "Fraction", counting)
-        combinatorics._closed_pair.cache_clear()
+        combinatorics._closed_int.cache_clear()
         s = ansatz_order(12)
         assert len(s.terms) == len(made) == 67
 
