@@ -24,7 +24,7 @@ from .errors import MelonTFTError
 from .greens import PointTuple, connected_2k
 from .quadrature import _check_abs_tol
 from .series import perturbative_order
-from .specialfn import Coupling, Point3, exact_record, exact_records
+from .specialfn import Coupling, Point3, _flat_row, exact_record
 from .verify import suite_coeffs, suite_greens, suite_identities, suite_lambert, suite_sde
 
 __all__ = ["main", "entry_point", "build_parser"]
@@ -70,14 +70,14 @@ def _write(args, payload, header: List[str], rows: Iterable[Sequence]) -> None:
     _emit(text, args.output)
 
 
-def _eval_record(lam: float, x: List[float], record: Sequence[float]) -> dict:
-    g, g2, residual = record
+def _eval_record(lam: float, x: List[float], g2: float, g: float, residual: float) -> dict:
     return {"lambda": lam, "x": x, "g": g, "G2": g2, "residual_algebraic": residual}
 
 
 def cmd_eval(args) -> int:
     x, c = _parse_point(args.x), Coupling(args.lam)
-    r = _eval_record(c.lam, [x.x1, x.x2, x.x3], exact_record(x, c))
+    g, g2, residual = exact_record(x, c)
+    r = _eval_record(c.lam, [x.x1, x.x2, x.x3], g2, g, residual)
     header = ["lambda", "x1", "x2", "x3", "g", "G2", "residual_algebraic"]
     _write(args, r, header, [(r["lambda"], *r["x"], r["g"], r["G2"], r["residual_algebraic"])])
     return 0
@@ -124,31 +124,32 @@ def cmd_tabulate(args) -> int:
     x2, x3 = args.x2, args.x3
     couplings = [Coupling(lam) for lam in lams]
     # The grid is checked before the sink opens, so a domain error writes
-    # nothing.  The first row's exact_records checks x2, x3 and every x1; a
-    # later row can then fail only where (1+x1^2)/z overflows, first at the
-    # largest x1, and such a row is solved to raise its own error.
-    first = exact_records(x1s, x2, x3, couplings[0])
+    # nothing.  The first row checks x2, x3 and every x1; a later row can
+    # then fail only where (1+x1^2)/z overflows, first at the largest x1,
+    # and such a row is solved to raise its own error.
+    first = _flat_row(x1s, x2, x3, couplings[0])
     x1_max = max(x1s)
     for c in couplings[1:]:
         if not math.isfinite((1.0 + x1_max * x1_max) / c.z):
-            exact_records(x1s, x2, x3, c)
-    # then coupling-major rows are solved, formatted and written one at a time
-    rows = ((c, exact_records(x1s, x2, x3, c) if i else first) for i, c in enumerate(couplings))
+            _flat_row(x1s, x2, x3, c)
+    # then coupling-major rows, each [G2, g, residual] per x1 in CSV column
+    # order, are solved, formatted and written one at a time
+    rows = ((c, _flat_row(x1s, x2, x3, c) if i else first) for i, c in enumerate(couplings))
     with _sink(args.output) as fh:
         if args.format == "json":  # each row a slice of one json.dumps of every record
-            for i, (c, records) in enumerate(rows):
-                row = [_eval_record(c.lam, [x1, x2, x3], r) for x1, r in zip(x1s, records)]
-                fh.write((", " if i else "[") + json.dumps(row)[1:-1])
+            for i, (c, row) in enumerate(rows):
+                cells = zip(x1s, row[0::3], row[1::3], row[2::3])
+                records = [_eval_record(c.lam, [x1, x2, x3], g2, g, r) for x1, g2, g, r in cells]
+                fh.write((", " if i else "[") + json.dumps(records)[1:-1])
             fh.write("]\n")
         else:
             # each x1's text is formatted once; a row's lambda text joins them
             # into a template ("%.17g" prints as _cell does, never a "%") that
-            # one "%" fills with the row's G2, g and residual
+            # one "%" fills with the flat row
             pieces = ["", *(",%.17g,%.17g,%.17g," % (x1, x2, x3) + "%.17g,%.17g,%.17g\n" for x1 in x1s)]
             fh.write("lambda,x1,x2,x3,G2,g,residual\n")
-            for c, records in rows:
-                values = tuple([v for g, g2, residual in records for v in (g2, g, residual)])
-                fh.write(("%.17g" % c.lam).join(pieces) % values)
+            for c, row in rows:
+                fh.write(("%.17g" % c.lam).join(pieces) % tuple(row))
     return 0
 
 

@@ -8,13 +8,17 @@ mass M = 1 + x1^2 + g, the root of
 so that M = z*W((1/z) * exp((1+x1^2)/z)) and the shift is g = -z*log(M).
 ``_masses`` is the one place that solves for M, for a row of x1 values
 at one coupling with z and log(z) taken once; every float result of the
-solution derives from it.  ``dressed_mass`` is its one-point view, and
-``exact_records`` (one row of ``exact_record``) is what ``tabulate`` calls.
+solution derives from it.  ``dressed_mass`` is its one-point view.
+``_flat_row`` turns a row of masses into [G2, g, residual, ...] in the
+column order of ``tabulate``'s CSV; ``exact_records`` (one row of
+``exact_record``) regroups it into records.
 
 All W evaluations go through the Wright omega function in log space,
 omega(t) + log(omega(t)) = t with t = (1+x1^2)/z - log(z): for small
 couplings the direct W argument overflows binary64 while t stays modest.
-Real positive couplings keep the argument positive, so only the principal
+M and G2 are within 2*eps*kappa and g within 4*eps*kappa of a
+high-precision oracle, kappa = 1 + (1+x1^2)/(M + z) being M's condition
+number in 1 + x1^2.  Real positive couplings keep the argument positive, so only the principal
 branch enters the solution; W_{-1} is provided for completeness/testing.
 """
 
@@ -45,8 +49,11 @@ __all__ = [
 # nearest-double branch point -1/e of the real Lambert branches
 _BRANCH_POINT = -math.exp(-1.0)
 
-# iteration cap of the Newton and Halley solvers; the step tests stop
-# them within a few steps, so reaching it means a bug, not a hard input
+# smallest positive normal double
+_TINY = sys.float_info.min
+
+# iteration cap of the omega, Newton and Halley solvers; the step tests
+# stop them within a few steps, so reaching it means a bug, not a hard input
 _MAX_ITER = 100
 
 
@@ -90,49 +97,84 @@ class Coupling:
         return cls(2.0 * z / math.pi)
 
 
-def wright_omega(t: float) -> float:
-    """Solve w + log(w) = t for the unique positive w.
+# omega(t) ~ sum_k c_k*(t - centre)^k on [-2, 50] in five pieces, given as
+# (upper end, centre, c0, ..., c5): degree-5 Chebyshev interpolants rounded
+# to 8 digits, each within 3.1e-5 of omega (relative) on its piece
+_OMEGA_FITS = (
+    (-0.5, -1.25, 0.22807629, 0.18571832, 0.061563487, 0.0073966462, -0.0011217566, -0.00036447567),
+    (1.5, 0.5, 0.76624843, 0.43382793, 0.069535139, -0.0039496982, -0.00096668751, 0.00026506253),
+    (5.0, 3.25, 2.3820395, 0.70432142, 0.030802097, -0.0033818161, 0.00030199954, -1.210521e-05),
+    (15.0, 10.0, 7.9294797, 0.88800681, 0.0055258641, -0.00034316028, 2.7388884e-05, -1.8398368e-06),
+    (50.0, 32.5, 29.1285, 0.96680309, 0.00052036226, -1.0877178e-05, 3.6060144e-07, -9.0570422e-09),
+)
 
-    Newton iteration; for t > 2 directly in w from the asymptotic seed
-    t - log(t) (monotone from below, no exponentials formed, so large t
-    such as 1e6 are fine), otherwise in u = log(w) where the equation
-    u + e^u = t is convex and Newton converges globally.  Either stops
-    at a relative step of 1e-16 or once the step no longer shrinks,
-    which in binary64 can come first.
+# W(y)/y ~ 1 + y*(q0 + y*(q1 + y*q2)) for 0 <= y <= e^-2: the e^t series of W
+# economised to degree 2 (Chebyshev, 8 digits), within 3.3e-5 (relative)
+_OMEGA_SMALL = (-0.99972369, 1.4626858, -1.8663062)
+
+
+def wright_omega(t: float) -> float:
+    """Solve w + log(w) = t for the unique positive w, for finite t.
+
+    A seed good to 3.3e-5 (relative) is refined by Fritsch-Shafer-Crowley
+    steps (Lawrence, Corless & Jeffrey, ACM TOMS 38, 2012), each of fourth
+    order.  The seeds:
+
+    * t > 50: the asymptotic series t - L + L/t, L = log(t);
+    * -2 <= t <= 50: a degree-5 polynomial fit on one of five pieces
+      (``_OMEGA_FITS``);
+    * t < -2: omega = W(y) with y = e^t, from the e^t series of W
+      economised to degree 2 (``_OMEGA_SMALL``).
+
+    For t < -2 the steps solve y*v*e^(y*v) = y for v = omega/y, with y
+    the double nearest e^t taken as exact, so the residual -(y*v + log(v))
+    never cancels against t.  omega is e^t itself below t = -37.5,
+    subnormal below -708 and 0.0 below about -745.13.
+
+    A step from relative error d leaves an error below d^4/48 (0.0205*d^4
+    at worst over w > 0, measured in 80-digit arithmetic), so a step that
+    corrects by at most 1e-4 leaves under eps/100 and is the last; with
+    these seeds the first one is.  The step is scaled by p = 1 + w, so no
+    (1 + w)^2 overflows up to the largest double.  More than ``_MAX_ITER``
+    steps raise ``NotConvergedError``.
     """
-    if not math.isfinite(t):
-        raise ValueError(f"wright_omega needs finite t, got {t!r}")
-    # Newton's steps and bits at less cost per call: a counted while in place
-    # of a range iterator, one bound math function and one abs per step
-    n, last = _MAX_ITER, math.inf
-    if t > 2.0:
-        log = math.log
-        w = t - log(t)
-        while (n := n - 1) >= 0:
-            step = (w + log(w) - t) * w / (w + 1.0)
-            w -= step
-            a = abs(step)
-            if a <= 1e-16 * w or a >= last:
-                return w
-            last = a
+    log = math.log
+    t0 = t  # log(y) + y*v + log(v) = t, so log(v) + y*v = t - log(y)
+    if 50.0 < t < math.inf:
+        lt = log(t)
+        y, v = 1.0, t - lt + lt / t
+    elif -2.0 <= t <= 50.0:
+        for fit in _OMEGA_FITS:
+            if t <= fit[0]:
+                break
+        _, centre, c0, c1, c2, c3, c4, c5 = fit
+        u = t - centre
+        y, v = 1.0, c0 + u * (c1 + u * (c2 + u * (c3 + u * (c4 + u * c5))))
+    elif -math.inf < t < -2.0:
+        q0, q1, q2 = _OMEGA_SMALL
+        y, t0 = math.exp(t), 0.0
+        v = 1.0 + y * (q0 + y * (q1 + y * q2))
     else:
-        exp = math.exp
-        u = t - 1.0 if t > -1.0 else t
-        while (n := n - 1) >= 0:
-            eu = exp(u)
-            step = (u + eu - t) / (1.0 + eu)
-            u -= step
-            a = abs(step)
-            if a <= 1e-16 * (1.0 + abs(u)) or a >= last:
-                return exp(u)
-            last = a
+        raise ValueError(f"wright_omega needs finite t, got {t!r}")
+    n = _MAX_ITER
+    while (n := n - 1) >= 0:
+        w = y * v
+        p = 1.0 + w
+        s = (t0 - w - log(v)) / p
+        h = s / p
+        c = 1.0 + s * (2.0 / 3.0)
+        d = s * (c - 0.5 * h) / (c - h)
+        v += v * d
+        if -1e-4 <= d <= 1e-4:
+            return y * v
     raise NotConvergedError(f"wright_omega did not converge in {_MAX_ITER} steps at t={t!r}")
 
 
 def _halley_we_w(w: float, y: float) -> float:
     # Halley refinement for w*e^w = y; valid on either real branch given a
-    # seed on that branch and away from the branch point.  Stops like
-    # wright_omega.
+    # seed on that branch and away from the branch point.  Stops at a
+    # relative step of 1e-16 or once the step no longer shrinks, which in
+    # binary64 can come first.
     last = math.inf
     for _ in range(_MAX_ITER):
         ew = math.exp(w)
@@ -171,7 +213,8 @@ def lambert_w0(y: float) -> float:
 
 def _wm1_log(s: float) -> float:
     # -W_{-1}(y) for s = -log(-y), the root v of v - log(v) = s: Newton from
-    # v = s + log(s) in log space, where e^w cannot underflow; stops like wright_omega
+    # v = s + log(s) in log space, where e^w cannot underflow; stops like
+    # _halley_we_w
     v, last = s + math.log(s), math.inf
     for _ in range(_MAX_ITER):
         step = (v - math.log(v) - s) * v / (v - 1.0)
@@ -186,7 +229,7 @@ def lambert_wm1(y: float) -> float:
     """Secondary real branch: w <= -1 with w*e^w = y, for -1/e <= y < 0."""
     if not (_BRANCH_POINT <= y < 0.0):
         raise ValueError(f"lambert_wm1 needs -1/e <= y < 0, got {y!r}")
-    if y > -sys.float_info.min:
+    if y > -_TINY:
         # subnormal y: e^w underflows in the Halley step, so solve in log
         # space and check the relative residual there, as log(w*e^w / y)
         w = -_wm1_log(-math.log(-y))
@@ -211,31 +254,40 @@ def lambert_wm1(y: float) -> float:
 
 
 def _masses(x1s: Sequence[float], coupling: Coupling) -> List[float]:
-    # The one solve body: M = z*omega(t) for each x1 of one coupling row,
-    # with z and log(z) taken once per row.  Checks every x1 in order and
-    # raises at the first bad one.
+    # The one solve body: M for each x1 of one coupling row from one
+    # wright_omega(t), t = (1+x1^2)/z - log(z), with z and log(z) taken once
+    # per row.  Checks every x1 in order and raises at the first bad one.
+    # For t >= 0, M = z*omega(t).  For t < 0 that would carry omega's
+    # relative error from t's rounding, about |t|*eps; there omega = e^(t -
+    # omega) gives M = e^((1+x1^2)/z - omega), where omega < 0.57 enters
+    # only absolutely.  (e^(u + log(z)) from omega = e^u would cancel.)
     z = coupling.z
     log_z = math.log(z)
+    exp = math.exp
     masses = []
     for x1 in x1s:
-        if not math.isfinite(x1) or x1 < 0:
+        if not 0.0 <= x1 < math.inf:  # NaN fails this too
             raise ValueError(f"x1 must be finite and >= 0, got {x1!r}")
         if x1 == 0.0:
             masses.append(1.0)
             continue
         ratio = (1.0 + x1 * x1) / z
-        if not math.isfinite(ratio):
+        if not ratio < math.inf:
             raise ValueError(f"(1+x1^2)/z must be finite, got x1={x1!r}, lambda={coupling.lam!r}")
-        masses.append(z * wright_omega(ratio - log_z))
+        t = ratio - log_z
+        omega = wright_omega(t)
+        masses.append(z * omega if t >= 0.0 else exp(ratio - omega))
     return masses
 
 
 def dressed_mass(x1: float, coupling: Coupling) -> float:
     """Dressed mass M = 1 + x1^2 + g, the root of M + z*log(M) = 1 + x1^2.
 
-    M = z*omega(t) with t = (1+x1^2)/z - log(z).  M >= 1, and M = 1
-    exactly at x1 = 0, where the shift vanishes.  The domain ends where
-    (1+x1^2)/z overflows binary64 (x1 above about 1.3e154, or tiny lambda).
+    With t = (1+x1^2)/z - log(z), M = z*omega(t) for t >= 0 and
+    M = exp((1+x1^2)/z - omega(t)) for t < 0, within 2*eps*kappa,
+    kappa = 1 + (1+x1^2)/(M + z).  M >= 1, and M = 1 exactly at x1 = 0,
+    where the shift vanishes.  The domain ends where (1+x1^2)/z overflows
+    binary64 (x1 above about 1.3e154, or tiny lambda).
     """
     return _masses((x1,), coupling)[0]
 
@@ -290,15 +342,25 @@ def exact_records(
     ``x1s`` may be any iterable; each x1 is checked as ``dressed_mass``
     checks it, x2 and x3 as ``Point3`` does.
     """
+    row = _flat_row(x1s, x2, x3, coupling)
+    return list(zip(row[1::3], row[0::3], row[2::3]))
+
+
+def _flat_row(x1s: Iterable[float], x2: float, x3: float, coupling: Coupling) -> List[float]:
+    # The one row body: [G2, g, residual] of each x1 in turn, flat and in
+    # the column order of tabulate's CSV, which formats it with one "%";
+    # exact_records regroups it into (g, G2, residual) triples.
     Point3(0.0, x2, x3)  # x2 and x3 fail here with Point3's message
     x1s = tuple(x1s)  # read twice, so a generator is taken in full first
     z = coupling.z
     x2sq, x3sq = x2 * x2, x3 * x3
-    records = []
+    log, log1p = math.log, math.log1p
+    row = []
+    append = row.append
     for x1, mass in zip(x1s, _masses(x1s, coupling)):
         x1sq = x1 * x1
         if mass >= 2.0:
-            g = -z * math.log(mass)
+            g = -z * log(mass)
         else:
             # Near M = 1, log(M) has an absolute, not a relative, error, so
             # d = M - 1 is refined by one Newton step on d + z*log1p(d) = x1^2,
@@ -308,11 +370,18 @@ def exact_records(
             d = mass - 1.0
             if d < 1e-8:
                 d = x1sq / (1.0 + z)
-            d -= (d + z * math.log1p(d) - x1sq) / (1.0 + z / (1.0 + d))
-            g = 0.0 - z * math.log1p(d)  # +0.0, not -0.0, at x1 = 0
+            if d < _TINY:
+                # a subnormal seed keeps few bits: g = -x1^2*z/(1+z) times
+                # 1 - d/(2(1+z)) + O(d^2), a factor that rounds to 1 here
+                g = 0.0 - x1sq * (z / (1.0 + z))  # +0.0, not -0.0, at x1 = 0
+            else:
+                d -= (d + z * log1p(d) - x1sq) / (1.0 + z / (1.0 + d))
+                g = -z * log1p(d)
         try:
-            residual = g + z * math.log(1.0 + x1sq + g)
+            residual = g + z * log(1.0 + x1sq + g)
         except ValueError:  # 1 + x1^2 + g rounded to <= 0
             residual = math.nan
-        records.append((g, 1.0 / (mass + x2sq + x3sq), residual))
-    return records
+        append(1.0 / (mass + x2sq + x3sq))
+        append(g)
+        append(residual)
+    return row

@@ -239,9 +239,10 @@ class TestTabulate:
     @pytest.mark.parametrize(
         "fmt, digest",
         [
-            ("csv", "3e9db357febbbc2a5dceed4d23c755b19d19f73edb28902e42600028819b802a"),
-            ("json", "6ae745c994b03eabd7d5c7978ec593248489892c790f83c50f12b1015bf3fad4"),
+            ("csv", "a1e2a984d5a89bae9c604f921337b513e4881b1ef7588a666dff22fe4aed0074"),
+            ("json", "1fa49a4c962a30c87511a2bb4e1e6e0c7b99bf51a470a4ac1d61e9c9a5758e81"),
         ],
+        ids=["csv", "json"],
     )
     def test_output_bytes_pinned(self, capsys, fmt, digest):
         code, out, _ = run(capsys, "tabulate", *self.PINNED_GRID, "--format", fmt)

@@ -41,48 +41,64 @@ def bisect_w0(y, lo=-1.0, hi=800.0):
 
 def plain_exact_record(x, coupling):
     """Per-record reference: one dressed-mass solve and one record, as
-    ``exact_record`` computed them before the row kernel (checks left out)."""
+    ``exact_record`` computes them, one point at a time (checks left out)."""
     z, x1 = coupling.z, x.x1
     if x1 == 0.0:
         mass = 1.0
     else:
-        mass = z * wright_omega((1.0 + x1 * x1) / z - math.log(z))
+        ratio = (1.0 + x1 * x1) / z
+        t = ratio - math.log(z)
+        omega = wright_omega(t)
+        mass = z * omega if t >= 0.0 else math.exp(ratio - omega)
     if mass >= 2.0:
         g = -z * math.log(mass)
     else:
         d = mass - 1.0
         if d < 1e-8:
             d = x1 * x1 / (1.0 + z)
-        d -= (d + z * math.log1p(d) - x1 * x1) / (1.0 + z / (1.0 + d))
-        g = 0.0 - z * math.log1p(d)
-    return g, 1.0 / (mass + x.x2 * x.x2 + x.x3 * x.x3), g + z * math.log(1.0 + x1 * x1 + g)
+        if d < sys.float_info.min:
+            g = 0.0 - x1 * x1 * (z / (1.0 + z))
+        else:
+            d -= (d + z * math.log1p(d) - x1 * x1) / (1.0 + z / (1.0 + d))
+            g = -z * math.log1p(d)
+    total = 1.0 + x1 * x1 + g
+    residual = g + z * math.log(total) if total > 0.0 else math.nan
+    return g, 1.0 / (mass + x.x2 * x.x2 + x.x3 * x.x3), residual
 
 
-def plain_wright_omega(t):
-    """Reference: ``wright_omega`` as a plain Newton loop, before its per-call
-    costs were cut; the cap is read from ``specialfn`` at call time."""
-    if not math.isfinite(t):
-        raise ValueError(f"wright_omega needs finite t, got {t!r}")
-    if t > 2.0:
-        w = t - math.log(t)
-        last = math.inf
-        for _ in range(specialfn._MAX_ITER):
-            step = (w + math.log(w) - t) * w / (w + 1.0)
-            w -= step
-            if abs(step) <= 1e-16 * w or abs(step) >= last:
-                return w
-            last = abs(step)
-    else:
-        u = t - 1.0 if t > -1.0 else t
-        last = math.inf
-        for _ in range(specialfn._MAX_ITER):
-            eu = math.exp(u)
-            step = (u + eu - t) / (1.0 + eu)
-            u -= step
-            if abs(step) <= 1e-16 * (1.0 + abs(u)) or abs(step) >= last:
-                return math.exp(u)
-            last = abs(step)
-    raise NotConvergedError(f"wright_omega did not converge in {specialfn._MAX_ITER} steps at t={t!r}")
+def mp_omega(mp, t):
+    """omega(t) at the caller's mpmath precision: Newton on w + log(w) = t
+    from a double seed above t = 2, mpmath's W of e^t below."""
+    t = mp.mpf(t)
+    if t <= 2:
+        return mp.lambertw(mp.exp(t)).real
+    w = t - mp.log(t)
+    for _ in range(200):
+        step = (w + mp.log(w) - t) * w / (w + 1)
+        w -= step
+        if abs(step) <= w * mp.mpf(10) ** (5 - mp.mp.dps):
+            return w
+    raise AssertionError(f"mpmath omega did not converge at t={t}")
+
+
+def mass_digits(x1):
+    return 60 + int(2 * math.log10(1.0 + x1))
+
+
+def mp_mass(mp, lam, x1):
+    """(M, a, z) at 60 + 2*log10(1 + x1) digits: Newton on M + z*log(M) = a
+    from the library's double.  g = M - a cancels for a >> |g|, hence the
+    digits; mpmath's findroot from scratch fails at lambda >= 1e50."""
+    digits = mass_digits(x1)
+    with mp.workdps(digits):
+        z, a = mp.pi / 2 * mp.mpf(lam), 1 + mp.mpf(x1) ** 2
+        mass = mp.mpf(dressed_mass(x1, Coupling(lam)))
+        for _ in range(100):
+            step = (mass + z * mp.log(mass) - a) / (1 + z / mass)
+            mass -= step
+            if abs(step) <= mass * mp.mpf(10) ** (5 - digits):
+                return +mass, a, z
+    raise AssertionError(f"mpmath mass did not converge at lambda={lam!r}, x1={x1!r}")
 
 
 def bisect_wm1(y, lo=-800.0, hi=-1.0):
@@ -234,8 +250,8 @@ class TestWrightOmega:
 
     # Inputs on which a 1e-16 relative step test alone never fires: the
     # iterate hops between neighbouring doubles.  The first three are
-    # tabulate grid values (omega's w and u branches), the last two sit
-    # just above -1/e on each Lambert branch (Halley).
+    # tabulate grid values on which an earlier Newton omega hopped so; the
+    # last two sit just above -1/e on each Lambert branch (Halley).
     STALLING_T = (294.22594339693416, 11.458169053626433, -2.5782866577630204)
     STALLING_Y = (-0.3678794393298839, -0.36787943933064693)
 
@@ -264,27 +280,50 @@ class TestWrightOmega:
             assert CountingMath.calls <= 12, (solve.__name__, arg, CountingMath.calls)
 
     @pytest.mark.parametrize("cap", [1, 2, 3, specialfn._MAX_ITER])
-    def test_matches_plain_newton_bit_for_bit(self, monkeypatch, cap):
-        # results and exceptions alike, on both branches, at the default cap
-        # and at caps small enough to stop some solves unconverged
-        def outcome(solve, t):
-            try:
-                return solve(t).hex()
-            except (ValueError, NotConvergedError) as exc:
-                return type(exc).__name__, str(exc)
-
+    def test_relative_accuracy_against_mpmath(self, monkeypatch, cap):
+        # within 8 eps of a 50-digit omega on t in [-700, 1.7e308], at the
+        # default cap and at caps down to one step, which the seeds make the
+        # only one; non-finite t raise ValueError at any cap
+        mp = pytest.importorskip("mpmath")
+        eps = 2.0**-52
         rng = random.Random(41)
-        ts = [rng.uniform(-740.0, 2.0) for _ in range(3000)]
-        ts += [10.0 ** rng.uniform(math.log10(2.0), 300.0) for _ in range(3000)]
-        ts += [-1.0, 2.0, math.nextafter(2.0, 3.0), 1e300, math.inf, -math.inf, math.nan, *self.STALLING_T]
+        ts = [rng.uniform(-700.0, 60.0) for _ in range(1500)] + [rng.uniform(-3.0, 3.0) for _ in range(300)]
+        ts += [10.0 ** rng.uniform(0.0, 308.2) for _ in range(600)]
+        # the ends of the seed pieces, the old solver's stalling inputs and huge t
+        ts += [-2.0, math.nextafter(-2.0, -3.0), -0.5, 1.5, 5.0, 15.0, 50.0, math.nextafter(50.0, 51.0)]
+        ts += [-1.0, 2.0, math.nextafter(2.0, 3.0), 1e160, 1e300, 1.7e308, *self.STALLING_T]
         monkeypatch.setattr(specialfn, "_MAX_ITER", cap)
-        mismatched = [t for t in ts if outcome(wright_omega, t) != outcome(plain_wright_omega, t)]
-        assert mismatched == []
+        worst = (0.0, -math.inf)
+        with mp.workdps(50):
+            for t in ts:
+                err = float(abs(wright_omega(t) / mp_omega(mp, t) - 1)) / eps
+                worst = max(worst, (err, t))
+        assert worst[0] <= 8.0, worst
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="wright_omega needs finite t"):
+                wright_omega(bad)
+
+    def test_underflow_range_is_exp(self):
+        # below t = -37.5, omega = e^(t - omega) is e^t to the last bit: it
+        # turns subnormal below -708 and is 0.0 below about -745.13
+        want = {-745.0: "0x0.0000000000001p-1022", -745.13: "0x0.0000000000001p-1022", -745.14: "0x0.0p+0"}
+        want.update({t: "0x0.0p+0" for t in (-745.2, -746.0, -800.0, -1e5, -1.7e308)})
+        assert {t: wright_omega(t).hex() for t in want} == want
+        rng = random.Random(3)
+        ts = [rng.uniform(-746.0, -37.5) for _ in range(3000)] + [rng.uniform(-746.0, -708.0) for _ in range(3000)]
+        assert [t for t in ts if wright_omega(t) != math.exp(t)] == []
 
     def test_iteration_cap_raises(self, monkeypatch):
+        # seeds 1-5 % off still converge, in more than one step, so a cap
+        # of one step raises on each seed region that reads a table
+        fits = tuple((hi, centre, 1.05 * c0, *c) for hi, centre, c0, *c in specialfn._OMEGA_FITS)
+        monkeypatch.setattr(specialfn, "_OMEGA_FITS", fits)
+        monkeypatch.setattr(specialfn, "_OMEGA_SMALL", (0.5, 0.0, 0.0))
+        for t in (-5.0, 0.5, 3.0, 40.0):
+            assert wright_omega(t) == pytest.approx(bisect_w0(math.exp(t)), rel=1e-13)
         monkeypatch.setattr(specialfn, "_MAX_ITER", 1)
-        for t in (3.0, 0.5):
-            with pytest.raises(NotConvergedError):
+        for t in (-5.0, 0.5, 3.0, 40.0):
+            with pytest.raises(NotConvergedError, match="did not converge in 1 steps"):
                 wright_omega(t)
         with pytest.raises(NotConvergedError):
             lambert_w0(-0.3)
@@ -401,8 +440,9 @@ class TestAlgebraicResidual:
         nans = []
         for lam, x1 in points + cancelling:
             g, g2, residual = exact_record(Point3(x1, 0.0, 0.0), Coupling(lam))
-            # G2 = 1/M <= 1, up to M's error of about |t|*eps, |t| < 700 here
-            assert math.isfinite(g) and 0.0 < g2 < 1.0 + 700 * 2.0**-52, (lam, x1)
+            # G2 = 1/M <= 1: M >= 1 holds in binary64 too, since M carries
+            # no error of order |t|*eps that could take it below 1
+            assert math.isfinite(g) and 0.0 < g2 <= 1.0, (lam, x1)
             assert math.isnan(residual) == (1.0 + x1 * x1 + g <= 0.0), (lam, x1)
             if math.isnan(residual):
                 nans.append((lam, x1))
@@ -416,7 +456,7 @@ class TestExactRecords:
 
     def test_matches_plain_record_bit_for_bit(self):
         rng = random.Random(16)
-        lams = [1e-4, 1e6] + [10.0 ** rng.uniform(-4, 6) for _ in range(40)]
+        lams = [1e-4, 1e6, 1e300] + [10.0 ** rng.uniform(-4, 6) for _ in range(40)]
         x1s = list(self.X1S) + [10.0 ** rng.uniform(-12, 8) for _ in range(40)]
         branches = set()
         for lam in lams:
@@ -430,12 +470,16 @@ class TestExactRecords:
                 mass = dressed_mass(x1, c)
                 if mass >= 2.0:
                     branches.add("M >= 2")
+                elif mass - 1.0 >= 1e-8:
+                    branches.add("M < 2, d >= 1e-8")
                 else:
-                    branches.add("M < 2, d < 1e-8" if mass - 1.0 < 1e-8 else "M < 2, d >= 1e-8")
+                    tiny = x1 * x1 / (1.0 + c.z) < sys.float_info.min
+                    branches.add("M < 2, subnormal d" if tiny else "M < 2, d < 1e-8")
                 if x1 != 0.0:
                     t = (1.0 + x1 * x1) / c.z - math.log(c.z)
-                    branches.add("omega t <= 2" if t <= 2.0 else "omega t > 2")
-        assert branches == {"M >= 2", "M < 2, d < 1e-8", "M < 2, d >= 1e-8", "omega t <= 2", "omega t > 2"}
+                    branches.add("t < 0" if t < 0.0 else "t >= 0")
+        want = {"M >= 2", "M < 2, d >= 1e-8", "M < 2, d < 1e-8", "M < 2, subnormal d", "t < 0", "t >= 0"}
+        assert branches == want
 
     def test_wrappers_are_one_row(self):
         c = Coupling(0.7)
@@ -505,3 +549,71 @@ class TestRelativeAccuracy:
             c = Coupling(lam)
             assert abs(g_shift(0.0, c)) <= 1e-13
             assert g2_exact(Point3(0.0, 0.5, 2.0), c) == pytest.approx(1.0 / 5.25, rel=1e-13)
+
+
+class TestMassAccuracySweep:
+    """M, g and G2 over the whole domain, relative to M's condition number.
+
+    kappa = 1 + a/(M + z), a = 1 + x1^2, is the condition number of M in a:
+    the rounding of a alone moves M by eps*kappa.  The oracle is Newton on
+    M + z*log(M) = a at 60 + 2*log10(1 + x1) digits (``mp_mass``).
+    """
+
+    CORNERS = [(lam, x1) for lam in (1e-4, 1.0, 1e150, 1e300) for x1 in (0.0, 1e-9, 1e-8, 1.0, 1e150)]
+    # where the old mass lost 255 eps and the old g 2.7e-10 (relative)
+    CORNERS += [(7.6e250, 5.8e11), (7.1e299, 1.6e-8)]
+
+    def points(self):
+        rng = random.Random(27)
+        points = [(10.0 ** rng.uniform(-4, 300), 10.0 ** rng.uniform(-9, 150)) for _ in range(1300)]
+        points += [(10.0 ** rng.uniform(-4, 300), 0.0) for _ in range(20)]
+        return [(lam, x1) for lam, x1 in points + self.CORNERS if (1.0 + x1 * x1) / Coupling(lam).z < math.inf]
+
+    def test_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        eps = 2.0**-52
+        rng = random.Random(28)
+        worst = {"M": (0.0, ()), "g": (0.0, ()), "G2": (0.0, ())}
+        regions = set()
+        for lam, x1 in self.points():
+            c = Coupling(lam)
+            x2, x3 = rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0)
+            mass = dressed_mass(x1, c)
+            g, g2, _ = exact_record(Point3(x1, x2, x3), c)
+            if x1 == 0.0:
+                assert mass == 1.0 and g == 0.0 and math.copysign(1.0, g) == 1.0, lam
+                continue
+            regions.add("t < 0" if (1.0 + x1 * x1) / c.z < math.log(c.z) else "t >= 0")
+            regions.add("M >= 2" if mass >= 2.0 else "M < 2")
+            ref, a, z = mp_mass(mp, lam, x1)
+            with mp.workdps(mass_digits(x1)):
+                kappa = float(1 + a / (ref + z))
+                errs = {
+                    "M": abs(mass / ref - 1),
+                    "g": abs(g / (ref - a) - 1),
+                    "G2": abs(g2 * (ref + mp.mpf(x2) ** 2 + mp.mpf(x3) ** 2) - 1),
+                }
+                for name, err in errs.items():
+                    worst[name] = max(worst[name], (float(err) / (eps * kappa), (lam, x1)))
+        assert regions == {"t < 0", "t >= 0", "M >= 2", "M < 2"}
+        assert worst["M"][0] <= 2.0 and worst["G2"][0] <= 2.0 and worst["g"][0] <= 4.0, worst
+
+    def test_masses_match_the_paper_lambert_form(self):
+        # the paper's M = z*W(e^(a/z)/z) through lambert_w0, wherever that
+        # argument is a finite normal double; W0 reaches W through
+        # log(e^(a/z)/z), whose rounding costs it |log(y)|*eps
+        eps = 2.0**-52
+        rng = random.Random(29)
+        checked = 0
+        for _ in range(3000):
+            c, x1 = Coupling(10.0 ** rng.uniform(-4, 300)), 10.0 ** rng.uniform(-9, 150)
+            ratio = (1.0 + x1 * x1) / c.z
+            y = math.exp(ratio) / c.z if ratio < 709.0 else math.inf
+            if not sys.float_info.min <= y < math.inf:
+                continue
+            checked += 1
+            mass, paper = specialfn._masses([x1], c)[0], c.z * lambert_w0(y)
+            kappa = 1.0 + (1.0 + x1 * x1) / (mass + c.z)
+            assert abs(mass / paper - 1) <= 2 * eps * (kappa + abs(math.log(y))), (c.lam, x1)
+        assert checked > 1000
+
