@@ -20,6 +20,18 @@ M and G2 are within 2*eps*kappa and g within 4*eps*kappa of a
 high-precision oracle, kappa = 1 + (1+x1^2)/(M + z) being M's condition
 number in 1 + x1^2.  Real positive couplings keep the argument positive, so only the principal
 branch enters the solution; W_{-1} is provided for completeness/testing.
+
+omega and both real Lambert branches iterate in one loop, ``_fsc``:
+Fritsch-Shafer-Crowley steps on log(v) + y*v = t0, whose w = y*v solves
+w*e^w = y*e^t0; they differ only in seed and (y, t0).  omega takes
+(1, t) above t = -2 and (e^t, 0) below; W0 goes through omega(log(y))
+above y = e^-2, takes (y, 0) on [0, e^-2], so no rounded log(y) enters,
+and (y, 0) for y < 0; W_{-1} takes (-1, log(-y)), in which e^w cannot
+underflow.  Within p = sqrt(2(e*y + 1)) < 1e-4 of -1/e both branches
+are the branch-point series.  For y < 0 the loop's forms round log(v)
+or log(-y), which can leave |w| > 512 an ulp off, so one Newton step on
+w*e^w = y itself follows it wherever y is a normal double.  Every exit
+of the loop other than convergence raises ``NotConvergedError``.
 """
 
 from __future__ import annotations
@@ -52,8 +64,11 @@ _BRANCH_POINT = -math.exp(-1.0)
 # smallest positive normal double
 _TINY = sys.float_info.min
 
-# iteration cap of the omega, Newton and Halley solvers; the step tests
-# stop them within a few steps, so reaching it means a bug, not a hard input
+# e^-2: below it W0(y) is solved from y itself, above it from log(y)
+_E_M2 = math.exp(-2.0)
+
+# iteration cap of the one loop, _fsc; its step test stops it within a
+# few steps, so reaching the cap means a bug, not a hard input
 _MAX_ITER = 100
 
 
@@ -113,6 +128,34 @@ _OMEGA_FITS = (
 _OMEGA_SMALL = (-0.99972369, 1.4626858, -1.8663062)
 
 
+def _fsc(y: float, v: float, t0: float) -> float:
+    # The one iteration body of omega and both real Lambert branches:
+    # Fritsch-Shafer-Crowley steps on log(v) + y*v = t0 from the seed v > 0,
+    # returning w = y*v, the root of w*e^w = y*e^t0.  In w the equation is
+    # w + log(w/y) = t0, whose derivative 1 + 1/w is omega's for either
+    # sign of y, so the step is omega's too.
+    log = math.log
+    n = _MAX_ITER
+    while (n := n - 1) >= 0:
+        w = y * v
+        p = 1.0 + w
+        s = (t0 - w - log(v)) / p
+        h = s / p
+        c = 1.0 + s * (2.0 / 3.0)
+        d = s * (c - 0.5 * h) / (c - h)
+        v += v * d
+        if -1e-4 <= d <= 1e-4:
+            return y * v
+    raise NotConvergedError(f"w*e^w = y*e^t0 did not converge in {_MAX_ITER} steps at y={y!r}, t0={t0!r}")
+
+
+def _w0_small(y: float) -> float:
+    # W0(y) for 0 <= y <= e^-2 as y*v, solving log(v) + y*v = 0 for v = W0(y)/y
+    # from the economised seed: y is taken as exact, so nothing rounds a log(y)
+    q0, q1, q2 = _OMEGA_SMALL
+    return _fsc(y, 1.0 + y * (q0 + y * (q1 + y * q2)), 0.0)
+
+
 def wright_omega(t: float) -> float:
     """Solve w + log(w) = t for the unique positive w, for finite t.
 
@@ -123,7 +166,7 @@ def wright_omega(t: float) -> float:
     * t > 50: the asymptotic series t - L + L/t, L = log(t);
     * -2 <= t <= 50: a degree-5 polynomial fit on one of five pieces
       (``_OMEGA_FITS``);
-    * t < -2: omega = W(y) with y = e^t, from the e^t series of W
+    * t < -2: omega = W0(y) with y = e^t, from the e^t series of W
       economised to degree 2 (``_OMEGA_SMALL``).
 
     For t < -2 the steps solve y*v*e^(y*v) = y for v = omega/y, with y
@@ -138,54 +181,19 @@ def wright_omega(t: float) -> float:
     (1 + w)^2 overflows up to the largest double.  More than ``_MAX_ITER``
     steps raise ``NotConvergedError``.
     """
-    log = math.log
-    t0 = t  # log(y) + y*v + log(v) = t, so log(v) + y*v = t - log(y)
     if 50.0 < t < math.inf:
-        lt = log(t)
-        y, v = 1.0, t - lt + lt / t
-    elif -2.0 <= t <= 50.0:
+        lt = math.log(t)
+        return _fsc(1.0, t - lt + lt / t, t)
+    if -2.0 <= t <= 50.0:
         for fit in _OMEGA_FITS:
             if t <= fit[0]:
                 break
         _, centre, c0, c1, c2, c3, c4, c5 = fit
         u = t - centre
-        y, v = 1.0, c0 + u * (c1 + u * (c2 + u * (c3 + u * (c4 + u * c5))))
-    elif -math.inf < t < -2.0:
-        q0, q1, q2 = _OMEGA_SMALL
-        y, t0 = math.exp(t), 0.0
-        v = 1.0 + y * (q0 + y * (q1 + y * q2))
-    else:
-        raise ValueError(f"wright_omega needs finite t, got {t!r}")
-    n = _MAX_ITER
-    while (n := n - 1) >= 0:
-        w = y * v
-        p = 1.0 + w
-        s = (t0 - w - log(v)) / p
-        h = s / p
-        c = 1.0 + s * (2.0 / 3.0)
-        d = s * (c - 0.5 * h) / (c - h)
-        v += v * d
-        if -1e-4 <= d <= 1e-4:
-            return y * v
-    raise NotConvergedError(f"wright_omega did not converge in {_MAX_ITER} steps at t={t!r}")
-
-
-def _halley_we_w(w: float, y: float) -> float:
-    # Halley refinement for w*e^w = y; valid on either real branch given a
-    # seed on that branch and away from the branch point.  Stops at a
-    # relative step of 1e-16 or once the step no longer shrinks, which in
-    # binary64 can come first.
-    last = math.inf
-    for _ in range(_MAX_ITER):
-        ew = math.exp(w)
-        f = w * ew - y
-        w1 = w + 1.0
-        step = f / (ew * w1 - (w + 2.0) * f / (2.0 * w1))
-        w -= step
-        if abs(step) <= 1e-16 * (1.0 + abs(w)) or abs(step) >= last:
-            return w
-        last = abs(step)
-    raise NotConvergedError(f"Halley iteration did not converge in {_MAX_ITER} steps at y={y!r}")
+        return _fsc(1.0, c0 + u * (c1 + u * (c2 + u * (c3 + u * (c4 + u * c5)))), t)
+    if -math.inf < t < -2.0:
+        return _w0_small(math.exp(t))
+    raise ValueError(f"wright_omega needs finite t, got {t!r}")
 
 
 def _branch_series(p: float) -> float:
@@ -193,58 +201,47 @@ def _branch_series(p: float) -> float:
     return -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
 
 
+def _newton(w: float, y: float) -> float:
+    # one Newton step on w*e^w = y itself, which the log forms of y or v round
+    ew = math.exp(w)
+    return w - (w * ew - y) / (ew * (1.0 + w))
+
+
 def lambert_w0(y: float) -> float:
     """Principal Lambert branch: w >= -1 with w*e^w = y, for finite y >= -1/e."""
     if not (_BRANCH_POINT <= y < math.inf):  # also rejects NaN
         raise ValueError(f"lambert_w0 needs finite y >= -1/e, got {y!r}")
-    if y == 0.0:
-        return 0.0
-    if y > 0.0:
+    if y > _E_M2:
         return wright_omega(math.log(y))
+    if y >= 0.0:
+        return _w0_small(y)
     p = math.sqrt(max(0.0, 2.0 * (math.e * y + 1.0)))
     if p < 1e-4:
         return _branch_series(p)  # truncation error ~ 1e-16 here
-    if y < -0.3:
-        w = _branch_series(p)
-    else:
-        w = y * (1.0 - y)  # two-term Taylor seed around 0
-    return _halley_we_w(w, y)
-
-
-def _wm1_log(s: float) -> float:
-    # -W_{-1}(y) for s = -log(-y), the root v of v - log(v) = s: Newton from
-    # v = s + log(s) in log space, where e^w cannot underflow; stops like
-    # _halley_we_w
-    v, last = s + math.log(s), math.inf
-    for _ in range(_MAX_ITER):
-        step = (v - math.log(v) - s) * v / (v - 1.0)
-        v -= step
-        if abs(step) <= 1e-16 * v or abs(step) >= last:
-            return v
-        last = abs(step)
-    raise NotConvergedError(f"lambert_wm1 did not converge in {_MAX_ITER} steps at log(-y)={-s!r}")
+    w = _branch_series(p) if y < -0.3 else y * (1.0 - y)  # two Taylor terms about 0
+    return _newton(_fsc(y, w / y, 0.0), y)
 
 
 def lambert_wm1(y: float) -> float:
     """Secondary real branch: w <= -1 with w*e^w = y, for -1/e <= y < 0."""
     if not (_BRANCH_POINT <= y < 0.0):
         raise ValueError(f"lambert_wm1 needs -1/e <= y < 0, got {y!r}")
-    if y > -_TINY:
-        # subnormal y: e^w underflows in the Halley step, so solve in log
-        # space and check the relative residual there, as log(w*e^w / y)
-        w = -_wm1_log(-math.log(-y))
-        off = abs(w + math.log(-w) - math.log(-y)) > 1e-10
+    p = math.sqrt(max(0.0, 2.0 * (math.e * y + 1.0)))
+    if p < 1e-4:
+        return _branch_series(-p)
+    l1 = math.log(-y)
+    if y < -0.25:
+        w = _branch_series(-p)
     else:
-        p = math.sqrt(max(0.0, 2.0 * (math.e * y + 1.0)))
-        if p < 1e-4:
-            return _branch_series(-p)
-        if y < -0.25:
-            w = _branch_series(-p)
-        else:
-            l1 = math.log(-y)
-            l2 = math.log(-l1)
-            w = l1 - l2 + l2 / l1
-        w = _halley_we_w(w, y)
+        l2 = math.log(-l1)
+        w = l1 - l2 + l2 / l1
+    # v = -w solves log(v) - v = log(-y), where e^w cannot underflow
+    w = _fsc(-1.0, -w, l1)
+    if y > -_TINY:
+        # subnormal y: e^w underflows, so the residual is log(w*e^w / y)
+        off = abs(w + math.log(-w) - l1) > 1e-10
+    else:
+        w = _newton(w, y)
         off = abs(w * math.exp(w) - y) > 1e-10 * abs(y)
     # w*e^w is decreasing on (-inf, -1]; a root off that branch or a loose
     # residual means the seed was not on it

@@ -211,15 +211,40 @@ class TestLambert:
                 assert abs(w / mp.lambertw(y, -1).real - 1) <= 1e-15, y
 
     def test_wm1_off_branch_raises(self, monkeypatch):
-        # a Halley root on the principal branch is reported, not repaired
-        halley = specialfn._halley_we_w
-        monkeypatch.setattr(specialfn, "_halley_we_w", lambda w, y: halley(-0.5, y))
+        # a root of the shared loop on the principal branch is reported, not repaired
+        fsc = specialfn._fsc
+        monkeypatch.setattr(specialfn, "_fsc", lambda y, v, t0: -0.5)
         with pytest.raises(NotConvergedError, match="secondary branch"):
             lambert_wm1(-0.2)
         # below the smallest normal double the residual is checked in log space
-        monkeypatch.setattr(specialfn, "_wm1_log", lambda s: 1.001 * s)
+        monkeypatch.setattr(specialfn, "_fsc", lambda y, v, t0: 1.001 * fsc(y, v, t0))
         with pytest.raises(NotConvergedError, match="secondary branch"):
             lambert_wm1(-1e-310)
+
+    def test_both_branches_against_mpmath(self):
+        # within eps*kappa of a 50-digit W, kappa = 1 + 1/|1 + W| being W's
+        # condition number in y: small positive y (which W0 solves from y
+        # itself, not from log(y)), uniform negative y, y near -1/e and y
+        # towards 0 on both branches
+        mp = pytest.importorskip("mpmath")
+        eps = 2.0**-52
+        rng = random.Random(43)
+        n = 500
+        pos = [10.0 ** rng.uniform(-307.0, -2.0 / math.log(10.0)) for _ in range(n)]
+        pos += [1e-307, 1e-300, 1.2e-285, math.exp(-2.0), math.nextafter(math.exp(-2.0), 1.0)]
+        neg = [rng.uniform(_BRANCH_POINT, 0.0) for _ in range(n)]
+        neg += [_BRANCH_POINT + 10.0 ** -rng.uniform(1.0, 16.0) for _ in range(n)]
+        neg += [-(10.0 ** -rng.uniform(0.44, 307.5)) for _ in range(n)]
+        neg = [y for y in neg if _BRANCH_POINT <= y < 0.0] + [_BRANCH_POINT]
+        worst = {}
+        with mp.workdps(50):
+            for name, solve, branch, ys in (("W0", lambert_w0, 0, pos + neg), ("W-1", lambert_wm1, -1, neg)):
+                worst[name] = (0.0, 0.0)
+                for y in ys:
+                    ref = mp.lambertw(y, branch).real
+                    kappa = float(1 + 1 / abs(1 + ref))
+                    worst[name] = max(worst[name], (float(abs(solve(y) / ref - 1)) / (eps * kappa), y))
+        assert worst["W0"][0] <= 1.0 and worst["W-1"][0] <= 1.0, worst
 
 
 class TestWrightOmega:
@@ -251,13 +276,15 @@ class TestWrightOmega:
     # Inputs on which a 1e-16 relative step test alone never fires: the
     # iterate hops between neighbouring doubles.  The first three are
     # tabulate grid values on which an earlier Newton omega hopped so; the
-    # last two sit just above -1/e on each Lambert branch (Halley).
+    # last two sit just above -1/e on each Lambert branch, where an earlier
+    # Halley solver hopped so.
     STALLING_T = (294.22594339693416, 11.458169053626433, -2.5782866577630204)
     STALLING_Y = (-0.3678794393298839, -0.36787943933064693)
 
     def test_iterations_bounded(self, monkeypatch):
         class CountingMath:
-            # one exp or log per solver step, plus one for seed or result
+            # one log per step of the shared loop, plus a few for seed,
+            # Newton step and residual
             calls = 0
 
             def __getattr__(self, name):
@@ -327,6 +354,8 @@ class TestWrightOmega:
                 wright_omega(t)
         with pytest.raises(NotConvergedError):
             lambert_w0(-0.3)
+        with pytest.raises(NotConvergedError):
+            lambert_wm1(-0.2)
 
 
 class TestShiftAndSolution:
@@ -600,8 +629,7 @@ class TestMassAccuracySweep:
 
     def test_masses_match_the_paper_lambert_form(self):
         # the paper's M = z*W(e^(a/z)/z) through lambert_w0, wherever that
-        # argument is a finite normal double; W0 reaches W through
-        # log(e^(a/z)/z), whose rounding costs it |log(y)|*eps
+        # argument is a finite normal double
         eps = 2.0**-52
         rng = random.Random(29)
         checked = 0
@@ -614,6 +642,6 @@ class TestMassAccuracySweep:
             checked += 1
             mass, paper = specialfn._masses([x1], c)[0], c.z * lambert_w0(y)
             kappa = 1.0 + (1.0 + x1 * x1) / (mass + c.z)
-            assert abs(mass / paper - 1) <= 2 * eps * (kappa + abs(math.log(y))), (c.lam, x1)
+            assert abs(mass / paper - 1) <= 2 * eps * (kappa + 1.0), (c.lam, x1)
         assert checked > 1000
 
