@@ -8,12 +8,17 @@ suite, the Lambert-W resummed non-perturbative solution, adaptive
 quadrature residual checks and the recursion for higher-point functions.
 
 Caching policy: a pure function of integer indices whose results are
-immutable (unsigned Stirling rows, the integers k! a(n,k,m) of both routes,
-H_k over k!, the integer columns of perturbative orders and tadpoles, and
-their float columns) is memoised for the life of the process by
-``functools.cache`` on a private helper; no ``LogSeries`` is cached.  Public
-names stay plain functions that check their arguments on every call and then
-delegate.  The one other memo, ``connected_2k``'s over point subsets, is a per-call ``functools.cache``.
+immutable (unsigned Stirling rows, factorials, the closed-form integers
+k! a(n,k,m), H_k over k!, the integer columns of perturbative orders and
+tadpoles, and their float columns) is memoised for the life of the process
+by ``functools.cache`` on a private helper; no ``LogSeries`` is cached.  The
+integers k! a(n,k,m) of each route, closed form and recurrences, also live
+in one column table per route, cached the same way, that only ever grows:
+it is filled bottom-up through the largest order asked, one order at a
+time.  The CLI builds its argument parser once per process.  Public names
+stay plain functions that check their arguments on every call and then
+delegate.  The one other memo, ``connected_2k``'s over point subsets, is a
+per-call ``functools.cache``.
 
 The value types are frozen records built from closures by one class
 decorator, ``errors._record``, which compiles no code, so importing the

@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from contextlib import nullcontext
+from functools import cache
 from typing import Iterable, List, Optional, Sequence
 
 from . import __version__
@@ -232,10 +233,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # the one parser of the process: parsing leaves a parser as it was
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -5,10 +5,17 @@ family a(n, k, m) that organizes the logarithmic terms of the perturbative
 2-point function.  Everything here is exact.  The family is carried as the
 integer B(n, k, m) = k! a(n, k, m) = C(n-1, m-1) m! |s(n-m, n-k)|: its
 recurrences are integer sums with integer scale factors, and B is divided
-by k! only where a public ``fractions.Fraction`` is made.  The identity
-checks sum over denominators known in closed form; ``_pair_sum``, which
-adds reduced (num, den) pairs at the LCM of their denominators, remains
-for the harmonic identity's right-hand side and the big Stirling
+by k! only where a public ``fractions.Fraction`` is made.
+
+Each route to B, the closed form and the recurrences, fills one cached
+table of integer columns, ``col[k][m]`` a list over N of B(N, k, m),
+bottom-up one order at a time (``_columns``); a table grows to the
+largest order asked of it and is never rebuilt.  ``_generic_rhs`` is the
+one body of the generic recurrence: the recurrence table runs it on its
+own columns and the big Stirling check on the closed-form columns.  The
+identity checks sum over denominators known in closed form; ``_pair_sum``,
+which adds reduced (num, den) pairs at the LCM of their denominators,
+remains for the harmonic identity's right-hand side and the big Stirling
 identity's printed side.
 
 Conventions
@@ -23,7 +30,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 from math import comb, factorial, gcd, lcm
+from operator import mul
 from typing import Callable, Dict, Iterable, Mapping, Tuple
 
 from .errors import _record
@@ -129,48 +138,78 @@ def a_closed(n: int, k: int, m: int) -> Fraction:
     return Fraction(_closed_int(n, k, m), factorial(k))
 
 
-def _generic_rhs(n: int, k: int, m: int, b: Callable[[int, int, int], int]) -> int:
+@cache
+def _factorials(n: int) -> Tuple[int, ...]:
+    return tuple(accumulate(range(1, n + 1), mul, initial=1))  # 0!, 1!, ..., n!
+
+
+def _generic_rhs(n: int, k: int, m: int, col: list) -> int:
     """k! times the right-hand side of the generic recurrence (2 <= m <= k <= n-2).
 
-    ``b(n, k, m)`` supplies B = k! a as integers: the closed form, or the
-    recurrence itself.  Each sum_l a(N-1, K, l)/l reads as a(N, K, 1) by
-    ``_recur_int``'s m = 1 rule (K <= N-2 throughout); k = n-2 empties the
-    p-sum.  Each term's scale factor is k! over the k-index factorials of
-    its B's, an integer: k, k!/(k-m+1)!, k!/(r! (k-r)) and C(k, r).
+    ``col[K][M][N]`` is B(N, K, M) = K! a(N, K, M) through order n - 1 at
+    least: the closed form's columns or the recurrence's own.  Each
+    sum_l a(N-1, K, l)/l reads as a(N, K, 1) by the m = 1 rule (K <= N-2
+    throughout), so each p-sum is one product of two column slices,
+    B(p+1, k-r, 1) going up and B(n-p-1, r, m-1) going down; k = n-2
+    empties it.  Each term's scale factor is k! over the k-index factorials
+    of its B's, an integer: k, k!/(k-m+1)!, k!/(r! (k-r)) and C(k, r).
     """
-    fk = factorial(k)
-    total = k * b(n - 1, k - 1, m - 1) + fk // factorial(k - m + 1) * b(n - m + 1, k - m + 1, 1)
+    f = _factorials(k)
+    total = k * col[k - 1][m - 1][n - 1] + f[k] // f[k - m + 1] * col[k - m + 1][1][n - m + 1]
     for r in range(m - 1, k):
-        tail = sum(b(p + 1, k - r, 1) * b(n - p - 1, r, m - 1) for p in range(k - r + 1, n - 1 - r))
-        total += fk // (factorial(r) * (k - r)) * b(n - 1 + r - k, r, m - 1) + comb(k, r) * tail
+        low = col[r][m - 1]
+        tail = sum(map(mul, col[k - r][1][k - r + 2 : n - r], low[n - k + r - 2 : r : -1]))
+        total += f[k] // (f[r] * (k - r)) * low[n - 1 + r - k] + comb(k, r) * tail
     return total
 
 
-@cache
-def _recur_int(n: int, k: int, m: int) -> int:
+def _recur_row(col: list, n: int, k: int) -> list:
+    # B(n,k,m) for m = 1..k from the recurrences on the orders below n
     if k == n - 1:
-        if m == 1:
-            return factorial(n - 2)
-        return factorial(n - 1) // (n - m) + (n - 1) * _recur_int(n - 1, n - 2, m - 1)
-    if m == 1:
-        # applies for k <= n-2; at k = 1 it reduces to a(n,1,1) = a(n-1,1,1).
-        # l! divides B(n-1,k,l), so a quotient with a remainder is a defect
-        quotients = [divmod(_recur_int(n - 1, k, l), l) for l in range(1, k + 1)]
-        if any(rem for _, rem in quotients):
-            raise ArithmeticError(f"some B({n - 1},{k},l) is not a multiple of l <= {k}")
-        return sum(q for q, _ in quotients)
-    # generic case: 2 <= m <= k <= n-2
-    return _generic_rhs(n, k, m, _recur_int)
+        return [factorial(k - 1)] + [factorial(k) // (n - m) + k * col[k - 1][m - 1][k] for m in range(2, n)]
+    # m = 1 for k <= n-2; at k = 1 it reduces to a(n,1,1) = a(n-1,1,1).
+    # l! divides B(n-1,k,l), so a quotient with a remainder is a defect
+    quotients, rems = zip(*(divmod(col[k][l][n - 1], l) for l in range(1, k + 1)))
+    if any(rems):
+        raise ArithmeticError(f"some B({n - 1},{k},l) is not a multiple of l <= {k}")
+    return [sum(quotients)] + [_generic_rhs(n, k, m, col) for m in range(2, k + 1)]
+
+
+def _closed_row(col: list, n: int, k: int) -> list:
+    return [_closed_int(n, k, m) for m in range(1, k + 1)]
+
+
+@cache
+def _table(row: Callable) -> list:
+    return [[]]  # the unused col[0] alone: a table holds orders up to len(col)
+
+
+def _columns(top: int, row: Callable) -> list:
+    """A route's one table, col[k][m] a list over N of B(N, k, m), grown through order top.
+
+    It is filled bottom-up, one order at a time: ``row(col, n, k)`` makes
+    B(n, k, m) for m = 1..k from the orders below n, and order n is
+    appended once all its rows are made, so an error leaves the table whole.
+    """
+    col = _table(row)
+    for n in range(len(col) + 1, top + 1):
+        rows = [row(col, n, k) for k in range(1, n)]
+        col.append([None] + [[0] * n for _ in range(1, n)])
+        for k, values in enumerate(rows, 1):
+            for column, b in zip(col[k][1:], values):
+                column.append(b)
+    return col
 
 
 def a_recur(n: int, k: int, m: int) -> Fraction:
     """Coefficient a(n,k,m) from the recurrence system alone.
 
     Seeded by a(2,1,1) = 1; independent of the closed form, so the two
-    routes can be compared exactly.
+    routes can be compared exactly.  A cold call builds the whole
+    recurrence table through order n.
     """
     _check_index(n, k, m)
-    return Fraction(_recur_int(n, k, m), factorial(k))
+    return Fraction(_columns(n, _recur_row)[k][m][n], factorial(k))
 
 
 @_record
@@ -181,11 +220,12 @@ class CoeffTable:
     entries: Mapping[Index, Fraction]
 
     @classmethod
-    def _build(cls, max_order: int, b: Callable[[int, int, int], int]) -> "CoeffTable":
+    def _build(cls, max_order: int, row: Callable) -> "CoeffTable":
         if max_order < 2:
             raise ValueError("max_order must be >= 2")
+        col, f = _columns(max_order, row), _factorials(max_order)
         entries = {
-            (n, k, m): Fraction(b(n, k, m), factorial(k))
+            (n, k, m): Fraction(col[k][m][n], f[k])
             for n in range(2, max_order + 1)
             for k in range(1, n)
             for m in range(1, k + 1)
@@ -194,11 +234,11 @@ class CoeffTable:
 
     @classmethod
     def from_closed_form(cls, max_order: int) -> "CoeffTable":
-        return cls._build(max_order, _closed_int)
+        return cls._build(max_order, _closed_row)
 
     @classmethod
     def from_recurrences(cls, max_order: int) -> "CoeffTable":
-        return cls._build(max_order, _recur_int)
+        return cls._build(max_order, _recur_row)
 
     def __getitem__(self, key: Index) -> Fraction:
         n, k, m = key
@@ -300,7 +340,7 @@ def check_identity_big_stirling(n: int, k: int, m: int) -> IdentityCheck:
     # ground truth is the recurrence acting on the coefficients themselves
     return IdentityCheck(
         a_closed(n, k, m),
-        Fraction(_generic_rhs(n, k, m, _closed_int), factorial(k)),
+        Fraction(_generic_rhs(n, k, m, _columns(n, _closed_row)), factorial(k)),
         printed_lhs,
         Fraction(*_pair_sum(terms)),
     )

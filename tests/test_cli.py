@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from melontft import specialfn
+from melontft import cli, specialfn
 from melontft.cli import main
 from melontft.specialfn import Coupling, Point3, g2_exact, g_shift, sde_residual_algebraic
 
@@ -445,6 +445,28 @@ def test_domain_error_keeps_existing_output(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv, "--output", str(path))
     assert code == 2 and out == "" and err.startswith("error: ")
     assert path.read_bytes() == b"kept\n"
+
+
+def test_one_parser_per_process(capsys, monkeypatch):
+    # main parses with one cached parser; build_parser stays a fresh one per call
+    real, built = cli.build_parser, []
+
+    def counting():
+        built.append(real())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        assert run(capsys, "coeffs", "--max-order", "3")[0] == 0
+        assert run(capsys, "eval", "--lambda", "1")[0] == 2  # usage error: --x missing
+        assert run(capsys, "coeffs", "--max-order", "3", "--source", "bogus")[0] == 2
+        code, out, _ = run(capsys, "coeffs", "--max-order", "3", "--source", "recur")
+        assert code == 0 and json.loads(out)["source"] == "recur"
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+    assert real() is not real()
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"

@@ -158,30 +158,31 @@ class TestCoefficients:
             assert a_closed(n, n - 1, 1) == Fraction(1, n - 1)
 
     @pytest.mark.parametrize(
-        "a, b, top",
-        [(a_closed, combinatorics._closed_int, 12), (a_recur, combinatorics._recur_int, 20)],
+        "a, row, top",
+        [(a_closed, combinatorics._closed_row, 12), (a_recur, combinatorics._recur_row, 20)],
         ids=["closed", "recur"],
     )
-    def test_folded_generic_rhs_matches_paper_form(self, a, b, top):
+    def test_folded_generic_rhs_matches_paper_form(self, a, row, top):
         # every generic index 2 <= m <= k <= n-2; n <= 12 is the big-Stirling range;
-        # _generic_rhs is k! times the right-hand side, over the integers k! a
+        # _generic_rhs is k! times the right-hand side, over the integer columns of k! a
+        col = combinatorics._columns(top, row)
         for n in range(4, top + 1):
             for k in range(2, n - 1):
                 for m in range(2, k + 1):
-                    rhs = Fraction(combinatorics._generic_rhs(n, k, m, b), math.factorial(k))
+                    rhs = Fraction(combinatorics._generic_rhs(n, k, m, col), math.factorial(k))
                     assert rhs == paper_generic_rhs(n, k, m, a) == a(n, k, m), (n, k, m)
 
     def test_recurrence_route_never_reads_closed_form(self, monkeypatch):
-        # the recurrence cache lives for the process; a cold rebuild with the
+        # the recurrence table lives for the process; a cold rebuild with the
         # closed form unavailable must still reproduce the closed-form table
         closed = CoeffTable.from_closed_form(10)
 
         def unavailable(*args):
             raise AssertionError("recurrence route reached the closed form")
 
-        combinatorics._recur_int.cache_clear()
-        monkeypatch.setattr(combinatorics, "a_closed", unavailable)
-        monkeypatch.setattr(combinatorics, "_closed_int", unavailable)
+        combinatorics._table.cache_clear()
+        for name in ("a_closed", "_closed_int", "_closed_row"):
+            monkeypatch.setattr(combinatorics, name, unavailable)
         assert CoeffTable.from_recurrences(10) == closed
 
     def test_cold_integer_routes_agree_to_order_30(self):
@@ -195,15 +196,36 @@ class TestCoefficients:
         for n in range(1, 31):
             assert series.ansatz_order(n) == series.perturbative_order(n), n
 
-    def test_inexact_m1_quotient_raises(self, monkeypatch):
+    def test_cold_routes_agree_to_order_40(self):
+        # past the CLI's pinned order 30: every entry of both cold tables
+        combinatorics._table.cache_clear()
+        recur = CoeffTable.from_recurrences(40)
+        assert len(recur.entries) == math.comb(41, 3) == 10660
+        assert recur == CoeffTable.from_closed_form(40)
+
+    def test_smallest_table(self):
+        combinatorics._table.cache_clear()
+        assert a_recur(2, 1, 1) == 1
+        for table in (CoeffTable.from_recurrences(2), CoeffTable.from_closed_form(2)):
+            assert table.max_order == 2 and table.entries == {(2, 1, 1): 1}
+        with pytest.raises(ValueError):
+            CoeffTable.from_recurrences(1)
+
+    def test_inexact_m1_quotient_raises(self):
         # B(4,2,1) = B(3,2,1)/1 + B(3,2,2)/2; an odd B(3,2,2) must raise, not floor
-        recur = combinatorics._recur_int.__wrapped__
-        assert recur(4, 2, 1) == 3  # 2! a(4,2,1) = 2 * 3/2
-        monkeypatch.setattr(
-            combinatorics, "_recur_int", lambda n, k, m: 5 if (n, k, m) == (3, 2, 2) else recur(n, k, m)
-        )
-        with pytest.raises(ArithmeticError, match="not a multiple"):
-            recur(4, 2, 1)
+        combinatorics._table.cache_clear()
+        col = combinatorics._columns(3, combinatorics._recur_row)
+        assert col[2][2][3] == 4  # 2! a(3,2,2) = 2 * 2
+        col[2][2][3] = 5
+        try:
+            with pytest.raises(ArithmeticError, match="not a multiple"):
+                combinatorics._columns(4, combinatorics._recur_row)
+        finally:
+            col[2][2][3] = 4
+        # the failed order left nothing behind: with the entry restored it is built whole
+        assert len(col) == 3 and all(len(c) == 4 for k in (1, 2) for c in col[k][1:])
+        assert combinatorics._columns(4, combinatorics._recur_row)[2][1][4] == 3  # 2! a(4,2,1) = 2 * 3/2
+        assert CoeffTable.from_recurrences(6) == CoeffTable.from_closed_form(6)
 
     def test_cold_recurrence_table_makes_one_fraction_per_entry(self, monkeypatch):
         # the recurrences run on the integers k! a; a Fraction is made only per entry
@@ -220,6 +242,24 @@ class TestCoefficients:
         table = CoeffTable.from_recurrences(20)
         assert len(made) == len(table.entries) == 1330
         assert table.entries == CoeffTable.from_closed_form(20).entries
+
+    def test_one_generic_body(self, monkeypatch):
+        # the recurrence table and the big Stirling check run the same body
+        callers = []
+        body = combinatorics._generic_rhs
+
+        def counting(n, k, m, col):
+            callers.append(col)
+            return body(n, k, m, col)
+
+        combinatorics._table.cache_clear()
+        monkeypatch.setattr(combinatorics, "_generic_rhs", counting)
+        assert check_identity_big_stirling(6, 2, 2).passed
+        closed, recur = (combinatorics._table(row) for row in (combinatorics._closed_row, combinatorics._recur_row))
+        assert callers and all(col is closed for col in callers)
+        seen = len(callers)
+        assert a_recur(6, 2, 2) == 5
+        assert len(callers) > seen and all(col is recur for col in callers[seen:])
 
     def test_index_validation(self):
         for bad in [(1, 1, 1), (3, 3, 1), (3, 2, 0), (4, 2, 3), (2, 1, 2)]:
