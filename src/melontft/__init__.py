@@ -21,27 +21,62 @@ delegate.  The one other memo, ``connected_2k``'s over point subsets, is a
 per-call ``functools.cache``.
 
 The value types are frozen records built from closures by one class
-decorator, ``errors._record``, which compiles no code, so importing the
-package loads neither ``inspect`` nor numpy: only standard modules that
-its numerical code uses, ``fractions`` (which itself imports ``decimal``)
-and ``heapq``.
+decorator, ``errors._record``, which compiles no code, so no module of the
+package loads ``inspect`` or numpy.
 
-The top-level names are the union of the ``__all__`` lists of the
-modules imported below.
+Importing the package runs none of its modules.  ``_EXPORTS`` below is the
+package's list of names: it maps each submodule to the public names it
+defines, and ``__all__`` is ``__version__`` plus those names.  The first
+access to such a name, or to a submodule such as ``melontft.series``,
+imports that submodule (PEP 562 ``__getattr__``) and binds the value in the
+package, so a later lookup is a plain attribute read.  The float path,
+``specialfn`` and ``greens``, loads neither the exact-arithmetic layer
+(``combinatorics``, ``series``, and with them ``fractions``) nor
+``quadrature`` (and ``heapq``).
 """
 
-from . import combinatorics, errors, greens, quadrature, series, specialfn
-from .combinatorics import *  # noqa: F401,F403
-from .errors import *  # noqa: F401,F403
-from .greens import *  # noqa: F401,F403
-from .quadrature import *  # noqa: F401,F403
-from .series import *  # noqa: F401,F403
-from .specialfn import *  # noqa: F401,F403
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = ["__version__"] + [
-    name
-    for module in (combinatorics, series, specialfn, quadrature, greens, errors)
-    for name in module.__all__
-]
+# submodule -> the public names it defines (its ``__all__``), in the order
+# of the package's ``__all__``
+_EXPORTS = {
+    "combinatorics": (
+        "stirling_first_signed", "stirling_first_unsigned", "binomial", "harmonic", "a_closed",
+        "a_recur", "CoeffTable", "IdentityCheck", "check_identity_stirling_621",
+        "check_identity_harmonic", "check_identity_big_stirling", "rational_str",
+    ),
+    "series": (
+        "LogTerm", "LogSeries", "perturbative_order", "ansatz_order", "extract_coefficients",
+        "eval_series", "eval_series_transverse", "eval_partial_sum",
+    ),
+    "specialfn": (
+        "Point3", "Coupling", "lambert_w0", "lambert_wm1", "wright_omega", "dressed_mass", "g_shift",
+        "g2_from_mass", "g2_exact", "sde_residual_algebraic", "exact_record", "exact_records",
+    ),
+    "quadrature": (
+        "QuadResult", "integrate_quarter_plane", "fixed_point_residuals", "sde_residual_numeric",
+        "integrated_identity_residual",
+    ),
+    "greens": ("PointTuple", "connected_2k", "disconnected_4pt", "disconnected_4pt_residual"),
+    "errors": ("MelonTFTError", "ShapeMismatchError", "NotConvergedError", "CoincidentCoordinatesError"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name):
+    if name in _HOME:
+        value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _EXPORTS:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

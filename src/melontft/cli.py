@@ -7,6 +7,9 @@ carry 17 significant digits so records round-trip exactly.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error
 (an unwritable --output included).
+
+Only ``errors`` and ``specialfn``, which eval and tabulate need, load with
+this module; the other subcommands import their modules when they run.
 """
 
 from __future__ import annotations
@@ -20,13 +23,8 @@ from functools import cache
 from typing import Iterable, List, Optional, Sequence
 
 from . import __version__
-from .combinatorics import CoeffTable, rational_str
 from .errors import MelonTFTError
-from .greens import PointTuple, connected_2k
-from .quadrature import _check_abs_tol
-from .series import perturbative_order
 from .specialfn import Coupling, Point3, _flat_row, exact_record
-from .verify import suite_coeffs, suite_greens, suite_identities, suite_lambert, suite_sde
 
 __all__ = ["main", "entry_point", "build_parser"]
 
@@ -85,6 +83,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_series(args) -> int:
+    from .combinatorics import rational_str
+    from .series import perturbative_order
+
     s = perturbative_order(args.order)
     terms = [
         {"coeff": rational_str(t.coeff), "logpow": t.logpow, "x1pow": t.x1pow, "fullpow": t.fullpow}
@@ -97,6 +98,8 @@ def cmd_series(args) -> int:
 
 
 def cmd_coeffs(args) -> int:
+    from .combinatorics import CoeffTable, rational_str
+
     if args.source == "closed":
         table = CoeffTable.from_closed_form(args.max_order)
     else:
@@ -110,6 +113,8 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_greens(args) -> int:
+    from .greens import PointTuple, connected_2k
+
     points = tuple(_parse_point(p) for p in args.points.split(";") if p)
     value = connected_2k(PointTuple(points), Coupling(args.lam))
     payload = {"k": len(points), "lambda": args.lam, "value": value}
@@ -155,6 +160,9 @@ def cmd_tabulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .quadrature import _check_abs_tol
+    from .verify import suite_coeffs, suite_greens, suite_identities, suite_lambert, suite_sde
+
     _check_abs_tol(args.tol)  # for every suite, so a bad --tol never passes unread
     x = _parse_point(args.x) if args.x else None
     # name -> suite; the key order is the order of "verify all"

@@ -57,17 +57,63 @@ def test_private_names_in_source_resolve():
     assert not missing, missing
 
 
-def _loaded(code, names):
-    """The modules among ``names`` that a fresh interpreter on src/ has loaded after ``code``."""
+def _run(code):
+    """The standard error of ``code`` run in a fresh interpreter on src/."""
     src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stderr
+
+
+def _loaded(code, names):
+    """The modules among ``names`` that a fresh interpreter on src/ has loaded after ``code``."""
     code += f"; import sys; print(*[n for n in {list(names)!r} if n in sys.modules], file=sys.stderr)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    return set(out.stderr.splitlines()[-1].split())
+    return set(_run(code).splitlines()[-1].split())
 
 
 IMPORT_CLI = "import melontft, melontft.cli"
 VERIFY_ALL = "from melontft import cli; assert cli.main(['verify', 'all']) == 0"
+# the grid workload's path: an in-process tabulate and one connected_2k
+GRID = (
+    "import melontft, melontft.cli as cli, os; m = melontft"
+    "; assert cli.main(['tabulate', '--lambda', '0.1,1', '--x1', '0,0.5,1', '--output', os.devnull]) == 0"
+    "; m.connected_2k(m.PointTuple((m.Point3(1, 2, 3), m.Point3(2, 1, 1))), m.Coupling(0.5))"
+)
+
+
+def test_import_runs_no_submodule():
+    names = [f"melontft.{name}" for name in MODULES] + ["fractions", "heapq"]
+    assert not _loaded("import melontft; dir(melontft)", names)
+
+
+def test_float_path_loads_no_exact_layer_or_quadrature():
+    names = ["melontft.combinatorics", "melontft.series", "melontft.quadrature", "melontft.verify"]
+    assert not _loaded(GRID, names + ["fractions", "heapq"])
+
+
+FIRST_USE = """
+import sys, melontft
+assert set(melontft.__all__) <= set(dir(melontft))
+assert melontft.series is sys.modules["melontft.series"]
+try:
+    melontft.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("melontft.no_such_name resolved")
+ns = {}
+exec("from melontft import *", ns)
+assert ns["__version__"] == melontft.__version__
+for mod in ("combinatorics", "errors", "greens", "quadrature", "series", "specialfn"):
+    module = sys.modules["melontft." + mod]
+    for name in module.__all__:
+        assert ns[name] is getattr(module, name) is getattr(melontft, name), name
+"""
+
+
+def test_names_load_on_first_use():
+    # in a fresh interpreter, so that each name goes through the package's
+    # __getattr__ and not through an attribute another test bound
+    _run(FIRST_USE)
 
 
 def test_import_loads_no_numpy():

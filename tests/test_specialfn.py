@@ -645,3 +645,23 @@ class TestMassAccuracySweep:
             assert abs(mass / paper - 1) <= 2 * eps * (kappa + 1.0), (c.lam, x1)
         assert checked > 1000
 
+    def test_negative_coupling_mass_is_the_wm1_branch(self):
+        # for lambda < 0, M + z*log(M) = a has two positive roots; the one that
+        # continues M(0) = a is z*W_-1(e^(a/z)/z), and z*W0 gives the other
+        a, lam = 2.0, -0.9
+        mass = a
+        for i in range(1, 91):  # Newton from lambda = 0 in steps of -0.01
+            z = math.pi / 2 * (lam * i / 90)
+            for _ in range(50):
+                step = (mass + z * math.log(mass) - a) / (1.0 + z / mass)
+                mass -= step
+                if abs(step) <= 1e-16 * mass:
+                    break
+        z = math.pi / 2 * lam
+        y = math.exp(a / z) / z
+        assert abs(mass / (z * lambert_wm1(y)) - 1) <= 1e-14
+        assert abs(z * lambert_wm1(y) / 3.9375994845040903 - 1) <= 1e-14
+        other = z * lambert_w0(y)
+        assert other == pytest.approx(0.30056, rel=1e-4)
+        assert abs(other + z * math.log(other) - a) <= 1e-14
+
