@@ -25,34 +25,34 @@ decorator, ``errors._record``, which compiles no code, so no module of the
 package loads ``inspect`` or numpy.
 
 Importing the package runs none of its modules.  ``_EXPORTS`` below is the
-package's list of names: it maps each submodule to the public names it
-defines, and ``__all__`` is ``__version__`` plus those names.  The first
-access to such a name, or to a submodule such as ``melontft.series``,
-imports that submodule (PEP 562 ``__getattr__``) and binds the value in the
-package, so a later lookup is a plain attribute read.  The float path,
-``specialfn`` and ``greens``, loads neither the exact-arithmetic layer
-(``combinatorics``, ``series``, and with them ``fractions``) nor
-``quadrature`` (and ``heapq``).
+package's one list of names: it maps each submodule to the public names it
+defines, no submodule keeps a list of its own, and ``__all__`` is
+``__version__`` plus those names.  The first access to such a name, or to a
+submodule such as ``melontft.series``, imports that submodule (PEP 562
+``__getattr__``) and binds the value in the package, so a later lookup is
+a plain attribute read.  The float path, ``specialfn`` and ``greens``,
+loads neither the exact-arithmetic layer (``combinatorics``, ``series``,
+and with them ``fractions``) nor ``quadrature`` (and ``heapq``).
 """
 
 from importlib import import_module
 
 __version__ = "0.1.0"
 
-# submodule -> the public names it defines (its ``__all__``), in the order
-# of the package's ``__all__``
+# submodule -> the public functions and classes it defines, exactly, in the
+# order of the package's ``__all__``
 _EXPORTS = {
     "combinatorics": (
-        "stirling_first_signed", "stirling_first_unsigned", "binomial", "harmonic", "a_closed",
-        "a_recur", "CoeffTable", "IdentityCheck", "check_identity_stirling_621",
-        "check_identity_harmonic", "check_identity_big_stirling", "rational_str",
+        "stirling_first_unsigned", "harmonic", "a_closed", "CoeffTable", "IdentityCheck",
+        "check_identity_stirling_621", "check_identity_harmonic", "check_identity_big_stirling",
+        "rational_str",
     ),
     "series": (
         "LogTerm", "LogSeries", "perturbative_order", "ansatz_order", "extract_coefficients",
         "eval_series", "eval_series_transverse", "eval_partial_sum",
     ),
     "specialfn": (
-        "Point3", "Coupling", "lambert_w0", "lambert_wm1", "wright_omega", "dressed_mass", "g_shift",
+        "Point3", "Coupling", "lambert_w0", "lambert_wm1", "wright_omega", "dressed_mass",
         "g2_from_mass", "g2_exact", "sde_residual_algebraic", "exact_record", "exact_records",
     ),
     "quadrature": (

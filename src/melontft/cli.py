@@ -26,8 +26,6 @@ from . import __version__
 from .errors import MelonTFTError
 from .specialfn import Coupling, Point3, _flat_row, exact_record
 
-__all__ = ["main", "entry_point", "build_parser"]
-
 
 def _parse_point(text: str) -> Point3:
     parts = text.split(",")

@@ -22,7 +22,8 @@ Conventions
 -----------
 * ``_stirling_row(n)`` holds c(n,k) = |s(n,k)|: c(0,0) = 1, c(n,0) = 0 for
   n > 0, c(n,k) = 0 for k > n, and c(n,k) = c(n-1,k-1) + (n-1) c(n-1,k).
-* ``stirling_first_signed`` is s(n,k) = (-1)^(n-k) c(n,k).
+* The signed number s(n,k) = (-1)^(n-k) c(n,k) enters only derivations,
+  such as ``series``'s; the code carries c alone.
 * Empty summation ranges contribute 0.
 """
 
@@ -36,21 +37,6 @@ from operator import mul
 from typing import Callable, Dict, Iterable, Mapping, Tuple
 
 from .errors import _record
-
-__all__ = [
-    "stirling_first_signed",
-    "stirling_first_unsigned",
-    "binomial",
-    "harmonic",
-    "a_closed",
-    "a_recur",
-    "CoeffTable",
-    "IdentityCheck",
-    "check_identity_stirling_621",
-    "check_identity_harmonic",
-    "check_identity_big_stirling",
-    "rational_str",
-]
 
 Index = Tuple[int, int, int]
 
@@ -75,21 +61,6 @@ def stirling_first_unsigned(n: int, k: int) -> int:
     if n < 0 or k < 0:
         raise ValueError("Stirling indices must be nonnegative")
     return _stirling_row(n)[k] if k <= n else 0
-
-
-def stirling_first_signed(n: int, k: int) -> int:
-    """Signed Stirling number of the first kind s(n, k)."""
-    c = stirling_first_unsigned(n, k)
-    return -c if (n - k) % 2 else c
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k); 0 outside 0 <= k <= n."""
-    if n < 0:
-        raise ValueError("binomial requires n >= 0")
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
 
 
 Pair = Tuple[int, int]  # (numerator, denominator > 0), reduced
@@ -201,17 +172,6 @@ def _columns(top: int, row: Callable) -> list:
     return col
 
 
-def a_recur(n: int, k: int, m: int) -> Fraction:
-    """Coefficient a(n,k,m) from the recurrence system alone.
-
-    Seeded by a(2,1,1) = 1; independent of the closed form, so the two
-    routes can be compared exactly.  A cold call builds the whole
-    recurrence table through order n.
-    """
-    _check_index(n, k, m)
-    return Fraction(_columns(n, _recur_row)[k][m][n], factorial(k))
-
-
 @_record
 class CoeffTable:
     """Exact table of a(n,k,m) for 2 <= n <= max_order, 1 <= m <= k <= n-1."""
@@ -238,14 +198,8 @@ class CoeffTable:
 
     @classmethod
     def from_recurrences(cls, max_order: int) -> "CoeffTable":
+        """The table from the recurrences alone, seeded by a(2,1,1) = 1: it never reads the closed form."""
         return cls._build(max_order, _recur_row)
-
-    def __getitem__(self, key: Index) -> Fraction:
-        n, k, m = key
-        _check_index(n, k, m)
-        if n > self.max_order:
-            raise ValueError(f"order {n} exceeds table max_order {self.max_order}")
-        return self.entries[key]
 
     def row(self, n: int) -> Dict[Tuple[int, int], Fraction]:
         """All coefficients of one order, keyed by (k, m)."""

@@ -9,13 +9,6 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-__all__ = [
-    "MelonTFTError",
-    "ShapeMismatchError",
-    "NotConvergedError",
-    "CoincidentCoordinatesError",
-]
-
 
 class MelonTFTError(Exception):
     """Base class for package-specific failures."""

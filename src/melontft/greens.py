@@ -15,8 +15,6 @@ from typing import Tuple
 from .errors import CoincidentCoordinatesError, _record
 from .specialfn import Coupling, Point3, dressed_mass, g2_exact, g2_from_mass
 
-__all__ = ["PointTuple", "connected_2k", "disconnected_4pt", "disconnected_4pt_residual"]
-
 
 @_record
 class PointTuple:

@@ -45,14 +45,6 @@ from typing import Callable, Tuple
 from .errors import NotConvergedError, _record
 from .specialfn import Coupling, Point3, dressed_mass, g2_from_mass
 
-__all__ = [
-    "QuadResult",
-    "integrate_quarter_plane",
-    "fixed_point_residuals",
-    "sde_residual_numeric",
-    "integrated_identity_residual",
-]
-
 # the 8-point Gauss-Legendre rule on [-1, 1], nodes ascending: the
 # correctly rounded binary64 values
 _NODES = (

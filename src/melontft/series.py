@@ -43,12 +43,13 @@ layout, so an order evaluates to the same bits by either route, and
 ``eval_partial_sum`` makes no ``Fraction``.
 Evaluators raise ``ValueError`` once 1+x1^2 overflows binary64 (x1 above
 about 1.34e154), a power of lambda, log(1+x1^2) or pi/2 does, or, for a
-float rho2, the value is not finite.
+float or int rho2, the value is not a finite double.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import cache
 from typing import Dict, Iterable, Iterator, Sequence, Tuple
@@ -56,11 +57,6 @@ from typing import Dict, Iterable, Iterator, Sequence, Tuple
 from .combinatorics import _closed_int
 from .errors import ShapeMismatchError, _record
 from .specialfn import Point3
-
-__all__ = [
-    "LogTerm", "LogSeries", "perturbative_order", "ansatz_order",
-    "extract_coefficients", "eval_series", "eval_series_transverse", "eval_partial_sum",
-]
 
 Key = Tuple[int, int, int]
 FloatColumn = Tuple[int, int, int, Tuple[float, ...]]  # (lo, x1pow, fullpow, coeffs from the top logpow)
@@ -232,10 +228,11 @@ def eval_series_transverse(s: LogSeries, x1: float, rho2):
     to b = 1 + x1^2 + rho2.  An array's values agree with scalar calls to
     within a few ulps of the sum of the terms' magnitudes, not bit for bit,
     because numpy's power on b and the C library's pow differ by about an
-    ulp.  A float ``rho2`` must be finite and >= 0, and a non-finite value
-    raises ``ValueError``; an array goes unchecked, both in and out.
+    ulp.  A float or int ``rho2`` must be >= 0 and at most the largest
+    double, else ``ValueError`` is raised; an array goes unchecked, both in
+    and out.
     """
-    if isinstance(rho2, float) and not 0.0 <= rho2 < math.inf:
+    if isinstance(rho2, (float, int)) and not 0.0 <= rho2 <= sys.float_info.max:
         raise ValueError(f"rho2 must be finite and >= 0, got {rho2!r}")
     a, lg = _x1_factors(x1)
     rows: Dict[Tuple[int, int], Dict[int, float]] = {}

@@ -43,21 +43,6 @@ from typing import Iterable, List, Sequence, Tuple
 
 from .errors import NotConvergedError, _record
 
-__all__ = [
-    "Point3",
-    "Coupling",
-    "lambert_w0",
-    "lambert_wm1",
-    "wright_omega",
-    "dressed_mass",
-    "g_shift",
-    "g2_from_mass",
-    "g2_exact",
-    "sde_residual_algebraic",
-    "exact_record",
-    "exact_records",
-]
-
 # nearest-double branch point -1/e of the real Lambert branches
 _BRANCH_POINT = -math.exp(-1.0)
 
@@ -106,10 +91,6 @@ class Coupling:
     @cached_property  # once per coupling; not a field, so eq, hash and repr ignore it
     def z(self) -> float:
         return 0.5 * math.pi * self.lam
-
-    @classmethod
-    def from_z(cls, z: float) -> "Coupling":
-        return cls(2.0 * z / math.pi)
 
 
 # omega(t) ~ sum_k c_k*(t - centre)^k on [-2, 50] in five pieces, given as
@@ -287,15 +268,6 @@ def dressed_mass(x1: float, coupling: Coupling) -> float:
     binary64 (x1 above about 1.3e154, or tiny lambda).
     """
     return _masses((x1,), coupling)[0]
-
-
-def g_shift(x1: float, coupling: Coupling) -> float:
-    """Denominator shift g(x1, z) = M - 1 - x1^2 of the exact 2-point function.
-
-    Vanishes identically at x1 = 0 (the Taylor-subtraction point) and as
-    lambda -> 0 at fixed x1.
-    """
-    return exact_record(Point3(x1, 0.0, 0.0), coupling)[0]
 
 
 def g2_from_mass(mass: float, x2: float, x3: float) -> float:

@@ -14,11 +14,6 @@ from . import combinatorics as comb
 from . import greens, quadrature, series, specialfn
 from .errors import NotConvergedError, _record
 
-__all__ = [
-    "Check", "orders_match_closed_form", "coefficient_routes_agree", "fixed_point_algebraic",
-    "fixed_point_numeric", "suite_coeffs", "suite_identities", "suite_lambert", "suite_sde",
-]
-
 
 @_record
 class Check:

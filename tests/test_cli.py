@@ -12,7 +12,7 @@ import pytest
 
 from melontft import cli, specialfn
 from melontft.cli import main
-from melontft.specialfn import Coupling, Point3, g2_exact, g_shift, sde_residual_algebraic
+from melontft.specialfn import Coupling, Point3, exact_record, g2_exact, sde_residual_algebraic
 
 
 def run(capsys, *argv):
@@ -35,7 +35,7 @@ class TestEval:
         # re-evaluating the parsed record reproduces identical values
         c = Coupling(rec["lambda"])
         assert rec["G2"] == g2_exact(Point3(*rec["x"]), c)
-        assert rec["g"] == g_shift(rec["x"][0], c)
+        assert rec["g"] == exact_record(Point3(rec["x"][0], 0.0, 0.0), c)[0]
         assert rec["residual_algebraic"] == sde_residual_algebraic(rec["x"][0], c)
         assert rec["G2"] == pytest.approx(0.28114, abs=5e-4)
 

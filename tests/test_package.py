@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import melontft
-from melontft import combinatorics, errors, greens, quadrature, series, specialfn, verify
+from melontft import combinatorics, greens, quadrature, series, specialfn, verify
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "melontft"
@@ -17,13 +18,22 @@ PACKAGE = ROOT / "src" / "melontft"
 MODULES = {p.stem: importlib.import_module(f"melontft.{p.stem}") for p in PACKAGE.glob("[!_]*.py")}
 
 
-def test_exports_are_the_module_lists():
-    modules = (combinatorics, errors, greens, quadrature, series, specialfn)
-    names = [name for module in modules for name in module.__all__]
-    assert sorted(melontft.__all__) == sorted(["__version__"] + names)
-    for module in modules:
-        for name in module.__all__:
-            assert getattr(melontft, name) is getattr(module, name)
+def test_exports_are_the_public_definitions():
+    # a module's public functions and classes, read off its definitions, are
+    # exactly its _EXPORTS entry, and the package hands out the same objects
+    for mod, names in melontft._EXPORTS.items():
+        module = MODULES[mod]
+        defined = {
+            name
+            for name, value in vars(module).items()
+            if not name.startswith("_")
+            and (inspect.isfunction(value) or inspect.isclass(value))
+            and value.__module__ == module.__name__
+        }
+        assert defined == set(names), mod
+        for name in names:
+            assert getattr(melontft, name) is getattr(module, name), name
+    assert melontft.__all__ == ["__version__", *(n for names in melontft._EXPORTS.values() for n in names)]
 
 
 def test_readme_quickstart_runs():
@@ -103,9 +113,9 @@ else:
 ns = {}
 exec("from melontft import *", ns)
 assert ns["__version__"] == melontft.__version__
-for mod in ("combinatorics", "errors", "greens", "quadrature", "series", "specialfn"):
+for mod, names in melontft._EXPORTS.items():
     module = sys.modules["melontft." + mod]
-    for name in module.__all__:
+    for name in names:
         assert ns[name] is getattr(module, name) is getattr(melontft, name), name
 """
 

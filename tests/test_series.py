@@ -395,7 +395,7 @@ class TestEvaluation:
             with pytest.raises(ValueError, match="order 1 overflows binary64"):
                 eval_series(LogSeries(1, terms), Point3(1e150, 0, 0))
 
-    @pytest.mark.parametrize("rho2", [-1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("rho2", [-1.0, math.inf, math.nan, -1, pytest.param(10**400, id="10**400")])
     def test_transverse_rejects_bad_rho2(self, rho2):
         with pytest.raises(ValueError, match="rho2 must be finite and >= 0"):
             eval_series_transverse(perturbative_order(2), 0.5, rho2)
@@ -419,7 +419,12 @@ def test_closed_form_is_lagrange_buermann():
     # m = n adds only the leading 1, and zero coefficients have no term;
     # orders 31..40 lie past the pinned order 30, where the packing width is
     # largest; the closed form's own columns, ansatz_order, match throughout
-    s, binom, fact = combinatorics.stirling_first_signed, math.comb, math.factorial
+    binom, fact = math.comb, math.factorial
+
+    def s(n, k):  # the signed Stirling number of the first kind
+        c = combinatorics.stirling_first_unsigned(n, k)
+        return -c if (n - k) % 2 else c
+
     for n in range(1, 41):
         want = {(n, 0, n + 1): Fraction(1)}
         for m in range(1, n):

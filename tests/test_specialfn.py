@@ -17,7 +17,6 @@ from melontft.specialfn import (
     exact_record,
     exact_records,
     g2_exact,
-    g_shift,
     lambert_w0,
     lambert_wm1,
     sde_residual_algebraic,
@@ -26,6 +25,11 @@ from melontft.specialfn import (
 
 
 _BRANCH_POINT = -math.exp(-1.0)
+
+
+def g_at(x1, coupling):
+    """The shift g = M - 1 - x1^2 at (x1, 0, 0), from ``exact_record``."""
+    return exact_record(Point3(x1, 0.0, 0.0), coupling)[0]
 
 
 def bisect_w0(y, lo=-1.0, hi=800.0):
@@ -123,7 +127,6 @@ class TestDomainTypes:
 
     def test_coupling_validation(self):
         assert Coupling(2 / math.pi).z == pytest.approx(1.0, rel=1e-15)
-        assert Coupling.from_z(1.0).z == pytest.approx(1.0, rel=1e-15)
         for bad in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 Coupling(bad)
@@ -361,25 +364,25 @@ class TestWrightOmega:
 class TestShiftAndSolution:
     def test_shift_vanishes_at_origin(self):
         for lam in (0.01, 0.5, 3.0, 10.0):
-            assert abs(g_shift(0.0, Coupling(lam))) <= 1e-15
+            assert abs(g_at(0.0, Coupling(lam))) <= 1e-15
 
     def test_shift_value_z1(self):
         # g(1, z=1) = W(e^2) - 2, W(e^2) = 1.5571455989976114169 (bisection)
-        c = Coupling.from_z(1.0)
-        assert g_shift(1.0, c) == pytest.approx(-0.4428544010023886, rel=1e-13)
-        assert g_shift(1.0, c) == pytest.approx(bisect_w0(math.e**2) - 2.0, rel=1e-12)
+        c = Coupling(2.0 / math.pi)
+        assert g_at(1.0, c) == pytest.approx(-0.4428544010023886, rel=1e-13)
+        assert g_at(1.0, c) == pytest.approx(bisect_w0(math.e**2) - 2.0, rel=1e-12)
 
     def test_shift_small_coupling_limit(self):
         # g -> -lambda*(pi/2)*log(1+x1^2) + O(lambda^2) -> 0
         for x1 in (0.5, 1.0, 2.0):
             lam = 1e-6
-            g = g_shift(x1, Coupling(lam))
+            g = g_at(x1, Coupling(lam))
             lead = -lam * (math.pi / 2) * math.log(1 + x1 * x1)
             assert g == pytest.approx(lead, rel=1e-5)
 
     def test_shift_domain(self):
         with pytest.raises(ValueError):
-            g_shift(-1.0, Coupling(1.0))
+            g_at(-1.0, Coupling(1.0))
 
     @pytest.mark.parametrize("x1", [-1.0, math.nan, math.inf])
     def test_dressed_mass_rejects_raw_x1(self, x1):
@@ -395,7 +398,7 @@ class TestShiftAndSolution:
 
     def test_g2_value(self):
         # 1/(2 + W(e^2)) frozen from a 50-digit evaluation
-        got = g2_exact(Point3(1, 1, 1), Coupling.from_z(1.0))
+        got = g2_exact(Point3(1, 1, 1), Coupling(2.0 / math.pi))
         assert got == pytest.approx(0.28112428130065740633, rel=1e-14)
 
     def test_g2_approaches_free_propagator(self):
@@ -568,7 +571,7 @@ class TestRelativeAccuracy:
                 mass = z * mp.lambertw(mp.exp(a / z - mp.log(z))).real
                 g, g2 = mass - a, 1 / (mass + mp.mpf(x2) ** 2 + mp.mpf(x3) ** 2)
                 c = Coupling(lam)
-                worst_g = max(worst_g, float(abs(g_shift(x1, c) / g - 1)))
+                worst_g = max(worst_g, float(abs(g_at(x1, c) / g - 1)))
                 worst_g2 = max(worst_g2, float(abs(g2_exact(Point3(x1, x2, x3), c) / g2 - 1)))
         assert worst_g <= 1e-13 and worst_g2 <= 1e-13, (worst_g, worst_g2)
 
@@ -576,7 +579,7 @@ class TestRelativeAccuracy:
         # g vanishes there, so it is checked absolutely
         for lam in (1e-4, 1e-2, 1.0, 1e2, 1e6):
             c = Coupling(lam)
-            assert abs(g_shift(0.0, c)) <= 1e-13
+            assert abs(g_at(0.0, c)) <= 1e-13
             assert g2_exact(Point3(0.0, 0.5, 2.0), c) == pytest.approx(1.0 / 5.25, rel=1e-13)
 
 
