@@ -53,7 +53,7 @@ _EXPORTS = {
     ),
     "specialfn": (
         "Point3", "Coupling", "lambert_w0", "lambert_wm1", "wright_omega", "dressed_mass",
-        "g2_from_mass", "g2_exact", "sde_residual_algebraic", "exact_record", "exact_records",
+        "g2_from_mass", "g2_exact", "exact_record", "exact_records",
     ),
     "quadrature": (
         "QuadResult", "integrate_quarter_plane", "fixed_point_residuals", "sde_residual_numeric",

@@ -280,16 +280,6 @@ def g2_exact(x: Point3, coupling: Coupling) -> float:
     return g2_from_mass(dressed_mass(x.x1, coupling), x.x2, x.x3)
 
 
-def sde_residual_algebraic(x1: float, coupling: Coupling) -> float:
-    """Fixed-point residual g + z*log(1+x1^2+g) in product form.
-
-    Vanishes identically in exact arithmetic; the product form stays
-    well-defined at x1 = 0 where the equivalent ratio form is 0/0.  It is
-    nan where 1 + x1^2 + g rounds to <= 0, as ``exact_record`` explains.
-    """
-    return exact_record(Point3(x1, 0.0, 0.0), coupling)[2]
-
-
 def exact_record(x: Point3, coupling: Coupling) -> Tuple[float, float, float]:
     """(g, G2, algebraic residual) at x from one solve of the dressed mass.
 

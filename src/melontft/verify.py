@@ -150,9 +150,8 @@ def fixed_point_algebraic(lams: Sequence[float], x1s: Sequence[float]) -> List[C
     their own error budget").  A nan
     residual (its log argument rounded to <= 0) is the worst and fails.
     """
-    residuals = [
-        abs(specialfn.sde_residual_algebraic(x1, specialfn.Coupling(lv))) for lv in lams for x1 in x1s
-    ]
+    rows = [specialfn.exact_records(x1s, 0.0, 0.0, specialfn.Coupling(lv)) for lv in lams]
+    residuals = [abs(residual) for row in rows for _, _, residual in row]
     worst = math.nan if any(map(math.isnan, residuals)) else max(residuals)  # max may drop a nan
     return [_bounded("algebraic fixed-point residual < 1e-12 on grid", worst, 1e-12)]
 

@@ -12,7 +12,7 @@ import pytest
 
 from melontft import cli, specialfn
 from melontft.cli import main
-from melontft.specialfn import Coupling, Point3, exact_record, g2_exact, sde_residual_algebraic
+from melontft.specialfn import Coupling, Point3, exact_record, g2_exact
 
 
 def run(capsys, *argv):
@@ -35,8 +35,8 @@ class TestEval:
         # re-evaluating the parsed record reproduces identical values
         c = Coupling(rec["lambda"])
         assert rec["G2"] == g2_exact(Point3(*rec["x"]), c)
-        assert rec["g"] == exact_record(Point3(rec["x"][0], 0.0, 0.0), c)[0]
-        assert rec["residual_algebraic"] == sde_residual_algebraic(rec["x"][0], c)
+        g, _, residual = exact_record(Point3(rec["x"][0], 0.0, 0.0), c)
+        assert (rec["g"], rec["residual_algebraic"]) == (g, residual)
         assert rec["G2"] == pytest.approx(0.28114, abs=5e-4)
 
     def test_x1_zero_free_propagator(self, capsys):
@@ -227,6 +227,19 @@ class TestTabulate:
         ev_rows = list(csv.reader(io.StringIO(ev)))
         assert tab_rows[1][4] == ev_rows[1][5]  # G2 column
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_output_file_matches_stdout(self, capsys, tmp_path, fmt):
+        # the README's example: a header and 2 x 3 records, or 6 JSON records
+        argv = ("tabulate", "--lambda", "0.1,1", "--x1", "0,0.5,1", "--x2", "0.5", "--x3", "0.5")
+        argv += ("--format", fmt)
+        path = tmp_path / f"tabulate.{fmt}"
+        code, out, _ = run(capsys, *argv, "--output", str(path))
+        assert code == 0 and out == ""
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert path.read_bytes() == out.encode("utf-8")
+        rows = out.splitlines() if fmt == "csv" else json.loads(out)
+        assert len(rows) == (7 if fmt == "csv" else 6)
 
     # lambda from 1e-4 to 1e6; x1 = 0, -0.0 and up to 1e8; nonzero x2, x3
     PINNED_GRID = (

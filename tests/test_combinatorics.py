@@ -183,7 +183,9 @@ class TestCoefficients:
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
         series._kernel.cache_clear()
-        assert CoeffTable.from_recurrences(30) == CoeffTable.from_closed_form(30)
+        recur = CoeffTable.from_recurrences(30)
+        assert len(recur.entries) == math.comb(31, 3) == 4495
+        assert recur == CoeffTable.from_closed_form(30)
         for n in range(1, 31):
             assert series.ansatz_order(n) == series.perturbative_order(n), n
 

@@ -13,7 +13,7 @@ from melontft.greens import (
     disconnected_4pt,
     disconnected_4pt_residual,
 )
-from melontft.specialfn import Coupling, Point3, g2_exact
+from melontft.specialfn import Coupling, Point3, g2_exact, g2_from_mass
 
 # shared configuration: z = 1 so the 2-point values are fixed by W(e^2) etc.
 LAM = 2 / math.pi
@@ -41,6 +41,25 @@ def plain_connected_2k(points, coupling):
         den = first.x1 * first.x1 - y.x1 * y.x1
         total += plain_connected_2k(points[rho - 1 :], coupling) * num / den
     return 2.0 * coupling.lam * prefactor * total
+
+
+def g4_product(u, v, coupling):
+    """k = 2 in closed product form (ROADMAP item 1, step 1).
+
+    -2*lambda * G2(u1; v2, v3) * G2(v1; u2, u3) * G2(u) * G2(v) * M[a_u, a_v],
+    with the divided difference M[a_u, a_v] = 1/(1 + z*l), l = log1p(d/M_v)/d,
+    d = M_u - M_v (l = 1/M_v at d = 0); written as -(4/pi)/(1/z + l) times
+    the G2s, so that 2*lambda, which overflows near the largest coupling,
+    is never formed and no difference of nearly equal values is taken.
+    """
+    mu, mv = specialfn.dressed_mass(u.x1, coupling), specialfn.dressed_mass(v.x1, coupling)
+    d = mu - mv
+    ell = 1.0 / mv if d == 0.0 else math.log1p(d / mv) / d
+    g2s = (
+        g2_from_mass(mu, v.x2, v.x3) * g2_from_mass(mv, u.x2, u.x3)
+        * g2_from_mass(mu, u.x2, u.x3) * g2_from_mass(mv, v.x2, v.x3)
+    )
+    return -(4.0 / math.pi) * g2s / (1.0 / coupling.z + ell)
 
 
 def seeded_tuple(rng, k):
@@ -91,6 +110,24 @@ class TestConnected:
         c = Coupling(LAM)
         got = connected_2k(PointTuple((A, B)), c)
         assert got == pytest.approx(g4_direct(A, B, c), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "lam",
+        [
+            1e-4, 1e-2, 1.0, 1e2,
+            # the recursion divides G2(u) - G2(v1; u2, u3) by a_u - a_v; the
+            # masses differ by O(1/z), so that difference loses about eps*z
+            # relatively, and is 0 once both masses round to 1
+            pytest.param(1e6, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1: off by 1.2e-9")),
+            pytest.param(1e100, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1: returns 0.0")),
+            pytest.param(1e300, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1: returns 0.0")),
+            pytest.param(1e308, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1: 2*lambda is inf, nan")),
+        ],
+    )
+    def test_four_point_against_product_form(self, lam):
+        c = Coupling(lam)
+        want = g4_product(A, B, c)
+        assert abs(connected_2k(PointTuple((A, B)), c) / want - 1.0) <= 1e-12, want
 
     def test_six_point_against_hand_expansion(self):
         c = Coupling(LAM)

@@ -13,7 +13,9 @@ import melontft
 from melontft import combinatorics, greens, quadrature, series, specialfn, verify
 
 ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = ROOT / "src" / "melontft"
+# the package the suite imported: src/ under the tier-1 command, the
+# installed copy when the suite runs against a wheel
+PACKAGE = Path(melontft.__file__).resolve().parent
 # the package's modules by name: cli, series, specialfn, ...
 MODULES = {p.stem: importlib.import_module(f"melontft.{p.stem}") for p in PACKAGE.glob("[!_]*.py")}
 
@@ -68,14 +70,14 @@ def test_private_names_in_source_resolve():
 
 
 def _run(code):
-    """The standard error of ``code`` run in a fresh interpreter on src/."""
-    src = str(ROOT / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    """The standard error of ``code`` run in a fresh interpreter on ``PACKAGE``."""
+    home = str(PACKAGE.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [home, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stderr
 
 
 def _loaded(code, names):
-    """The modules among ``names`` that a fresh interpreter on src/ has loaded after ``code``."""
+    """The modules among ``names`` that a fresh interpreter on ``PACKAGE`` has loaded after ``code``."""
     code += f"; import sys; print(*[n for n in {list(names)!r} if n in sys.modules], file=sys.stderr)"
     return set(_run(code).splitlines()[-1].split())
 
@@ -133,6 +135,12 @@ def test_import_loads_no_numpy():
 def test_verify_all_loads_no_numpy():
     # the package is pure Python, quadrature included
     assert not _loaded(VERIFY_ALL, ["numpy"])
+
+
+def test_partial_sum_loads_no_numpy():
+    # the certify workload's partial sum reads float columns, not arrays
+    code = "import math, melontft as m; v = m.eval_partial_sum(20, m.Point3(0.7, 1.2, 0.3), 0.25); assert math.isfinite(v)"
+    assert not _loaded(code, ["numpy"])
 
 
 @pytest.mark.parametrize("code", [IMPORT_CLI, VERIFY_ALL], ids=["import", "verify_all"])

@@ -335,6 +335,25 @@ class TestEvaluation:
         perturbative_order(3)  # the recorder sees the series that are made
         assert orders == [3]
 
+    @pytest.mark.parametrize(
+        "x1",
+        [
+            pytest.param(x1, marks=pytest.mark.xfail(strict=True, reason=(
+                "series._x1_factors takes log(1 + x1^2), not log1p(x1^2): "
+                "a relative error of about eps/x1^2 (ROADMAP item 2)"
+            )))
+            for x1 in (1e-8, 1e-5, 1e-3)
+        ] + [1.0],
+    )
+    def test_order1_at_small_x1(self, x1):
+        # order 1 is (pi/2)*log1p(x1^2)/(1 + |x|^2)^2; from x1 = 1e-8 on
+        # log(1 + x1^2) is 0 and the order evaluates to 0.0
+        x = Point3(x1, 0.5, 0.5)
+        want = math.pi / 2 * math.log1p(x1 * x1) / (1.0 + x.norm2) ** 2
+        order = perturbative_order(1)
+        for got in (eval_series(order, x), eval_series_transverse(order, x1, 0.5)):
+            assert abs(got / want - 1.0) <= 1e-14, got
+
     def test_within_16_eps_of_80_digit_sum(self):
         # the body against an 80-digit sum of the same columns: orders n <= 12
         # and partial sums through 20 and 30 stay within 16 eps of the sum of

@@ -19,7 +19,6 @@ from melontft.specialfn import (
     g2_exact,
     lambert_w0,
     lambert_wm1,
-    sde_residual_algebraic,
     wright_omega,
 )
 
@@ -30,6 +29,11 @@ _BRANCH_POINT = -math.exp(-1.0)
 def g_at(x1, coupling):
     """The shift g = M - 1 - x1^2 at (x1, 0, 0), from ``exact_record``."""
     return exact_record(Point3(x1, 0.0, 0.0), coupling)[0]
+
+
+def residual_at(x1, coupling):
+    """The algebraic residual g + z*log(1 + x1^2 + g) at (x1, 0, 0), from ``exact_record``."""
+    return exact_record(Point3(x1, 0.0, 0.0), coupling)[2]
 
 
 def bisect_w0(y, lo=-1.0, hi=800.0):
@@ -427,7 +431,7 @@ class TestShiftAndSolution:
 
 class TestAlgebraicResidual:
     def test_trivial_at_origin(self):
-        assert abs(sde_residual_algebraic(0.0, Coupling(0.3))) <= 1e-14
+        assert abs(residual_at(0.0, Coupling(0.3))) <= 1e-14
 
     @given(
         st.floats(min_value=-3.0, max_value=1.0),
@@ -436,7 +440,7 @@ class TestAlgebraicResidual:
     @settings(max_examples=60)
     def test_residual_random(self, log10_lam, x1):
         c = Coupling(10.0**log10_lam)
-        assert abs(sde_residual_algebraic(x1, c)) < 1e-11
+        assert abs(residual_at(x1, c)) < 1e-11
 
     def test_residual_sees_a_perturbed_mass(self, monkeypatch):
         # from M >= 2 on the shift is -z*log(M) and carries any error of M
@@ -447,7 +451,7 @@ class TestAlgebraicResidual:
         masses = specialfn._masses
         monkeypatch.setattr(specialfn, "_masses", lambda x1s, c: [m * (1.0 + 1e-9) for m in masses(x1s, c)])
         for lam, x1 in points:
-            assert abs(sde_residual_algebraic(x1, Coupling(lam))) > 1e-12, (lam, x1)
+            assert abs(residual_at(x1, Coupling(lam))) > 1e-12, (lam, x1)
 
     def test_rounding_floor_over_domain(self):
         # 1 + x1^2 + g cancels down to M, so the residual's rounding floor
@@ -614,6 +618,7 @@ class TestMassAccuracySweep:
             g, g2, _ = exact_record(Point3(x1, x2, x3), c)
             if x1 == 0.0:
                 assert mass == 1.0 and g == 0.0 and math.copysign(1.0, g) == 1.0, lam
+                assert g2 == 1.0 / (1.0 + x2 * x2 + x3 * x3), lam
                 continue
             regions.add("t < 0" if (1.0 + x1 * x1) / c.z < math.log(c.z) else "t >= 0")
             regions.add("M >= 2" if mass >= 2.0 else "M < 2")
