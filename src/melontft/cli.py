@@ -181,6 +181,7 @@ def cmd_verify(args) -> int:
     return 1 if any(c.passed is False for c in checks) else 0
 
 
+@cache  # the one parser of the process: parsing leaves a parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="melontft",
@@ -239,15 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    # the one parser of the process: parsing leaves a parser as it was
-    return build_parser()
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -94,7 +94,6 @@ def _check_index(n: int, k: int, m: int) -> None:
         raise ValueError(f"coefficient index out of range: (n,k,m)=({n},{k},{m})")
 
 
-@cache
 def _closed_int(n: int, k: int, m: int) -> int:
     # B(n,k,m) = k! a(n,k,m) = C(n-1, m-1) * m! * |s(n-m, n-k)|
     return comb(n - 1, m - 1) * factorial(m) * _stirling_row(n - m)[n - k]

@@ -32,7 +32,7 @@ p = q/sqrt(M); in q its far-field mass ~ (M-1)/q^4 would fall in a few
 wide panels whose two rules agree and are both wrong.
 
 Everything is evaluated in a fixed order, so results are deterministic
-for a given (integrand, tolerance, budget).  The module is pure Python.
+for a given (integrand, tolerance).  The module is pure Python.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import math
 from typing import Callable, Tuple
 
 from .errors import NotConvergedError, _record
-from .specialfn import Coupling, Point3, dressed_mass, g2_from_mass
+from .specialfn import _HUGE, Coupling, Point3, dressed_mass, g2_from_mass
 
 # the 8-point Gauss-Legendre rule on [-1, 1], nodes ascending: the
 # correctly rounded binary64 values
@@ -64,6 +64,9 @@ _BREAKS = (0.0, 0.25, 0.5, 0.75, _U_CUT, _U_CUT2, 1.0)
 # evaluates the two halves of each of its two children
 _INITIAL_EVALS = (len(_BREAKS) - 1) * 3 * len(_NODES)
 _SPLIT_EVALS = 4 * len(_NODES)
+# the budget of integrand points per integral; refinement stops before a
+# split would pass it
+_MAX_EVALS = 1_000_000
 
 
 def _rule(f: Callable, a: float, b: float) -> float:
@@ -101,24 +104,18 @@ class QuadResult:
 
 def _check_abs_tol(abs_tol: float) -> None:
     # the one rule for a tolerance, also applied to verify --tol
-    if not (math.isfinite(abs_tol) and abs_tol > 0):
+    if not 0.0 < abs_tol <= _HUGE:
         raise ValueError(f"abs_tol must be finite and > 0, got {abs_tol}")
 
 
-def integrate_quarter_plane(
-    f: Callable,
-    abs_tol: float = 1.0e-8,
-    max_evals: int = 1_000_000,
-) -> QuadResult:
+def integrate_quarter_plane(f: Callable, abs_tol: float = 1.0e-8) -> QuadResult:
     """Integrate f(q2^2 + q3^2) over the quarter plane to absolute tolerance.
 
     ``f`` takes one Python float, rho2 = q2^2 + q3^2 >= 0 (module
-    docstring).  ``max_evals`` bounds the integrand points evaluated; it
-    must cover the initial panels' 144.
+    docstring).  The initial panels evaluate 144 points; a panel is then
+    split only while the total stays within ``_MAX_EVALS`` points.
     """
     _check_abs_tol(abs_tol)
-    if max_evals < _INITIAL_EVALS:
-        raise ValueError(f"max_evals must be >= {_INITIAL_EVALS}, the initial panels' cost")
 
     heap = []  # (-err, counter, a, b, value, (left half rule, right half rule))
     counter = itertools.count()
@@ -137,7 +134,7 @@ def integrate_quarter_plane(
     evals = _INITIAL_EVALS
 
     stuck = []  # (b, value) of panels too thin to split further
-    while total_err > abs_tol and heap and evals + _SPLIT_EVALS <= max_evals:
+    while total_err > abs_tol and heap and evals + _SPLIT_EVALS <= _MAX_EVALS:
         neg_err, _, a, b, value, halves = heapq.heappop(heap)
         total_err += neg_err  # neg_err = -err
         if b - a < 1e-13:

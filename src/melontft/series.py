@@ -38,25 +38,25 @@ Float evaluation has one body, ``_eval_columns``: each column
 (lo, x1pow, fullpow, coefficients) is Horner's rule in lg = log(1+x1^2)
 over logpow lo, lo+1, ..., times lg^lo (1+x1^2)^(-x1pow) (1+|x|^2)^(-fullpow).
 ``_float_order(n)`` caches the kernel's columns of order n as floats, and
-``eval_series_transverse`` groups any ``LogSeries``'s terms into the same
-layout, so an order evaluates to the same bits by either route, and
+``eval_series`` groups any ``LogSeries``'s terms into the same layout, so
+an order evaluates to the same bits by either route, and
 ``eval_partial_sum`` makes no ``Fraction``.
 Evaluators raise ``ValueError`` once 1+x1^2 overflows binary64 (x1 above
-about 1.34e154), a power of lambda, log(1+x1^2) or pi/2 does, or, for a
-float or int rho2, the value is not a finite double.
+about 1.34e154), or a power of lambda, log(1+x1^2) or pi/2 does.  Where
+x2^2 + x3^2 overflows, 1+|x|^2 is inf and every term, which carries
+(1+|x|^2)^(-fullpow) with fullpow >= 1, is 0.0, the correctly rounded value.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 from functools import cache
 from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 from .combinatorics import _closed_int
 from .errors import ShapeMismatchError, _record
-from .specialfn import Point3
+from .specialfn import _HUGE, Point3
 
 Key = Tuple[int, int, int]
 FloatColumn = Tuple[int, int, int, Tuple[float, ...]]  # (lo, x1pow, fullpow, coeffs from the top logpow)
@@ -220,33 +220,16 @@ def extract_coefficients(s: LogSeries) -> Dict[Tuple[int, int], Fraction]:
     return row
 
 
-def eval_series_transverse(s: LogSeries, x1: float, rho2):
-    """Evaluate at points (x1, q2, q3) with rho2 = q2^2 + q3^2.
-
-    ``rho2`` may be a float or an array, the natural shape for transverse
-    integrands: the body applies only ``+``, ``*`` and ``b ** (-fullpow)``
-    to b = 1 + x1^2 + rho2.  An array's values agree with scalar calls to
-    within a few ulps of the sum of the terms' magnitudes, not bit for bit,
-    because numpy's power on b and the C library's pow differ by about an
-    ulp.  A float or int ``rho2`` must be >= 0 and at most the largest
-    double, else ``ValueError`` is raised; an array goes unchecked, both in
-    and out.
-    """
-    if isinstance(rho2, (float, int)) and not 0.0 <= rho2 <= sys.float_info.max:
-        raise ValueError(f"rho2 must be finite and >= 0, got {rho2!r}")
-    a, lg = _x1_factors(x1)
+def eval_series(s: LogSeries, x: Point3) -> float:
+    """Numeric value at x, (pi/2)^order prefactor included."""
+    a, lg = _x1_factors(x.x1)
     rows: Dict[Tuple[int, int], Dict[int, float]] = {}
     for t in s.terms:  # keyed (fullpow, x1pow), so sorted in the kernel's column order
         row = rows.setdefault((t.fullpow, t.x1pow), {})
         row[t.logpow] = row.get(t.logpow, 0.0) + float(t.coeff)
     cols = ((min(row), p, q, [row.get(i, 0.0) for i in range(min(row), max(row) + 1)])
             for (q, p), row in sorted(rows.items()))
-    return _eval_columns(s.order, _columns(cols), a, lg, a + rho2)
-
-
-def eval_series(s: LogSeries, x: Point3) -> float:
-    """Numeric value at x, (pi/2)^order prefactor included."""
-    return eval_series_transverse(s, x.x1, x.x2 * x.x2 + x.x3 * x.x3)
+    return _eval_columns(s.order, _columns(cols), a, lg, a + (x.x2 * x.x2 + x.x3 * x.x3))
 
 
 def eval_partial_sum(n_max: int, x: Point3, lam: float) -> float:
@@ -256,7 +239,7 @@ def eval_partial_sum(n_max: int, x: Point3, lam: float) -> float:
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if not math.isfinite(lam):
+    if not -_HUGE <= lam <= _HUGE:
         raise ValueError(f"lambda must be finite, got {lam!r}")
     a, lg = _x1_factors(x.x1)
     b = a + (x.x2 * x.x2 + x.x3 * x.x3)
@@ -290,8 +273,8 @@ def _x1_factors(x1: float) -> Tuple[float, float]:
     return a, math.log(a)
 
 
-def _eval_columns(order: int, columns: Iterable[FloatColumn], a: float, lg: float, b, lam: float = 1.0):
-    # the one evaluation body: a = 1+x1^2, lg = log(a), b = a + rho2; each
+def _eval_columns(order: int, columns: Iterable[FloatColumn], a: float, lg: float, b: float, lam: float = 1.0):
+    # the one evaluation body: a = 1+x1^2, lg = log(a), b = 1+|x|^2; each
     # column is Horner's rule in lg times lg^lo * a^(-x1pow) * b^(-fullpow),
     # and the value is lam^order * (pi/2)^order * their sum (1.0 * y == y,
     # so lam = 1 is exact)
@@ -303,7 +286,7 @@ def _eval_columns(order: int, columns: Iterable[FloatColumn], a: float, lg: floa
                 h = h * lg + c
             total = total + h * lg**lo * a ** (-x1pow) * b ** (-fullpow)
         value = lam**order * ((0.5 * math.pi) ** order * total)
-        if isinstance(value, float) and not math.isfinite(value):
+        if not math.isfinite(value):
             raise OverflowError("a product or a Horner step overflowed")
         return value
     except OverflowError as err:

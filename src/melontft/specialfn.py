@@ -49,6 +49,10 @@ _BRANCH_POINT = -math.exp(-1.0)
 # smallest positive normal double
 _TINY = sys.float_info.min
 
+# largest finite double: a number from outside is range-tested against it,
+# a test that NaN and a Python int beyond the double range also fail
+_HUGE = sys.float_info.max
+
 # e^-2: below it W0(y) is solved from y itself, above it from log(y)
 _E_M2 = math.exp(-2.0)
 
@@ -68,7 +72,7 @@ class Point3:
     def __post_init__(self):
         for name in ("x1", "x2", "x3"):
             v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
+            if not 0.0 <= v <= _HUGE:
                 raise ValueError(f"momentum component {name}={v!r} must be finite and >= 0")
 
     @property
@@ -83,7 +87,7 @@ class Coupling:
     lam: float
 
     def __post_init__(self):
-        if not math.isfinite(self.lam) or self.lam <= 0:
+        if not 0.0 < self.lam <= _HUGE:
             raise ValueError(f"coupling must be finite and > 0, got {self.lam!r}")
         if not math.isfinite(self.z):
             raise ValueError(f"z = (pi/2)*lambda overflows binary64 at lambda={self.lam!r} (limit ~1.14e308)")
@@ -244,7 +248,7 @@ def _masses(x1s: Sequence[float], coupling: Coupling) -> List[float]:
     exp = math.exp
     masses = []
     for x1 in x1s:
-        if not 0.0 <= x1 < math.inf:  # NaN fails this too
+        if not 0.0 <= x1 <= _HUGE:
             raise ValueError(f"x1 must be finite and >= 0, got {x1!r}")
         if x1 == 0.0:
             masses.append(1.0)

@@ -460,26 +460,17 @@ def test_domain_error_keeps_existing_output(capsys, tmp_path, argv):
     assert path.read_bytes() == b"kept\n"
 
 
-def test_one_parser_per_process(capsys, monkeypatch):
-    # main parses with one cached parser; build_parser stays a fresh one per call
-    real, built = cli.build_parser, []
-
-    def counting():
-        built.append(real())
-        return built[-1]
-
-    monkeypatch.setattr(cli, "build_parser", counting)
-    cli._parser.cache_clear()
-    try:
-        assert run(capsys, "coeffs", "--max-order", "3")[0] == 0
-        assert run(capsys, "eval", "--lambda", "1")[0] == 2  # usage error: --x missing
-        assert run(capsys, "coeffs", "--max-order", "3", "--source", "bogus")[0] == 2
-        code, out, _ = run(capsys, "coeffs", "--max-order", "3", "--source", "recur")
-        assert code == 0 and json.loads(out)["source"] == "recur"
-        assert len(built) == 1
-    finally:
-        cli._parser.cache_clear()
-    assert real() is not real()
+def test_one_parser_per_process(capsys):
+    # main parses with the one cached parser, which parsing leaves as it was
+    cli.build_parser.cache_clear()
+    assert run(capsys, "coeffs", "--max-order", "3")[0] == 0
+    assert run(capsys, "eval", "--lambda", "1")[0] == 2  # usage error: --x missing
+    assert run(capsys, "coeffs", "--max-order", "3", "--source", "bogus")[0] == 2
+    code, out, _ = run(capsys, "coeffs", "--max-order", "3", "--source", "recur")
+    assert code == 0 and json.loads(out)["source"] == "recur"
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    assert cli.build_parser() is cli.build_parser()
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"

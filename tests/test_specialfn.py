@@ -128,11 +128,13 @@ class TestDomainTypes:
             Point3(-0.1, 0, 0)
         with pytest.raises(ValueError):
             Point3(0, math.inf, 0)
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            Point3(10**400, 0, 0)  # an int beyond a double, not an OverflowError
 
     def test_coupling_validation(self):
         assert Coupling(2 / math.pi).z == pytest.approx(1.0, rel=1e-15)
-        for bad in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError):
+        for bad in (0.0, -1.0, math.nan, math.inf, 10**400):
+            with pytest.raises(ValueError, match="coupling must be finite and > 0"):
                 Coupling(bad)
 
     def test_coupling_rejects_overflowing_z(self):
@@ -388,7 +390,7 @@ class TestShiftAndSolution:
         with pytest.raises(ValueError):
             g_at(-1.0, Coupling(1.0))
 
-    @pytest.mark.parametrize("x1", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("x1", [-1.0, math.nan, math.inf, pytest.param(10**400, id="10**400")])
     def test_dressed_mass_rejects_raw_x1(self, x1):
         # dressed_mass is public and takes a bare float, not a checked Point3
         with pytest.raises(ValueError, match=re.escape(f"x1 must be finite and >= 0, got {x1!r}")):
@@ -524,7 +526,7 @@ class TestExactRecords:
             assert exact_record(x, c) == exact_records((x1,), 0.25, 1.5, c)[0]
             assert dressed_mass(x1, c) == specialfn._masses((x1,), c)[0]
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, pytest.param(10**400, id="10**400")])
     def test_bad_x1_raises_dressed_mass_message(self, bad):
         with pytest.raises(ValueError, match=re.escape(f"x1 must be finite and >= 0, got {bad!r}")):
             exact_records([0.5, bad, 2.0], 0.5, 0.5, Coupling(1.0))
