@@ -7,6 +7,12 @@ coefficients, the Stirling-number coefficient family and its identity
 suite, the Lambert-W resummed non-perturbative solution, adaptive
 quadrature residual checks and the recursion for higher-point functions.
 
+The exact layer computes on integers: each exact quantity is a numerator
+over a denominator known in closed form, and a ``fractions.Fraction`` is
+made only where a public function returns one.  The CLI prints every
+"p/q" straight from those integers, and the identity suite compares
+them, so neither makes a ``Fraction``.
+
 Caching policy: a pure function of integer indices whose results are
 immutable (unsigned Stirling rows, factorials, H_k over k!, the integer
 columns of perturbative orders and tadpoles, and their float columns) is
@@ -44,9 +50,8 @@ __version__ = "0.1.0"
 # order of the package's ``__all__``
 _EXPORTS = {
     "combinatorics": (
-        "stirling_first_unsigned", "harmonic", "a_closed", "CoeffTable", "IdentityCheck",
-        "check_identity_stirling_621", "check_identity_harmonic", "check_identity_big_stirling",
-        "rational_str",
+        "harmonic", "a_closed", "CoeffTable", "IdentityCheck", "check_identity_stirling_621",
+        "check_identity_harmonic", "check_identity_big_stirling", "rational_str",
     ),
     "series": (
         "LogTerm", "LogSeries", "perturbative_order", "ansatz_order", "extract_coefficients",

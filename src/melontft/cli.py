@@ -81,30 +81,31 @@ def cmd_eval(args) -> int:
 
 
 def cmd_series(args) -> int:
-    from .combinatorics import rational_str
-    from .series import perturbative_order
+    # the terms of perturbative_order, printed from its integer columns
+    from .combinatorics import _ratio_str
+    from .series import _order, _terms
 
-    s = perturbative_order(args.order)
+    n = args.order
+    den, cols = _order(n)
     terms = [
-        {"coeff": rational_str(t.coeff), "logpow": t.logpow, "x1pow": t.x1pow, "fullpow": t.fullpow}
-        for t in s.terms
+        {"coeff": _ratio_str(c, den), "logpow": logpow, "x1pow": x1pow, "fullpow": fullpow}
+        for (logpow, x1pow, fullpow), c in _terms(n, cols)
     ]
-    payload = {"order": s.order, "prefactor_pi_over_2_pow": s.order, "terms": terms}
-    rows = ((s.order, t["coeff"], t["logpow"], t["x1pow"], t["fullpow"]) for t in terms)
+    payload = {"order": n, "prefactor_pi_over_2_pow": n, "terms": terms}
+    rows = ((n, t["coeff"], t["logpow"], t["x1pow"], t["fullpow"]) for t in terms)
     _write(args, payload, ["order", "coeff", "logpow", "x1pow", "fullpow"], rows)
     return 0
 
 
 def cmd_coeffs(args) -> int:
-    from .combinatorics import CoeffTable, rational_str
+    # the entries of CoeffTable, printed from its integer columns
+    from .combinatorics import _closed_row, _entries, _ratio_str, _recur_row
 
-    if args.source == "closed":
-        table = CoeffTable.from_closed_form(args.max_order)
-    else:
-        table = CoeffTable.from_recurrences(args.max_order)
-    items = sorted(table.entries.items())
-    entries = [{"n": n, "k": k, "m": m, "a": rational_str(v)} for (n, k, m), v in items]
-    payload = {"max_order": table.max_order, "source": args.source, "entries": entries}
+    row = _closed_row if args.source == "closed" else _recur_row
+    entries = [
+        {"n": n, "k": k, "m": m, "a": _ratio_str(b, f)} for (n, k, m), b, f in _entries(args.max_order, row)
+    ]
+    payload = {"max_order": args.max_order, "source": args.source, "entries": entries}
     rows = ((e["n"], e["k"], e["m"], e["a"]) for e in entries)
     _write(args, payload, ["n", "k", "m", "a"], rows)
     return 0

@@ -10,13 +10,21 @@ by k! only where a public ``fractions.Fraction`` is made.
 Each route to B, the closed form and the recurrences, fills one cached
 table of integer columns, ``col[k][m]`` a list over N of B(N, k, m),
 bottom-up one order at a time (``_columns``); a table grows to the
-largest order asked of it and is never rebuilt.  ``_generic_rhs`` is the
-one body of the generic recurrence: the recurrence table runs it on its
-own columns and the big Stirling check on the closed-form columns.  The
-identity checks sum over denominators known in closed form; ``_pair_sum``,
-which adds reduced (num, den) pairs at the LCM of their denominators,
-remains for the harmonic identity's right-hand side and the big Stirling
-identity's printed side.
+largest order asked of it and is never rebuilt.  ``_entries`` lists a
+table's (index, B, k!) in index order, for ``CoeffTable`` and for the
+CLI, which prints each as "p/q" by ``_ratio_str``, the one formatter.
+``_generic_rhs`` is the one body of the generic recurrence: the
+recurrence table runs it on its own columns and the big Stirling check
+on the closed-form columns.
+
+Each identity has one integer core, ``_*_sides``, that returns its
+derived and printed sides as numerators over one denominator known in
+closed form: (n-1)! for the Stirling sum identity, (k+1)! (2n+3-k) for
+the harmonic one, and for the big Stirling identity k! under B and the
+generic recurrence, k! (n-m)! under the printed sides.  Every division
+by a term's denominator goes through ``_exact_div``, so a remainder
+raises ``ArithmeticError``.  The public ``check_identity_*`` wrap a core
+into an ``IdentityCheck`` of Fractions; ``verify`` compares the integers.
 
 Conventions
 -----------
@@ -32,47 +40,44 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd
 from operator import mul
-from typing import Callable, Dict, Iterable, Mapping, Tuple
+from typing import Callable, Dict, Iterator, Mapping, Tuple
 
 from .errors import _record
 
 Index = Tuple[int, int, int]
 
 
+def _ratio_str(num: int, den: int) -> str:
+    # the one "p/q" formatter: num/den (den > 0) in lowest terms, by one gcd
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}"
+
+
 def rational_str(value: Fraction) -> str:
     """Serialize a Fraction as an explicit "p/q" decimal string."""
-    return f"{value.numerator}/{value.denominator}"
+    return _ratio_str(value.numerator, value.denominator)
+
+
+def _exact_div(num: int, d: int) -> int:
+    # num / d where d must divide num: a remainder is a defect, never floored
+    q, r = divmod(num, d)
+    if r:
+        raise ArithmeticError(f"{num} is not a multiple of {d}")
+    return q
 
 
 @cache
 def _stirling_row(n: int) -> Tuple[int, ...]:
     """Row (c(n,0), ..., c(n,n)) of unsigned numbers, built up from row 0 without recursion."""
+    if n < 0:
+        raise ValueError("Stirling indices must be nonnegative")
     row: Tuple[int, ...] = (1,)
     for i in range(1, n + 1):
         prev = row + (0,)
         row = (0,) + tuple(prev[k - 1] + (i - 1) * prev[k] for k in range(1, i + 1))
     return row
-
-
-def stirling_first_unsigned(n: int, k: int) -> int:
-    """Unsigned Stirling number of the first kind |s(n, k)|."""
-    if n < 0 or k < 0:
-        raise ValueError("Stirling indices must be nonnegative")
-    return _stirling_row(n)[k] if k <= n else 0
-
-
-Pair = Tuple[int, int]  # (numerator, denominator > 0), reduced
-
-
-def _pair_sum(terms: Iterable[Pair]) -> Pair:
-    """Exact sum of (num, den) terms at the LCM of their denominators, reduced."""
-    terms = list(terms)
-    den = lcm(*(d for _, d in terms))
-    num = sum(c * (den // d) for c, d in terms)
-    g = gcd(num, den)
-    return num // g, den // g
 
 
 @cache
@@ -138,11 +143,9 @@ def _recur_row(col: list, n: int, k: int) -> list:
     if k == n - 1:
         return [factorial(k - 1)] + [factorial(k) // (n - m) + k * col[k - 1][m - 1][k] for m in range(2, n)]
     # m = 1 for k <= n-2; at k = 1 it reduces to a(n,1,1) = a(n-1,1,1).
-    # l! divides B(n-1,k,l), so a quotient with a remainder is a defect
-    quotients, rems = zip(*(divmod(col[k][l][n - 1], l) for l in range(1, k + 1)))
-    if any(rems):
-        raise ArithmeticError(f"some B({n - 1},{k},l) is not a multiple of l <= {k}")
-    return [sum(quotients)] + [_generic_rhs(n, k, m, col) for m in range(2, k + 1)]
+    # l! divides B(n-1,k,l), so each quotient is exact
+    m1 = sum(_exact_div(col[k][l][n - 1], l) for l in range(1, k + 1))
+    return [m1] + [_generic_rhs(n, k, m, col) for m in range(2, k + 1)]
 
 
 def _closed_row(col: list, n: int, k: int) -> list:
@@ -171,6 +174,16 @@ def _columns(top: int, row: Callable) -> list:
     return col
 
 
+def _entries(max_order: int, row: Callable) -> Iterator[Tuple[Index, int, int]]:
+    """((n, k, m), B(n, k, m), k!) for 2 <= n <= max_order, 1 <= m <= k <= n-1, in (n, k, m) order."""
+    if max_order < 2:
+        raise ValueError("max_order must be >= 2")
+    col, f = _columns(max_order, row), _factorials(max_order)
+    return (
+        ((n, k, m), col[k][m][n], f[k]) for n in range(2, max_order + 1) for k in range(1, n) for m in range(1, k + 1)
+    )
+
+
 @_record
 class CoeffTable:
     """Exact table of a(n,k,m) for 2 <= n <= max_order, 1 <= m <= k <= n-1."""
@@ -180,16 +193,7 @@ class CoeffTable:
 
     @classmethod
     def _build(cls, max_order: int, row: Callable) -> "CoeffTable":
-        if max_order < 2:
-            raise ValueError("max_order must be >= 2")
-        col, f = _columns(max_order, row), _factorials(max_order)
-        entries = {
-            (n, k, m): Fraction(col[k][m][n], f[k])
-            for n in range(2, max_order + 1)
-            for k in range(1, n)
-            for m in range(1, k + 1)
-        }
-        return cls(max_order, entries)
+        return cls(max_order, {index: Fraction(b, f) for index, b, f in _entries(max_order, row)})
 
     @classmethod
     def from_closed_form(cls, max_order: int) -> "CoeffTable":
@@ -229,6 +233,25 @@ class IdentityCheck:
         return self.printed_lhs == self.printed_rhs
 
 
+Sides = Tuple[int, int, int]  # (lhs, rhs, den): both sides of an identity as numerators over den > 0
+
+
+def _identity_check(derived: Sides, printed: Sides) -> IdentityCheck:
+    (lhs, rhs, den), (plhs, prhs, pden) = derived, printed
+    return IdentityCheck(Fraction(lhs, den), Fraction(rhs, den), Fraction(plhs, pden), Fraction(prhs, pden))
+
+
+def _stirling_621_sides(n: int, k: int) -> Tuple[Sides, Sides]:
+    # all three sides over (n-1)!: the l-th c scales by (n-2)!/(n-1-l)! in rhs, by (n-1)!/(n-l)! in printed_rhs
+    if n < 4 or not (1 <= k <= n - 3):
+        raise ValueError(f"identity index out of range: (n,k)=({n},{k})")
+    f, tops = _factorials(n - 1), [(l, _stirling_row(n - 1 - l)[n - 1 - k]) for l in range(1, k + 1)]
+    lhs = _stirling_row(n - 1)[n - k]
+    rhs = sum(c * _exact_div(f[n - 2], f[n - 1 - l]) for l, c in tops)
+    printed_rhs = sum(c * _exact_div(f[n - 1], f[n - l]) for l, c in tops)
+    return (lhs, rhs, f[n - 1]), (lhs, printed_rhs, f[n - 1])
+
+
 def check_identity_stirling_621(n: int, k: int) -> IdentityCheck:
     """Check the Stirling-number sum identity behind the m=1 recurrence.
 
@@ -241,14 +264,18 @@ def check_identity_stirling_621(n: int, k: int) -> IdentityCheck:
     evaluated separately and reported, since it disagrees with direct
     evaluation for l >= 2 (first counterexample at (n,k) = (5,2)).
     """
-    if n < 4 or not (1 <= k <= n - 3):
+    return _identity_check(*_stirling_621_sides(n, k))
+
+
+def _harmonic_sides(n: int, k: int) -> Tuple[Sides, Sides]:
+    # both sides over (k+1)! (2n+3-k), the right one term by term: l (k+1-l) divides (k+1)!
+    if n < 1 or not (1 <= k <= n):
         raise ValueError(f"identity index out of range: (n,k)=({n},{k})")
-    # all three sides over (n-1)!: the l-th c scales by (n-2)!/(n-1-l)! in rhs, by (n-1)!/(n-l)! in printed_rhs
-    den, tops = factorial(n - 1), [(l, _stirling_row(n - 1 - l)[n - 1 - k]) for l in range(1, k + 1)]
-    rhs = sum(c * (factorial(n - 2) // factorial(n - 1 - l)) for l, c in tops)
-    printed_rhs = sum(c * (den // factorial(n - l)) for l, c in tops)
-    lhs = Fraction(_stirling_row(n - 1)[n - k], den)
-    return IdentityCheck(lhs, Fraction(rhs, den), lhs, Fraction(printed_rhs, den))
+    f, (h, hd) = _factorials(k + 1), _harmonic_pair(k)
+    den = f[k + 1] * (2 * n + 3 - k)
+    rhs = (k + 1) * sum((n + 1 - k + l) * _exact_div(f[k + 1], l * (k + 1 - l)) for l in range(1, k + 1))
+    sides = h * _exact_div(den, hd), rhs, den
+    return sides, sides
 
 
 def check_identity_harmonic(n: int, k: int) -> IdentityCheck:
@@ -256,12 +283,29 @@ def check_identity_harmonic(n: int, k: int) -> IdentityCheck:
 
     Checked as printed, so the printed sides are the derived ones.
     """
-    if n < 1 or not (1 <= k <= n):
-        raise ValueError(f"identity index out of range: (n,k)=({n},{k})")
-    lhs = harmonic(k)
-    c, d = _pair_sum((n + 1 - k + l, l * (k + 1 - l)) for l in range(1, k + 1))
-    rhs = Fraction((k + 1) * c, (2 * n + 3 - k) * d)
-    return IdentityCheck(lhs, rhs, lhs, rhs)
+    return _identity_check(*_harmonic_sides(n, k))
+
+
+def _big_stirling_sides(n: int, k: int, m: int) -> Tuple[Sides, Sides]:
+    # derived: B(n,k,m) = k! a(n,k,m) against the generic recurrence on the
+    # closed-form columns, over k!; printed: every term over k! (n-m)!
+    if n < 5 or not (2 <= k <= n - 3) or not (2 <= m <= k):
+        raise ValueError(f"identity index out of range: (n,k,m)=({n},{k},{m})")
+    row, f, col = _stirling_row, _factorials(n), _columns(n, _closed_row)
+    den = f[k] * f[n - m]
+    printed_lhs = ((n - 1) * m - k * (m - 1)) * f[n - 2] * row(n - m)[n - k]
+    printed_rhs = 0
+    for l in range(1, k - m + 2):
+        # weight * bracket, with weight |s(n-m-l, n-k-1)|/(n-m-l)!
+        w, wd = row(n - m - l)[n - k - 1], f[n - m - l]
+        printed_rhs += w * f[n - 1 - m] * _exact_div(den, wd * f[k - m + 1])
+        printed_rhs += w * (m - 1) * f[n - l - 2] * _exact_div(den, wd * l * f[k - l])
+        # outer (m-1)/(l!(k-l)!) times each p-term of inner times its tail's r-terms
+        for p in range(l + 1, n - 1 - k + l):
+            num = (m - 1) * f[p - 1] * f[n - 2 - p] * row(n - m - p)[n - k - 1 - p + l]
+            pd = f[l] * f[k - l] * f[n - m - p]
+            printed_rhs += num * sum(row(p - r)[p - l] * _exact_div(den, pd * f[p - r]) for r in range(1, l + 1))
+    return (col[k][m][n], _generic_rhs(n, k, m, col), f[k]), (printed_lhs, printed_rhs, den)
 
 
 def check_identity_big_stirling(n: int, k: int, m: int) -> IdentityCheck:
@@ -271,29 +315,4 @@ def check_identity_big_stirling(n: int, k: int, m: int) -> IdentityCheck:
     directly on coefficient values; that comparison is the pass criterion,
     while the printed form's status is recorded for inspection.
     """
-    if n < 5 or not (2 <= k <= n - 3) or not (2 <= m <= k):
-        raise ValueError(f"identity index out of range: (n,k,m)=({n},{k},{m})")
-
-    row = _stirling_row
-    printed_lhs = Fraction(
-        ((n - 1) * m - k * (m - 1)) * factorial(n - 2) * row(n - m)[n - k],
-        factorial(k) * factorial(n - m),
-    )
-    terms = []
-    for l in range(1, k - m + 2):
-        # weight * bracket, with weight |s(n-m-l, n-k-1)|/(n-m-l)!
-        w, wd = row(n - m - l)[n - k - 1], factorial(n - m - l)
-        terms.append((w * factorial(n - 1 - m), wd * factorial(k - m + 1)))
-        terms.append((w * (m - 1) * factorial(n - l - 2), wd * l * factorial(k - l)))
-        # outer (m-1)/(l!(k-l)!) times each p-term of inner times its tail's r-terms
-        for p in range(l + 1, n - 1 - k + l):
-            num = (m - 1) * factorial(p - 1) * factorial(n - 2 - p) * row(n - m - p)[n - k - 1 - p + l]
-            den = factorial(l) * factorial(k - l) * factorial(n - m - p)
-            terms.extend((num * row(p - r)[p - l], den * factorial(p - r)) for r in range(1, l + 1))
-    # ground truth is the recurrence acting on the coefficients themselves
-    return IdentityCheck(
-        a_closed(n, k, m),
-        Fraction(_generic_rhs(n, k, m, _columns(n, _closed_row)), factorial(k)),
-        printed_lhs,
-        Fraction(*_pair_sum(terms)),
-    )
+    return _identity_check(*_big_stirling_sides(n, k, m))

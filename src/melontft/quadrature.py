@@ -108,7 +108,7 @@ def _check_abs_tol(abs_tol: float) -> None:
         raise ValueError(f"abs_tol must be finite and > 0, got {abs_tol}")
 
 
-def integrate_quarter_plane(f: Callable, abs_tol: float = 1.0e-8) -> QuadResult:
+def integrate_quarter_plane(f: Callable, abs_tol: float) -> QuadResult:
     """Integrate f(q2^2 + q3^2) over the quarter plane to absolute tolerance.
 
     ``f`` takes one Python float, rho2 = q2^2 + q3^2 >= 0 (module
@@ -170,9 +170,7 @@ def _subtracted_integrand(mass: float) -> Callable:
     return f
 
 
-def fixed_point_residuals(
-    x: Point3, coupling: Coupling, abs_tol: float = 1.0e-8
-) -> Tuple[float, float]:
+def fixed_point_residuals(x: Point3, coupling: Coupling, abs_tol: float) -> Tuple[float, float]:
     """Both quadrature residuals at x from one transverse integral.
 
     Returns (SDE residual, integrated-identity residual), as computed by
@@ -202,7 +200,7 @@ def sde_residual_numeric(x: Point3, coupling: Coupling, abs_tol: float = 1.0e-8)
     return fixed_point_residuals(x, coupling, abs_tol)[0]
 
 
-def integrated_identity_residual(x1: float, coupling: Coupling, abs_tol: float = 1.0e-8) -> float:
+def integrated_identity_residual(x1: float, coupling: Coupling, abs_tol: float) -> float:
     """Quadrature minus closed form for the integrated solution.
 
     The subtracted transverse integral of the exact 2-point function

@@ -18,8 +18,11 @@ logpow) times column m - 1 of order n - 1 - k, each product one big-int
 product of rows packed at a width that bounds every slot of the sum
 (Kronecker substitution).  ``ansatz_order`` fills the same columns from
 the closed form, whose slots ``_slots`` states once, also for
-``extract_coefficients``.  ``_series`` alone turns columns into a
+``extract_coefficients``.  ``_terms`` lists an order's nonzero
+(key, numerator) pairs in key order; ``_series`` alone turns them into a
 ``LogSeries`` of ``Fraction`` coefficients, and no code turns one back.
+The CLI prints the same pairs over the kernel's D as "p/q" and makes no
+``Fraction``.
 
 The closed form is a theorem, the Lagrange-Buermann coefficient.  With
 a = 1+x1^2, L = log(a) and B = 1+|x|^2, the shift g = M - a solves
@@ -52,7 +55,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
-from typing import Dict, Iterable, Iterator, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .combinatorics import _closed_int
 from .errors import ShapeMismatchError, _record
@@ -89,11 +92,15 @@ def _key(n: int, m: int, i: int) -> Key:
     return m + i, n - m, m + 1
 
 
+def _terms(n: int, cols: Sequence[Row]) -> List[Tuple[Key, int]]:
+    # the nonzero (key, numerator) pairs of order n's columns, in key order
+    return sorted((_key(n, m, i), c) for m, col in enumerate(cols) for i, c in enumerate(col) if c)
+
+
 def _series(n: int, den: int, cols: Sequence[Row]) -> LogSeries:
     # the only place a LogSeries is made from exact data: one Fraction per
-    # nonzero numerator of reduced columns, in key order
-    terms = sorted((_key(n, m, i), c) for m, col in enumerate(cols) for i, c in enumerate(col) if c)
-    return LogSeries(n, tuple(LogTerm(Fraction(c, den), *key) for key, c in terms))
+    # term of reduced columns
+    return LogSeries(n, tuple(LogTerm(Fraction(c, den), *key) for key, c in _terms(n, cols)))
 
 
 def _pack(coeffs: Row, w: int) -> int:
@@ -166,12 +173,16 @@ def _kernel(n: int) -> Tuple[KernelOrder, KernelTadpole]:
     return (den, cols, big), (tden, tad, sum(map(abs, tad)))
 
 
-def perturbative_order(n: int) -> LogSeries:
-    """Order-n series from the recursion (one interaction, colour 1)."""
+def _order(n: int) -> Tuple[int, Tuple[Row, ...]]:
+    # order n's kernel denominator and reduced columns
     if n < 0:
         raise ValueError("order must be >= 0")
-    den, cols, _ = _kernel(n)[0]
-    return _series(n, den, cols)
+    return _kernel(n)[0][:2]
+
+
+def perturbative_order(n: int) -> LogSeries:
+    """Order-n series from the recursion (one interaction, colour 1)."""
+    return _series(n, *_order(n))
 
 
 def _slots(n: int) -> Iterator[Tuple[int, int, int]]:

@@ -49,16 +49,19 @@ def coefficient_routes_agree(max_order: int) -> List[Check]:
     return checks
 
 
-def suite_coeffs(max_order: int = 9) -> List[Check]:
+def suite_coeffs(max_order: int) -> List[Check]:
     if max_order < 2:
         # below 2 the coefficient routes have no order to compare
         raise ValueError(f"coefficient suite needs max_order >= 2, got {max_order}")
     return orders_match_closed_form(max_order) + coefficient_routes_agree(max_order)
 
 
-def _exact_check(name: str, results: Mapping[tuple, comb.IdentityCheck]) -> Check:
-    """PASS when every derived identity holds; FAIL names the first failing indices."""
-    bad = [index for index, res in results.items() if not res.passed]
+def _exact_check(name: str, results: Mapping[tuple, tuple]) -> Check:
+    """PASS when every derived identity holds; FAIL names the first failing indices.
+
+    ``results`` maps each index to its (derived, printed) integer sides.
+    """
+    bad = [index for index, ((lhs, rhs, _), _) in results.items() if lhs != rhs]
     return Check(name, not bad, "exact" if not bad else f"fails at {bad[:3]}")
 
 
@@ -67,19 +70,17 @@ def _bounded(name: str, worst: float, bound: float) -> Check:
     return Check(name, worst < bound, f"worst {worst:.2e}")
 
 
-def suite_identities(max_n: int = 20) -> List[Check]:
+def suite_identities(max_n: int) -> List[Check]:
+    # the sides of each identity as integers over one denominator (the
+    # private cores behind comb.check_identity_*), so no Fraction is made
     if max_n < 5:
         # the first generic index is (5,2,2); below it a family would pass empty
         raise ValueError(f"identity suite needs max_n >= 5, got {max_n}")
-    harmonic = {
-        (n, k): comb.check_identity_harmonic(n, k) for n in range(1, max_n + 1) for k in range(1, n + 1)
-    }
-    stirling = {
-        (n, k): comb.check_identity_stirling_621(n, k) for n in range(4, max_n + 1) for k in range(1, n - 2)
-    }
+    harmonic = {(n, k): comb._harmonic_sides(n, k) for n in range(1, max_n + 1) for k in range(1, n + 1)}
+    stirling = {(n, k): comb._stirling_621_sides(n, k) for n in range(4, max_n + 1) for k in range(1, n - 2)}
     top = min(max_n, 12)
     big = {
-        (n, k, m): comb.check_identity_big_stirling(n, k, m)
+        (n, k, m): comb._big_stirling_sides(n, k, m)
         for n in range(5, top + 1)
         for k in range(2, n - 2)
         for m in range(2, k + 1)
@@ -89,19 +90,19 @@ def suite_identities(max_n: int = 20) -> List[Check]:
         _exact_check(f"harmonic identity, all 1 <= k <= n <= {max_n}", harmonic),
         _exact_check(f"Stirling sum identity (corrected form), 4 <= n <= {max_n}", stirling),
     ]
-    printed_bad = [(index, res) for index, res in stirling.items() if not res.printed_matches]
+    printed_bad = [(index, printed) for index, (_, printed) in stirling.items() if printed[0] != printed[1]]
     if printed_bad:
-        (n, k), res = printed_bad[0]
+        (n, k), (lhs, rhs, den) = printed_bad[0]
         checks.append(
             Check(
                 "Stirling sum identity as printed",
                 None,
                 f"disagrees at {len(printed_bad)} indices; first (n,k)=({n},{k}): "
-                f"{comb.rational_str(res.printed_lhs)} vs {comb.rational_str(res.printed_rhs)}",
+                f"{comb._ratio_str(lhs, den)} vs {comb._ratio_str(rhs, den)}",
             )
         )
     checks.append(_exact_check(f"generic recurrence on coefficient values, n <= {top}", big))
-    printed_big = sum(res.printed_matches for res in big.values())
+    printed_big = sum(lhs == rhs for _, (lhs, rhs, _) in big.values())
     checks.append(
         Check("big Stirling identity as printed", None, f"matches at {printed_big}/{len(big)} generic indices")
     )
@@ -179,12 +180,7 @@ def fixed_point_numeric(lam: float, x: specialfn.Point3, tol: float) -> List[Che
     ]
 
 
-def suite_sde(
-    lam: Optional[float] = None,
-    x: Optional[specialfn.Point3] = None,
-    tol: float = 1.0e-8,
-    numeric: bool = False,
-) -> List[Check]:
+def suite_sde(lam: Optional[float], x: Optional[specialfn.Point3], tol: float, numeric: bool) -> List[Check]:
     checks = fixed_point_algebraic(
         _SDE_LAMBDAS if lam is None else (lam,), _SDE_X1S if x is None else (x.x1,)
     )

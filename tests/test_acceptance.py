@@ -57,7 +57,7 @@ def test_c03_printed_low_orders():
 
 def test_c04_fixed_point_algebraic():
     t0 = time.perf_counter()
-    detail = _passed(verify.suite_sde())
+    detail = _passed(verify.suite_sde(None, None, 1e-8, False))
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     _report(4, "algebraic fixed-point residual < 1e-12 on the coupling grid", f"({detail})")

@@ -489,20 +489,44 @@ def test_verify_all_matches_benchmark_reference(tmp_path):
             assert got["detail"] == detail, name
 
 
-def test_exact_outputs_match_reference(tmp_path):
-    # every p/q string the exact commands emit stays bit-identical to the
-    # pinned digests the benchmark also checks
+# the exact commands whose outputs the benchmark pins by sha256 digest
+EXACT_COMMANDS = {
+    "series30": ["series", "--order", "30"],
+    "coeffs_closed20": ["coeffs", "--max-order", "20"],
+    "coeffs_recur20": ["coeffs", "--max-order", "20", "--source", "recur"],
+    "verify_identities": ["verify", "identities"],
+}
+
+
+def exact_digest_mismatches(tmp_path):
+    """Run each exact command (each must exit 0); the names whose output misses its pinned digest."""
     digests = json.loads(REFERENCE.read_text(encoding="utf-8"))["digests"]
-    commands = {
-        "series30": ["series", "--order", "30"],
-        "coeffs_closed20": ["coeffs", "--max-order", "20"],
-        "coeffs_recur20": ["coeffs", "--max-order", "20", "--source", "recur"],
-        "verify_identities": ["verify", "identities"],
-    }
     mismatched = []
-    for name, argv in commands.items():
+    for name, argv in EXACT_COMMANDS.items():
         path = tmp_path / name
         assert main(argv + ["--output", str(path)]) == 0, name
         if hashlib.sha256(path.read_bytes()).hexdigest() != digests[name]:
             mismatched.append(name)
-    assert not mismatched
+    return mismatched
+
+
+def test_exact_outputs_match_reference(tmp_path):
+    # every p/q string the exact commands emit stays bit-identical to the
+    # pinned digests the benchmark also checks
+    assert not exact_digest_mismatches(tmp_path)
+
+
+def test_exact_commands_make_no_fraction(tmp_path, monkeypatch):
+    # the CLI prints p/q from the integer columns and judges the identities on
+    # integer sides, so on cold caches not one Fraction is made
+    from melontft import combinatorics, series
+
+    def raiser(*args):
+        raise AssertionError(f"Fraction{args} made")
+
+    for module in (combinatorics, series):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+        monkeypatch.setattr(module, "Fraction", raiser)
+    assert not exact_digest_mismatches(tmp_path)

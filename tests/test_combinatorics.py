@@ -15,8 +15,13 @@ from melontft.combinatorics import (
     check_identity_stirling_621,
     harmonic,
     rational_str,
-    stirling_first_unsigned,
 )
+
+
+def stirling_first_unsigned(n, k):
+    """|s(n, k)| read off the library's row, 0 for k > n; a negative n raises."""
+    row = combinatorics._stirling_row(n)
+    return row[k] if k <= n else 0
 
 
 def stirling_first_signed(n, k):
@@ -66,6 +71,7 @@ class TestStirling:
         assert stirling_first_signed(0, 0) == 1
         assert stirling_first_signed(5, 0) == 0
         assert stirling_first_signed(3, 5) == 0
+        assert stirling_first_unsigned(3, 5) == 0
         assert stirling_first_unsigned(5, 0) == 0
         for n in range(8):
             assert stirling_first_unsigned(n, n) == 1
@@ -271,6 +277,61 @@ class TestCoefficients:
             closed.row(9)
         with pytest.raises(ValueError):
             CoeffTable.from_closed_form(1)
+
+
+def pair_sum(terms):
+    """Sum of (num, den) terms at the LCM of their denominators, as a plain Fraction."""
+    terms = list(terms)
+    den = math.lcm(*(d for _, d in terms))
+    return Fraction(sum(c * (den // d) for c, d in terms), den)
+
+
+def core_sides(core, *index):
+    """An identity core's (derived, printed) integer sides, each as a (lhs, rhs) Fraction pair."""
+    return tuple((Fraction(lhs, den), Fraction(rhs, den)) for lhs, rhs, den in core(*index))
+
+
+class TestIdentityCores:
+    # each core's integer sides against the printed formula summed term by
+    # term, over every index that ``verify identities`` reads
+    def test_stirling_621_sides(self):
+        c, fact = stirling_first_unsigned, math.factorial
+        for n in range(4, 21):
+            for k in range(1, n - 2):
+                lhs = Fraction(c(n - 1, n - k), fact(n - 1))
+                rhs = pair_sum((c(n - 1 - l, n - 1 - k), (n - 1) * fact(n - 1 - l)) for l in range(1, k + 1))
+                printed_rhs = pair_sum((c(n - 1 - l, n - 1 - k), fact(n - l)) for l in range(1, k + 1))
+                got = core_sides(combinatorics._stirling_621_sides, n, k)
+                assert got == ((lhs, rhs), (lhs, printed_rhs)), (n, k)
+
+    def test_harmonic_sides(self):
+        for n in range(1, 21):
+            for k in range(1, n + 1):
+                lhs = pair_sum((1, j) for j in range(1, k + 1))
+                terms = ((n + 1 - k + l, l * (k + 1 - l)) for l in range(1, k + 1))
+                rhs = Fraction(k + 1, 2 * n + 3 - k) * pair_sum(terms)
+                assert core_sides(combinatorics._harmonic_sides, n, k) == ((lhs, rhs), (lhs, rhs)), (n, k)
+
+    def test_big_stirling_sides(self):
+        c, fact = stirling_first_unsigned, math.factorial
+        for n in range(5, 13):
+            for k in range(2, n - 2):
+                for m in range(2, k + 1):
+                    printed_lhs = Fraction(
+                        ((n - 1) * m - k * (m - 1)) * fact(n - 2) * c(n - m, n - k), fact(k) * fact(n - m)
+                    )
+                    terms = []
+                    for l in range(1, k - m + 2):
+                        w, wd = c(n - m - l, n - k - 1), fact(n - m - l)
+                        terms.append((w * fact(n - 1 - m), wd * fact(k - m + 1)))
+                        terms.append((w * (m - 1) * fact(n - l - 2), wd * l * fact(k - l)))
+                        for p in range(l + 1, n - 1 - k + l):
+                            num = (m - 1) * fact(p - 1) * fact(n - 2 - p) * c(n - m - p, n - k - 1 - p + l)
+                            den = fact(l) * fact(k - l) * fact(n - m - p)
+                            terms.extend((num * c(p - r, p - l), den * fact(p - r)) for r in range(1, l + 1))
+                    derived = (a_closed(n, k, m), paper_generic_rhs(n, k, m, a_closed))
+                    got = core_sides(combinatorics._big_stirling_sides, n, k, m)
+                    assert got == (derived, (printed_lhs, pair_sum(terms))), (n, k, m)
 
 
 class TestIdentities:
