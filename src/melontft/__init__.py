@@ -8,10 +8,10 @@ suite, the Lambert-W resummed non-perturbative solution, adaptive
 quadrature residual checks and the recursion for higher-point functions.
 
 The exact layer computes on integers: each exact quantity is a numerator
-over a denominator known in closed form, and a ``fractions.Fraction`` is
-made only where a public function returns one.  The CLI prints every
-"p/q" straight from those integers, and the identity suite compares
-them, so neither makes a ``Fraction``.
+over a denominator known in closed form, and ``fractions`` is imported,
+and a ``Fraction`` made, only inside a public function that returns one.
+The CLI prints every "p/q" straight from those integers, and ``verify``
+compares them, so neither loads ``fractions``.
 
 Caching policy: a pure function of integer indices whose results are
 immutable (unsigned Stirling rows, factorials, H_k over k!, the integer
@@ -38,8 +38,8 @@ defines, no submodule keeps a list of its own, and ``__all__`` is
 submodule such as ``melontft.series``, imports that submodule (PEP 562
 ``__getattr__``) and binds the value in the package, so a later lookup is
 a plain attribute read.  The float path, ``specialfn`` and ``greens``,
-loads neither the exact-arithmetic layer (``combinatorics``, ``series``,
-and with them ``fractions``) nor ``quadrature`` (and ``heapq``).
+loads neither the exact-arithmetic layer (``combinatorics`` and
+``series``) nor ``quadrature`` (and ``heapq``).
 """
 
 from importlib import import_module
@@ -49,10 +49,7 @@ __version__ = "0.1.0"
 # submodule -> the public functions and classes it defines, exactly, in the
 # order of the package's ``__all__``
 _EXPORTS = {
-    "combinatorics": (
-        "harmonic", "a_closed", "CoeffTable", "IdentityCheck", "check_identity_stirling_621",
-        "check_identity_harmonic", "check_identity_big_stirling", "rational_str",
-    ),
+    "combinatorics": ("a_closed", "CoeffTable"),
     "series": (
         "LogTerm", "LogSeries", "perturbative_order", "ansatz_order", "extract_coefficients",
         "eval_series", "eval_partial_sum",

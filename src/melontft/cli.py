@@ -116,6 +116,9 @@ def cmd_greens(args) -> int:
 
     points = tuple(_parse_point(p) for p in args.points.split(";") if p)
     value = connected_2k(PointTuple(points), Coupling(args.lam))
+    if not math.isfinite(value):
+        # an intermediate overflowed: the value exists but was not computed
+        raise ValueError(f"the {len(points)}-point value at lambda={args.lam!r} is not finite: {value!r}")
     payload = {"k": len(points), "lambda": args.lam, "value": value}
     _write(args, payload, ["k", "lambda", "value"], [(len(points), args.lam, value)])
     return 0

@@ -5,7 +5,8 @@ family a(n, k, m) that organizes the logarithmic terms of the perturbative
 2-point function.  Everything here is exact.  The family is carried as the
 integer B(n, k, m) = k! a(n, k, m) = C(n-1, m-1) m! |s(n-m, n-k)|: its
 recurrences are integer sums with integer scale factors, and B is divided
-by k! only where a public ``fractions.Fraction`` is made.
+by k! only where a public function returns a ``fractions.Fraction``
+(``a_closed`` and ``CoeffTable``), which alone import ``fractions``.
 
 Each route to B, the closed form and the recurrences, fills one cached
 table of integer columns, ``col[k][m]`` a list over N of B(N, k, m),
@@ -23,8 +24,8 @@ closed form: (n-1)! for the Stirling sum identity, (k+1)! (2n+3-k) for
 the harmonic one, and for the big Stirling identity k! under B and the
 generic recurrence, k! (n-m)! under the printed sides.  Every division
 by a term's denominator goes through ``_exact_div``, so a remainder
-raises ``ArithmeticError``.  The public ``check_identity_*`` wrap a core
-into an ``IdentityCheck`` of Fractions; ``verify`` compares the integers.
+raises ``ArithmeticError``.  ``verify`` compares the integers and
+formats only the one "as printed" pair it reports.
 
 Conventions
 -----------
@@ -37,7 +38,6 @@ Conventions
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from itertools import accumulate
 from math import comb, factorial, gcd
@@ -53,11 +53,6 @@ def _ratio_str(num: int, den: int) -> str:
     # the one "p/q" formatter: num/den (den > 0) in lowest terms, by one gcd
     g = gcd(num, den)
     return f"{num // g}/{den // g}"
-
-
-def rational_str(value: Fraction) -> str:
-    """Serialize a Fraction as an explicit "p/q" decimal string."""
-    return _ratio_str(value.numerator, value.denominator)
 
 
 def _exact_div(num: int, d: int) -> int:
@@ -82,16 +77,9 @@ def _stirling_row(n: int) -> Tuple[int, ...]:
 
 @cache
 def _harmonic_pair(k: int) -> Tuple[int, int]:
-    # H_k over k!, unreduced: the Fraction made from it reduces it
+    # the harmonic number H_k = sum_{j<=k} 1/j over k!, unreduced
     f = factorial(k)
     return sum(f // j for j in range(1, k + 1)), f
-
-
-def harmonic(k: int) -> Fraction:
-    """Harmonic number H_k = sum_{j<=k} 1/j as an exact Fraction."""
-    if k < 1:
-        raise ValueError("harmonic number needs k >= 1")
-    return Fraction(*_harmonic_pair(k))
 
 
 def _check_index(n: int, k: int, m: int) -> None:
@@ -109,6 +97,8 @@ def a_closed(n: int, k: int, m: int) -> Fraction:
 
     a(n,k,m) = C(n-1, m-1) * m!/k! * |s(n-m, n-k)|.
     """
+    from fractions import Fraction
+
     _check_index(n, k, m)
     return Fraction(_closed_int(n, k, m), factorial(k))
 
@@ -193,6 +183,8 @@ class CoeffTable:
 
     @classmethod
     def _build(cls, max_order: int, row: Callable) -> "CoeffTable":
+        from fractions import Fraction
+
         return cls(max_order, {index: Fraction(b, f) for index, b, f in _entries(max_order, row)})
 
     @classmethod
@@ -211,37 +203,21 @@ class CoeffTable:
         return {(k, m): v for (nn, k, m), v in self.entries.items() if nn == n}
 
 
-@_record
-class IdentityCheck:
-    """Both sides of an exact identity, as derived and as printed.
-
-    ``passed`` judges the derived sides; ``printed_matches`` records
-    whether the form the paper prints holds, which it need not.
-    """
-
-    lhs: Fraction
-    rhs: Fraction
-    printed_lhs: Fraction
-    printed_rhs: Fraction
-
-    @property
-    def passed(self) -> bool:
-        return self.lhs == self.rhs
-
-    @property
-    def printed_matches(self) -> bool:
-        return self.printed_lhs == self.printed_rhs
-
-
 Sides = Tuple[int, int, int]  # (lhs, rhs, den): both sides of an identity as numerators over den > 0
 
 
-def _identity_check(derived: Sides, printed: Sides) -> IdentityCheck:
-    (lhs, rhs, den), (plhs, prhs, pden) = derived, printed
-    return IdentityCheck(Fraction(lhs, den), Fraction(rhs, den), Fraction(plhs, pden), Fraction(prhs, pden))
-
-
 def _stirling_621_sides(n: int, k: int) -> Tuple[Sides, Sides]:
+    """The Stirling-number sum identity behind the m=1 recurrence.
+
+    Corrected form (both sides normalized by 1/(n-1)!):
+
+        c(n-1, n-k) / (n-1)!  ==  sum_{l=1..k} c(n-1-l, n-1-k) / ((n-1) (n-1-l)!)
+
+    with c the unsigned Stirling numbers of the first kind.  The printed
+    variant of this identity carries 1/(n-l)! inside the sum instead; its
+    sides are returned as the printed ones, since it disagrees with direct
+    evaluation for l >= 2 (first counterexample at (n,k) = (5,2)).
+    """
     # all three sides over (n-1)!: the l-th c scales by (n-2)!/(n-1-l)! in rhs, by (n-1)!/(n-l)! in printed_rhs
     if n < 4 or not (1 <= k <= n - 3):
         raise ValueError(f"identity index out of range: (n,k)=({n},{k})")
@@ -252,22 +228,11 @@ def _stirling_621_sides(n: int, k: int) -> Tuple[Sides, Sides]:
     return (lhs, rhs, f[n - 1]), (lhs, printed_rhs, f[n - 1])
 
 
-def check_identity_stirling_621(n: int, k: int) -> IdentityCheck:
-    """Check the Stirling-number sum identity behind the m=1 recurrence.
-
-    Corrected form (both sides normalized by 1/(n-1)!):
-
-        c(n-1, n-k) / (n-1)!  ==  sum_{l=1..k} c(n-1-l, n-1-k) / ((n-1) (n-1-l)!)
-
-    with c the unsigned Stirling numbers of the first kind.  The printed
-    variant of this identity carries 1/(n-l)! inside the sum instead; it is
-    evaluated separately and reported, since it disagrees with direct
-    evaluation for l >= 2 (first counterexample at (n,k) = (5,2)).
-    """
-    return _identity_check(*_stirling_621_sides(n, k))
-
-
 def _harmonic_sides(n: int, k: int) -> Tuple[Sides, Sides]:
+    """H_k == (k+1)/(2n+3-k) * sum_{l=1..k} (n+1-k+l)/(l(k+1-l)).
+
+    Checked as printed, so the printed sides are the derived ones.
+    """
     # both sides over (k+1)! (2n+3-k), the right one term by term: l (k+1-l) divides (k+1)!
     if n < 1 or not (1 <= k <= n):
         raise ValueError(f"identity index out of range: (n,k)=({n},{k})")
@@ -278,15 +243,13 @@ def _harmonic_sides(n: int, k: int) -> Tuple[Sides, Sides]:
     return sides, sides
 
 
-def check_identity_harmonic(n: int, k: int) -> IdentityCheck:
-    """Check H_k == (k+1)/(2n+3-k) * sum_{l=1..k} (n+1-k+l)/(l(k+1-l)).
-
-    Checked as printed, so the printed sides are the derived ones.
-    """
-    return _identity_check(*_harmonic_sides(n, k))
-
-
 def _big_stirling_sides(n: int, k: int, m: int) -> Tuple[Sides, Sides]:
+    """The big Stirling/binomial identity, evaluated exactly as printed.
+
+    Its derived sides re-verify the generic recurrence directly on
+    coefficient values, and their comparison is the pass criterion; the
+    printed sides are recorded for inspection.
+    """
     # derived: B(n,k,m) = k! a(n,k,m) against the generic recurrence on the
     # closed-form columns, over k!; printed: every term over k! (n-m)!
     if n < 5 or not (2 <= k <= n - 3) or not (2 <= m <= k):
@@ -306,13 +269,3 @@ def _big_stirling_sides(n: int, k: int, m: int) -> Tuple[Sides, Sides]:
             pd = f[l] * f[k - l] * f[n - m - p]
             printed_rhs += num * sum(row(p - r)[p - l] * _exact_div(den, pd * f[p - r]) for r in range(1, l + 1))
     return (col[k][m][n], _generic_rhs(n, k, m, col), f[k]), (printed_lhs, printed_rhs, den)
-
-
-def check_identity_big_stirling(n: int, k: int, m: int) -> IdentityCheck:
-    """Evaluate the big Stirling/binomial identity exactly as printed.
-
-    On top of the printed sides, the generic recurrence is re-verified
-    directly on coefficient values; that comparison is the pass criterion,
-    while the printed form's status is recorded for inspection.
-    """
-    return _identity_check(*_big_stirling_sides(n, k, m))

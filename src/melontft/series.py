@@ -16,12 +16,13 @@ by the renormalized recursion, column m of order n summing, over k,
 tadpole k (order k integrated over the transverse momenta, one row over
 logpow) times column m - 1 of order n - 1 - k, each product one big-int
 product of rows packed at a width that bounds every slot of the sum
-(Kronecker substitution).  ``ansatz_order`` fills the same columns from
-the closed form, whose slots ``_slots`` states once, also for
-``extract_coefficients``.  ``_terms`` lists an order's nonzero
+(Kronecker substitution).  ``_ansatz`` fills the same columns from the
+closed form, whose slots ``_slots`` states once, also for ``_extract``,
+the one reader of a coefficient row.  ``_terms`` lists an order's nonzero
 (key, numerator) pairs in key order; ``_series`` alone turns them into a
 ``LogSeries`` of ``Fraction`` coefficients, and no code turns one back.
-The CLI prints the same pairs over the kernel's D as "p/q" and makes no
+The CLI prints the same pairs over the kernel's D as "p/q", and
+``verify`` compares columns and rows as integers, so neither makes a
 ``Fraction``.
 
 The closed form is a theorem, the Lagrange-Buermann coefficient.  With
@@ -47,13 +48,17 @@ an order evaluates to the same bits by either route, and
 Evaluators raise ``ValueError`` once 1+x1^2 overflows binary64 (x1 above
 about 1.34e154), or a power of lambda, log(1+x1^2) or pi/2 does.  Where
 x2^2 + x3^2 overflows, 1+|x|^2 is inf and every term, which carries
-(1+|x|^2)^(-fullpow) with fullpow >= 1, is 0.0, the correctly rounded value.
+(1+|x|^2)^(-fullpow) with fullpow >= 1, is 0.0.  That is the correctly
+rounded value only once x2^2 + x3^2 passes about 4e323.  Between the
+overflow (about 1.8e308) and there, a fullpow-1 term, such as order 0's,
+has a subnormal true value (about 5e-309 at x = (1, 1e154, 1e154)), and
+0.0 misses it (ROADMAP.md, "Finite, valid output at the edges of the
+float domain").
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cache
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
@@ -100,6 +105,8 @@ def _terms(n: int, cols: Sequence[Row]) -> List[Tuple[Key, int]]:
 def _series(n: int, den: int, cols: Sequence[Row]) -> LogSeries:
     # the only place a LogSeries is made from exact data: one Fraction per
     # term of reduced columns
+    from fractions import Fraction
+
     return LogSeries(n, tuple(LogTerm(Fraction(c, den), *key) for key, c in _terms(n, cols)))
 
 
@@ -192,15 +199,44 @@ def _slots(n: int) -> Iterator[Tuple[int, int, int]]:
     return ((m, k, (-1) ** (n + k)) for m in range(1, n) for k in range(m, n))
 
 
-def ansatz_order(n: int) -> LogSeries:
-    """Order-n series from the closed (Lagrange-Buermann) form."""
+def _ansatz(n: int) -> Tuple[int, Tuple[Row, ...]]:
+    # order n from the closed form as the kernel holds it: D and reduced
+    # columns, column 0 empty, so equal tuples are equal orders
     if n < 1:
         raise ValueError("ansatz starts at order 1")
     den = math.factorial(n - 1)  # every column over (n-1)!, which each k! with k < n divides
-    cols = [[0] * (n - m) for m in range(n)] + [[den]]
+    cols = [[]] + [[0] * (n - m) for m in range(1, n)] + [[den]]
     for m, k, sign in _slots(n):
         cols[m][k - m] = sign * _closed_int(n, k, m) * (den // math.factorial(k))
-    return _series(n, *_reduced_rows(den, cols))
+    return _reduced_rows(den, cols)
+
+
+def ansatz_order(n: int) -> LogSeries:
+    """Order-n series from the closed (Lagrange-Buermann) form."""
+    return _series(n, *_ansatz(n))
+
+
+def _extract(
+    n: int, pairs: Iterable[Tuple[Key, int | Fraction]], unit: int
+) -> Dict[Tuple[int, int], int | Fraction]:
+    # the signed a(n,k,m) row of order n's (key, value) pairs, each value in
+    # units of ``unit``, which the leading coefficient must equal
+    if n < 1:
+        raise ValueError("coefficient extraction needs order >= 1")
+    slots = {_key(n, m, k - m): (k, m, sign) for m, k, sign in _slots(n)}
+    slots[_key(n, n, 0)] = (n, n, 1)  # the leading 1, read as a(n, n, n) and popped below
+    row: Dict[Tuple[int, int], int | Fraction] = {}
+    for key, value in pairs:
+        if key not in slots:
+            raise ShapeMismatchError(f"term {value} at key {key} fits no slot at order {n}")
+        k, m, sign = slots[key]
+        if (k, m) in row:
+            raise ShapeMismatchError(f"key {key} repeats in the order-{n} series")
+        row[(k, m)] = sign * value
+    lead = row.pop((n, n), 0)
+    if lead != unit:  # 0 when the leading term is missing
+        raise ShapeMismatchError(f"order-{n} leading log^n term has coefficient {lead}, not {unit}")
+    return row
 
 
 def extract_coefficients(s: LogSeries) -> Dict[Tuple[int, int], Fraction]:
@@ -212,23 +248,7 @@ def extract_coefficients(s: LogSeries) -> Dict[Tuple[int, int], Fraction]:
     the closed form is a theorem, so that would be a defect in the series,
     and nothing is coerced.
     """
-    n = s.order
-    if n < 1:
-        raise ValueError("coefficient extraction needs order >= 1")
-    slots = {_key(n, m, k - m): (k, m, sign) for m, k, sign in _slots(n)}
-    slots[_key(n, n, 0)] = (n, n, 1)  # the leading 1, read as a(n, n, n) and popped below
-    row: Dict[Tuple[int, int], Fraction] = {}
-    for t in s.terms:
-        if t.key() not in slots:
-            raise ShapeMismatchError(f"term {t} fits no slot at order {n}")
-        k, m, sign = slots[t.key()]
-        if (k, m) in row:
-            raise ShapeMismatchError(f"key {t.key()} repeats in the order-{n} series")
-        row[(k, m)] = sign * t.coeff
-    lead = row.pop((n, n), 0)
-    if lead != 1:  # 0 when the leading term is missing
-        raise ShapeMismatchError(f"order-{n} leading log^n term has coefficient {lead}, not 1")
-    return row
+    return _extract(s.order, ((t.key(), t.coeff) for t in s.terms), 1)
 
 
 def eval_series(s: LogSeries, x: Point3) -> float:

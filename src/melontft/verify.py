@@ -27,23 +27,39 @@ class Check:
 
 
 def orders_match_closed_form(max_order: int) -> List[Check]:
-    """Recursion vs closed form, exactly, for orders 1..max_order."""
+    """Recursion vs closed form, exactly, for orders 1..max_order.
+
+    Both routes hold order n as a denominator D and integer columns, each
+    reduced by one gcd, so equal tuples are equal orders.
+    """
     checks: List[Check] = []
     for n in range(1, max_order + 1):
-        same = series.perturbative_order(n) == series.ansatz_order(n)
+        same = series._order(n) == series._ansatz(n)
         detail = "exact term multisets" if same else "term mismatch"
         checks.append(Check(f"order {n}: recursion equals closed form", same, detail))
     return checks
 
 
 def coefficient_routes_agree(max_order: int) -> List[Check]:
-    """Extracted vs closed-form vs recurrence a(n,k,m), for orders 2..max_order."""
-    closed = comb.CoeffTable.from_closed_form(max_order)
-    recur = comb.CoeffTable.from_recurrences(max_order)
+    """Extracted vs closed-form vs recurrence a(n,k,m), for orders 2..max_order.
+
+    The row extracted from order n's columns holds num/D, and each route's
+    columns B = k! a, so every entry agrees when num k! == D B for both.
+    """
+    if max_order < 2:
+        raise ValueError("max_order must be >= 2")
+    routes = [comb._columns(max_order, row) for row in (comb._closed_row, comb._recur_row)]
+    f = comb._factorials(max_order)
     checks: List[Check] = []
     for n in range(2, max_order + 1):
-        row = series.extract_coefficients(series.perturbative_order(n))
-        ok = row == closed.row(n) == recur.row(n)
+        den, cols = series._order(n)
+        row = series._extract(n, series._terms(n, cols), den)
+        ok = all(
+            row.get((k, m), 0) * f[k] == den * col[k][m][n]
+            for col in routes
+            for k in range(1, n)
+            for m in range(1, k + 1)
+        )
         name = f"order {n}: extracted = closed = recurrence coefficients"
         checks.append(Check(name, ok, f"{len(row)} entries"))
     return checks
@@ -71,12 +87,12 @@ def _bounded(name: str, worst: float, bound: float) -> Check:
 
 
 def suite_identities(max_n: int) -> List[Check]:
-    # the sides of each identity as integers over one denominator (the
-    # private cores behind comb.check_identity_*), so no Fraction is made
+    # the sides of each identity as integers over one denominator, from its
+    # core comb._*_sides, so no Fraction is made
     if max_n < 5:
         # the first generic index is (5,2,2); below it a family would pass empty
         raise ValueError(f"identity suite needs max_n >= 5, got {max_n}")
-    harmonic = {(n, k): comb._harmonic_sides(n, k) for n in range(1, max_n + 1) for k in range(1, n + 1)}
+    harmonics = {(n, k): comb._harmonic_sides(n, k) for n in range(1, max_n + 1) for k in range(1, n + 1)}
     stirling = {(n, k): comb._stirling_621_sides(n, k) for n in range(4, max_n + 1) for k in range(1, n - 2)}
     top = min(max_n, 12)
     big = {
@@ -87,7 +103,7 @@ def suite_identities(max_n: int) -> List[Check]:
     }
 
     checks = [
-        _exact_check(f"harmonic identity, all 1 <= k <= n <= {max_n}", harmonic),
+        _exact_check(f"harmonic identity, all 1 <= k <= n <= {max_n}", harmonics),
         _exact_check(f"Stirling sum identity (corrected form), 4 <= n <= {max_n}", stirling),
     ]
     printed_bad = [(index, printed) for index, (_, printed) in stirling.items() if printed[0] != printed[1]]

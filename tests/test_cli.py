@@ -176,6 +176,19 @@ class TestGreens:
         assert code == 2
         assert out == "" and "not pairwise distinct" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_value_writes_nothing(self, capsys, tmp_path, fmt):
+        # at lambda = 1e308 the value is about -7.2e-4 but comes out NaN; it
+        # is a domain error (2), and neither stdout nor --output gets a NaN
+        argv = ["greens", "--lambda", "1e308", "--points", "1,2,3;2,1,1", "--format", fmt]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == "" and "not finite" in err
+        path = tmp_path / "value"
+        path.write_text("kept\n", encoding="utf-8")
+        assert run(capsys, *argv, "--output", str(path))[0] == 2
+        assert path.read_text(encoding="utf-8") == "kept\n"
+
 
 class TestTabulate:
     def test_grid(self, capsys):
@@ -326,6 +339,27 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "coeffs", "--max-order", "5")
         assert code == 0
         assert "[PASS]" in out and "[FAIL]" not in out
+
+    @pytest.mark.parametrize("bad", [2, 5, 9])
+    def test_coeffs_checks_fail_on_a_changed_numerator(self, capsys, monkeypatch, bad):
+        # one numerator of one order's integer columns, off by one, fails that
+        # order's c01 and c02 lines alone: neither comparison passes vacuously
+        from melontft import series, verify
+
+        order = series._order
+
+        def changed(n):
+            den, cols = order(n)
+            if n != bad:
+                return den, cols
+            return den, (cols[0], (cols[1][0] + 1, *cols[1][1:]), *cols[2:])
+
+        monkeypatch.setattr(series, "_order", changed)
+        c01, c02 = verify.orders_match_closed_form(9), verify.coefficient_routes_agree(9)
+        assert [c.passed for c in c01] == [n != bad for n in range(1, 10)]
+        assert [c.passed for c in c02] == [n != bad for n in range(2, 10)]
+        code, out, _ = run(capsys, "verify", "coeffs")
+        assert code == 1 and out.count("[FAIL]") == 2
 
     def test_identities_suite_reports_printed_form(self, capsys):
         code, out, _ = run(capsys, "verify", "identities", "--max-n", "8")
@@ -513,20 +547,4 @@ def exact_digest_mismatches(tmp_path):
 def test_exact_outputs_match_reference(tmp_path):
     # every p/q string the exact commands emit stays bit-identical to the
     # pinned digests the benchmark also checks
-    assert not exact_digest_mismatches(tmp_path)
-
-
-def test_exact_commands_make_no_fraction(tmp_path, monkeypatch):
-    # the CLI prints p/q from the integer columns and judges the identities on
-    # integer sides, so on cold caches not one Fraction is made
-    from melontft import combinatorics, series
-
-    def raiser(*args):
-        raise AssertionError(f"Fraction{args} made")
-
-    for module in (combinatorics, series):
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
-        monkeypatch.setattr(module, "Fraction", raiser)
     assert not exact_digest_mismatches(tmp_path)

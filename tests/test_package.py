@@ -102,6 +102,22 @@ def test_float_path_loads_no_exact_layer_or_quadrature():
     assert not _loaded(GRID, names + ["fractions", "heapq"])
 
 
+# the exact commands whose outputs the benchmark pins, each into os.devnull
+EXACT = (
+    "from melontft import cli; import os"
+    "; argvs = [['series', '--order', '30'], ['coeffs', '--max-order', '20'],"
+    " ['coeffs', '--max-order', '20', '--source', 'recur'], ['verify', 'identities']]"
+    "; assert all(cli.main(a + ['--output', os.devnull]) == 0 for a in argvs)"
+)
+
+
+@pytest.mark.parametrize("code", [VERIFY_ALL, EXACT], ids=["verify_all", "exact"])
+def test_cli_loads_no_fractions(code):
+    # the CLI prints and compares exact values as integers; only a public
+    # function that returns a Fraction imports fractions
+    assert not _loaded(code, ["fractions", "decimal"])
+
+
 FIRST_USE = """
 import sys, melontft
 assert set(melontft.__all__) <= set(dir(melontft))
@@ -154,10 +170,6 @@ RECORDS = [
     (specialfn.Point3, {"x1": 1.0, "x2": 0.5, "x3": 2.0}),
     (specialfn.Coupling, {"lam": 1.5}),
     (combinatorics.CoeffTable, {"max_order": 2, "entries": {(2, 1, 1): Fraction(1)}}),
-    (combinatorics.IdentityCheck, {
-        "lhs": Fraction(1, 2), "rhs": Fraction(1, 2),
-        "printed_lhs": Fraction(1, 3), "printed_rhs": Fraction(1, 2),
-    }),
     (greens.PointTuple, {"points": (specialfn.Point3(1.0, 2.0, 3.0), specialfn.Point3(2.0, 1.0, 1.0))}),
     (series.LogTerm, {"coeff": Fraction(1, 3), "logpow": 2, "x1pow": 1, "fullpow": 3}),
     (series.LogSeries, {"order": 2, "terms": (series.LogTerm(Fraction(1, 3), 2, 1, 3),)}),

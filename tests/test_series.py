@@ -210,11 +210,15 @@ class TestOrders:
         # the closed form is summed on int columns; only _series makes Fractions
         made = []
 
-        def counting(*args):
-            made.append(args)
-            return Fraction(*args)
+        new = Fraction.__new__
 
-        monkeypatch.setattr(series, "Fraction", counting)
+        def counting(cls, *args):
+            made.append(args)
+            return new(cls, *args)
+
+        # every Fraction, whatever module name it is made under; the name
+        # fractions.Fraction itself cannot be replaced, as Fraction.__new__ reads it
+        monkeypatch.setattr(Fraction, "__new__", counting)
         s = ansatz_order(12)
         assert len(s.terms) == len(made) == 67
 
