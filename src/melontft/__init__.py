@@ -37,9 +37,10 @@ defines, no submodule keeps a list of its own, and ``__all__`` is
 ``__version__`` plus those names.  The first access to such a name, or to a
 submodule such as ``melontft.series``, imports that submodule (PEP 562
 ``__getattr__``) and binds the value in the package, so a later lookup is
-a plain attribute read.  The float path, ``specialfn`` and ``greens``,
-loads neither the exact-arithmetic layer (``combinatorics`` and
-``series``) nor ``quadrature`` (and ``heapq``).
+a plain attribute read.  The float layer (``specialfn``, ``greens`` and
+``quadrature``) and the exact-arithmetic layer (``combinatorics`` and
+``series``) import nothing of each other, and each CLI command loads only
+the modules it runs (the load rule in ``cli``).
 """
 
 from importlib import import_module

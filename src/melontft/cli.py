@@ -8,8 +8,13 @@ carry 17 significant digits so records round-trip exactly.
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error
 (an unwritable --output included).
 
-Only ``errors`` and ``specialfn``, which eval and tabulate need, load with
-this module; the other subcommands import their modules when they run.
+Only ``errors`` loads with this module.  The load rule of the package:
+each command imports the modules it runs when it runs, and no other.
+eval and tabulate load ``specialfn``, greens adds ``greens``, coeffs
+loads ``combinatorics`` and series adds ``series``; verify loads
+``verify`` and each suite its own layers, ``quadrature`` only for the
+numeric SDE checks.  So the exact commands load no float layer and the
+float commands no exact layer.
 """
 
 from __future__ import annotations
@@ -20,14 +25,18 @@ import math
 import sys
 from contextlib import nullcontext
 from functools import cache
-from typing import Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
 
 from . import __version__
-from .errors import MelonTFTError
-from .specialfn import Coupling, Point3, _flat_row, exact_record
+from .errors import MelonTFTError, _check_abs_tol
+
+if TYPE_CHECKING:
+    from .specialfn import Point3
 
 
 def _parse_point(text: str) -> Point3:
+    from .specialfn import Point3
+
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"expected x as 'x1,x2,x3', got {text!r}")
@@ -61,22 +70,26 @@ def _write(args, payload, header: List[str], rows: Iterable[Sequence]) -> None:
     field is ever quoted: none holds a comma, a quote or a line break.
     """
     if args.format == "json":
-        text = json.dumps(payload) + "\n"
+        text = json.dumps(payload, allow_nan=False) + "\n"
     else:
         text = "".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows])
     _emit(text, args.output)
 
 
 def _eval_record(lam: float, x: List[float], g2: float, g: float, residual: float) -> dict:
+    # JSON has no NaN: an undefined residual is null (a CSV cell prints nan)
+    residual = None if math.isnan(residual) else residual
     return {"lambda": lam, "x": x, "g": g, "G2": g2, "residual_algebraic": residual}
 
 
 def cmd_eval(args) -> int:
+    from .specialfn import Coupling, exact_record
+
     x, c = _parse_point(args.x), Coupling(args.lam)
     g, g2, residual = exact_record(x, c)
     r = _eval_record(c.lam, [x.x1, x.x2, x.x3], g2, g, residual)
     header = ["lambda", "x1", "x2", "x3", "g", "G2", "residual_algebraic"]
-    _write(args, r, header, [(r["lambda"], *r["x"], r["g"], r["G2"], r["residual_algebraic"])])
+    _write(args, r, header, [(c.lam, x.x1, x.x2, x.x3, g, g2, residual)])
     return 0
 
 
@@ -113,6 +126,7 @@ def cmd_coeffs(args) -> int:
 
 def cmd_greens(args) -> int:
     from .greens import PointTuple, connected_2k
+    from .specialfn import Coupling
 
     points = tuple(_parse_point(p) for p in args.points.split(";") if p)
     value = connected_2k(PointTuple(points), Coupling(args.lam))
@@ -125,6 +139,8 @@ def cmd_greens(args) -> int:
 
 
 def cmd_tabulate(args) -> int:
+    from .specialfn import Coupling, _flat_row
+
     lams = _parse_floats(args.lam)
     x1s = _parse_floats(args.x1)
     if not lams or not x1s:
@@ -148,7 +164,7 @@ def cmd_tabulate(args) -> int:
             for i, (c, row) in enumerate(rows):
                 cells = zip(x1s, row[0::3], row[1::3], row[2::3])
                 records = [_eval_record(c.lam, [x1, x2, x3], g2, g, r) for x1, g2, g, r in cells]
-                fh.write((", " if i else "[") + json.dumps(records)[1:-1])
+                fh.write((", " if i else "[") + json.dumps(records, allow_nan=False)[1:-1])
             fh.write("]\n")
         else:
             # each x1's text is formatted once; a row's lambda text joins them
@@ -162,7 +178,6 @@ def cmd_tabulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .quadrature import _check_abs_tol
     from .verify import suite_coeffs, suite_greens, suite_identities, suite_lambert, suite_sde
 
     _check_abs_tol(args.tol)  # for every suite, so a bad --tol never passes unread
@@ -179,7 +194,7 @@ def cmd_verify(args) -> int:
     checks = [check for name in names for check in suites[name]()]
     if args.format == "json":
         # vars of a Check is its fields as a dict, in order (``errors._record``)
-        _emit(json.dumps([vars(c) for c in checks]) + "\n", args.output)
+        _emit(json.dumps([vars(c) for c in checks], allow_nan=False) + "\n", args.output)
     else:
         _emit("".join(c.line() + "\n" for c in checks), args.output)
     return 1 if any(c.passed is False for c in checks) else 0

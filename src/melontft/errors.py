@@ -1,13 +1,27 @@
-"""Exception types shared across the package, each raised by some path:
-``ShapeMismatchError`` by coefficient extraction, ``NotConvergedError`` by
-the iterations and the quadrature, ``CoincidentCoordinatesError`` by
-``connected_2k``; and ``_record``, the decorator that makes every value
+"""What every layer of the package shares, so that no layer loads another for it.
+
+The exception types, each raised by some path: ``ShapeMismatchError`` by
+coefficient extraction, ``NotConvergedError`` by the iterations and the
+quadrature, ``CoincidentCoordinatesError`` by ``connected_2k``; ``_HUGE``,
+the range bound of every float input; ``_check_abs_tol``, the one rule
+for a tolerance; and ``_record``, the decorator that makes every value
 type of the package a frozen record.
 """
 
 from __future__ import annotations
 
+import sys
 from operator import attrgetter
+
+# largest finite double: a number from outside is range-tested against it,
+# a test that NaN and a Python int beyond the double range also fail
+_HUGE = sys.float_info.max
+
+
+def _check_abs_tol(abs_tol: float) -> None:
+    # the one rule for a tolerance: the quadrature's and verify --tol's
+    if not 0.0 < abs_tol <= _HUGE:
+        raise ValueError(f"abs_tol must be finite and > 0, got {abs_tol}")
 
 
 class MelonTFTError(Exception):

@@ -42,8 +42,8 @@ import itertools
 import math
 from typing import Callable, Tuple
 
-from .errors import NotConvergedError, _record
-from .specialfn import _HUGE, Coupling, Point3, dressed_mass, g2_from_mass
+from .errors import NotConvergedError, _check_abs_tol, _record
+from .specialfn import Coupling, Point3, dressed_mass, g2_from_mass
 
 # the 8-point Gauss-Legendre rule on [-1, 1], nodes ascending: the
 # correctly rounded binary64 values
@@ -100,12 +100,6 @@ class QuadResult:
     stuck_panels: int
     inside_cut: float
     inside_cut2: float
-
-
-def _check_abs_tol(abs_tol: float) -> None:
-    # the one rule for a tolerance, also applied to verify --tol
-    if not 0.0 < abs_tol <= _HUGE:
-        raise ValueError(f"abs_tol must be finite and > 0, got {abs_tol}")
 
 
 def integrate_quarter_plane(f: Callable, abs_tol: float) -> QuadResult:

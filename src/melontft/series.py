@@ -60,11 +60,13 @@ from __future__ import annotations
 
 import math
 from functools import cache
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .combinatorics import _closed_int
-from .errors import ShapeMismatchError, _record
-from .specialfn import _HUGE, Point3
+from .errors import _HUGE, ShapeMismatchError, _record
+
+if TYPE_CHECKING:
+    from .specialfn import Point3
 
 Key = Tuple[int, int, int]
 FloatColumn = Tuple[int, int, int, Tuple[float, ...]]  # (lo, x1pow, fullpow, coeffs from the top logpow)

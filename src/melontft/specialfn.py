@@ -41,17 +41,13 @@ import sys
 from functools import cached_property
 from typing import Iterable, List, Sequence, Tuple
 
-from .errors import NotConvergedError, _record
+from .errors import _HUGE, NotConvergedError, _record
 
 # nearest-double branch point -1/e of the real Lambert branches
 _BRANCH_POINT = -math.exp(-1.0)
 
 # smallest positive normal double
 _TINY = sys.float_info.min
-
-# largest finite double: a number from outside is range-tested against it,
-# a test that NaN and a Python int beyond the double range also fail
-_HUGE = sys.float_info.max
 
 # e^-2: below it W0(y) is solved from y itself, above it from log(y)
 _E_M2 = math.exp(-2.0)

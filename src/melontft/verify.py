@@ -2,17 +2,20 @@
 
 Each suite returns a list of named checks; informational lines (like the
 printed-form status of identities known to disagree with their own
-derivation) carry ``passed=None`` and never fail a suite.
+derivation) carry ``passed=None`` and never fail a suite.  Each check
+imports the layers it reads when it runs, so a suite loads only its own
+(the load rule in ``cli``).
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence
 
-from . import combinatorics as comb
-from . import greens, quadrature, series, specialfn
-from .errors import NotConvergedError, _record
+from .errors import NotConvergedError, ShapeMismatchError, _record
+
+if TYPE_CHECKING:
+    from . import specialfn
 
 
 @_record
@@ -32,6 +35,8 @@ def orders_match_closed_form(max_order: int) -> List[Check]:
     Both routes hold order n as a denominator D and integer columns, each
     reduced by one gcd, so equal tuples are equal orders.
     """
+    from . import series
+
     checks: List[Check] = []
     for n in range(1, max_order + 1):
         same = series._order(n) == series._ansatz(n)
@@ -45,22 +50,29 @@ def coefficient_routes_agree(max_order: int) -> List[Check]:
 
     The row extracted from order n's columns holds num/D, and each route's
     columns B = k! a, so every entry agrees when num k! == D B for both.
+    A row that does not fit the closed form's shape fails its order.
     """
+    from . import combinatorics as comb, series
+
     if max_order < 2:
         raise ValueError("max_order must be >= 2")
     routes = [comb._columns(max_order, row) for row in (comb._closed_row, comb._recur_row)]
     f = comb._factorials(max_order)
     checks: List[Check] = []
     for n in range(2, max_order + 1):
+        name = f"order {n}: extracted = closed = recurrence coefficients"
         den, cols = series._order(n)
-        row = series._extract(n, series._terms(n, cols), den)
+        try:
+            row = series._extract(n, series._terms(n, cols), den)
+        except ShapeMismatchError as exc:
+            checks.append(Check(name, False, str(exc)))
+            continue
         ok = all(
             row.get((k, m), 0) * f[k] == den * col[k][m][n]
             for col in routes
             for k in range(1, n)
             for m in range(1, k + 1)
         )
-        name = f"order {n}: extracted = closed = recurrence coefficients"
         checks.append(Check(name, ok, f"{len(row)} entries"))
     return checks
 
@@ -89,6 +101,8 @@ def _bounded(name: str, worst: float, bound: float) -> Check:
 def suite_identities(max_n: int) -> List[Check]:
     # the sides of each identity as integers over one denominator, from its
     # core comb._*_sides, so no Fraction is made
+    from . import combinatorics as comb
+
     if max_n < 5:
         # the first generic index is (5,2,2); below it a family would pass empty
         raise ValueError(f"identity suite needs max_n >= 5, got {max_n}")
@@ -126,6 +140,8 @@ def suite_identities(max_n: int) -> List[Check]:
 
 
 def suite_lambert() -> List[Check]:
+    from . import specialfn
+
     worst_w0 = 0.0
     grid = [-0.99 / math.e + i * (0.99 / math.e - 0.01) / 19 for i in range(20)]
     grid += [10.0 ** (-2 + 10 * i / 50) for i in range(51)]
@@ -167,6 +183,8 @@ def fixed_point_algebraic(lams: Sequence[float], x1s: Sequence[float]) -> List[C
     their own error budget").  A nan
     residual (its log argument rounded to <= 0) is the worst and fails.
     """
+    from . import specialfn
+
     rows = [specialfn.exact_records(x1s, 0.0, 0.0, specialfn.Coupling(lv)) for lv in lams]
     residuals = [abs(residual) for row in rows for _, _, residual in row]
     worst = math.nan if any(map(math.isnan, residuals)) else max(residuals)  # max may drop a nan
@@ -183,6 +201,8 @@ def fixed_point_numeric(lam: float, x: specialfn.Point3, tol: float) -> List[Che
     quadrature's actual error lies far below its tol; a residual bound
     scaled by that factor is still to come.
     """
+    from . import quadrature, specialfn
+
     sde_name = f"numeric SDE residual at lambda={lam}, x=({x.x1},{x.x2},{x.x3})"
     identity_name = f"integrated-identity residual at lambda={lam}, x1={x.x1}"
     try:
@@ -197,6 +217,8 @@ def fixed_point_numeric(lam: float, x: specialfn.Point3, tol: float) -> List[Che
 
 
 def suite_sde(lam: Optional[float], x: Optional[specialfn.Point3], tol: float, numeric: bool) -> List[Check]:
+    from . import specialfn
+
     checks = fixed_point_algebraic(
         _SDE_LAMBDAS if lam is None else (lam,), _SDE_X1S if x is None else (x.x1,)
     )
@@ -207,6 +229,8 @@ def suite_sde(lam: Optional[float], x: Optional[specialfn.Point3], tol: float, n
 
 
 def suite_greens() -> List[Check]:
+    from . import greens, specialfn
+
     c = specialfn.Coupling(0.4)
     p = specialfn.Point3(1.0, 0.5, 2.0)
     single = greens.connected_2k(greens.PointTuple((p,)), c)

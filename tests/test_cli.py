@@ -25,6 +25,11 @@ def run(capsys, *argv):
 CANCELLING_POINTS = [("1e25", "1e8"), ("1e30", "1e10"), ("1e200", "1e10")]
 
 
+def reject_constant(name):
+    # json.loads' parse_constant: NaN, Infinity and -Infinity are not RFC 8259 JSON
+    raise ValueError(f"{name} in JSON output")
+
+
 class TestEval:
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "eval", "--lambda", "0.6366", "--x", "1,1,1")
@@ -85,12 +90,15 @@ class TestEval:
 
     @pytest.mark.parametrize("lam, x1", CANCELLING_POINTS)
     def test_cancelling_residual_is_nan(self, capsys, lam, x1):
-        # 1 + x1^2 + g rounds to <= 0: g and G2 are returned, the residual is nan
+        # 1 + x1^2 + g rounds to <= 0: g and G2 are returned, the residual is
+        # nan, which strict JSON writes as null and CSV as nan
         code, out, err = run(capsys, "eval", "--lambda", lam, "--x", f"{x1},0,0")
         assert code == 0 and err == ""
-        rec = json.loads(out)
+        rec = json.loads(out, parse_constant=reject_constant)
         g, g2, _ = specialfn.exact_record(Point3(float(x1), 0.0, 0.0), Coupling(float(lam)))
-        assert (rec["g"], rec["G2"]) == (g, g2) and math.isnan(rec["residual_algebraic"])
+        assert (rec["g"], rec["G2"]) == (g, g2) and rec["residual_algebraic"] is None
+        code, out, err = run(capsys, "eval", "--lambda", lam, "--x", f"{x1},0,0", "--format", "csv")
+        assert code == 0 and err == "" and out.splitlines()[1].endswith(",nan")
 
     def test_bad_point_exit_code(self, capsys):
         code, _, _ = run(capsys, "eval", "--lambda", "1", "--x", "1,2")
@@ -305,6 +313,13 @@ class TestTabulate:
         assert len(rows) == 3 and rows[2][6] == "nan"
         assert all(math.isfinite(float(v)) for v in rows[2][4:6] + rows[1][4:])
 
+    @pytest.mark.parametrize("lam, x1", CANCELLING_POINTS)
+    def test_cancelling_residual_is_null_in_json(self, capsys, lam, x1):
+        code, out, err = run(capsys, "tabulate", "--lambda", lam, "--x1", f"1,{x1}", "--format", "json")
+        assert code == 0 and err == ""
+        records = json.loads(out, parse_constant=reject_constant)
+        assert [r["residual_algebraic"] is None for r in records] == [False, True]
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize(
         "argv, message",
@@ -340,10 +355,14 @@ class TestVerify:
         assert code == 0
         assert "[PASS]" in out and "[FAIL]" not in out
 
-    @pytest.mark.parametrize("bad", [2, 5, 9])
-    def test_coeffs_checks_fail_on_a_changed_numerator(self, capsys, monkeypatch, bad):
-        # one numerator of one order's integer columns, off by one, fails that
-        # order's c01 and c02 lines alone: neither comparison passes vacuously
+    @pytest.mark.parametrize(
+        "bad, leading", [(2, False), (5, False), (9, False), (5, True)], ids=["2", "5", "9", "5-leading"]
+    )
+    def test_coeffs_checks_fail_on_a_changed_numerator(self, capsys, monkeypatch, bad, leading):
+        # one numerator of one order's integer columns, off by one, or its
+        # leading numerator doubled, fails that order's c01 and c02 lines
+        # alone: neither comparison passes vacuously, and a row that leaves
+        # the closed form's shape is a FAIL line, not a usage error
         from melontft import series, verify
 
         order = series._order
@@ -352,6 +371,8 @@ class TestVerify:
             den, cols = order(n)
             if n != bad:
                 return den, cols
+            if leading:
+                return den, (*cols[:n], (2 * cols[n][0], *cols[n][1:]))
             return den, (cols[0], (cols[1][0] + 1, *cols[1][1:]), *cols[2:])
 
         monkeypatch.setattr(series, "_order", changed)
@@ -359,7 +380,9 @@ class TestVerify:
         assert [c.passed for c in c01] == [n != bad for n in range(1, 10)]
         assert [c.passed for c in c02] == [n != bad for n in range(2, 10)]
         code, out, _ = run(capsys, "verify", "coeffs")
-        assert code == 1 and out.count("[FAIL]") == 2
+        assert code == 1 and out.count("[FAIL]") == 2 and len(out.splitlines()) == 9 + 8
+        if leading:
+            assert f"[FAIL] order {bad}: extracted = closed = recurrence coefficients: order-{bad} leading" in out
 
     def test_identities_suite_reports_printed_form(self, capsys):
         code, out, _ = run(capsys, "verify", "identities", "--max-n", "8")
@@ -408,13 +431,12 @@ class TestVerify:
         assert payload and all(list(c) == ["name", "passed", "detail"] for c in payload)
 
     def test_not_converged_is_a_failure(self, capsys, monkeypatch):
-        import melontft.verify as verify_mod
         from melontft.errors import NotConvergedError
 
         def raiser(*args, **kwargs):
             raise NotConvergedError("budget exhausted")
 
-        monkeypatch.setattr(verify_mod.quadrature, "fixed_point_residuals", raiser)
+        monkeypatch.setattr("melontft.quadrature.fixed_point_residuals", raiser)
         code, out, _ = run(capsys, "verify", "sde", "--numeric")
         assert code == 1
         assert out.count("not converged") == 2

@@ -97,25 +97,50 @@ def test_import_runs_no_submodule():
     assert not _loaded("import melontft; dir(melontft)", names)
 
 
-def test_float_path_loads_no_exact_layer_or_quadrature():
-    names = ["melontft.combinatorics", "melontft.series", "melontft.quadrature", "melontft.verify"]
-    assert not _loaded(GRID, names + ["fractions", "heapq"])
+def _main(*argvs):
+    """Code that runs each argv through ``cli.main`` and asserts exit 0; ``_run`` captures the output."""
+    return f"from melontft import cli; assert all(cli.main(a) == 0 for a in {list(argvs)!r})"
 
 
-# the exact commands whose outputs the benchmark pins, each into os.devnull
-EXACT = (
-    "from melontft import cli; import os"
-    "; argvs = [['series', '--order', '30'], ['coeffs', '--max-order', '20'],"
-    " ['coeffs', '--max-order', '20', '--source', 'recur'], ['verify', 'identities']]"
-    "; assert all(cli.main(a + ['--output', os.devnull]) == 0 for a in argvs)"
-)
+# command -> (code, what it loads besides cli and errors) among the
+# package's modules, heapq (quadrature's), and fractions and decimal, which
+# only a public function that returns a Fraction imports, so no row does
+LOADS = {
+    "version": (_main(["--version"]), ""),
+    "eval": (_main(["eval", "--lambda", "1", "--x", "1,1,1"]), "specialfn"),
+    "tabulate": (_main(["tabulate", "--lambda", "0.1,1", "--x1", "0,1"]), "specialfn"),
+    "greens": (_main(["greens", "--lambda", "1", "--points", "1,2,3;2,1,1"]), "specialfn greens"),
+    "grid": (GRID, "specialfn greens"),
+    "series": (_main(["series", "--order", "30"]), "combinatorics series"),
+    "coeffs_closed": (_main(["coeffs", "--max-order", "20"]), "combinatorics"),
+    "coeffs_recur": (_main(["coeffs", "--max-order", "20", "--source", "recur"]), "combinatorics"),
+    # the exact commands whose outputs the benchmark pins
+    "exact": (
+        _main(
+            ["series", "--order", "30"],
+            ["coeffs", "--max-order", "20"],
+            ["coeffs", "--max-order", "20", "--source", "recur"],
+            ["verify", "identities"],
+        ),
+        "combinatorics series verify",
+    ),
+    "verify_coeffs": (_main(["verify", "coeffs"]), "verify combinatorics series"),
+    "verify_identities": (_main(["verify", "identities"]), "verify combinatorics"),
+    "verify_lambert": (_main(["verify", "lambert"]), "verify specialfn"),
+    "verify_sde": (_main(["verify", "sde"]), "verify specialfn"),
+    "verify_sde_numeric": (_main(["verify", "sde", "--numeric"]), "verify specialfn quadrature heapq"),
+    "verify_greens": (_main(["verify", "greens"]), "verify specialfn greens"),
+    "verify_all": (VERIFY_ALL, "verify combinatorics series specialfn quadrature heapq greens"),
+}
 
 
-@pytest.mark.parametrize("code", [VERIFY_ALL, EXACT], ids=["verify_all", "exact"])
-def test_cli_loads_no_fractions(code):
-    # the CLI prints and compares exact values as integers; only a public
-    # function that returns a Fraction imports fractions
-    assert not _loaded(code, ["fractions", "decimal"])
+@pytest.mark.parametrize("code, loads", LOADS.values(), ids=LOADS)
+def test_command_loads(code, loads):
+    # each command loads only the modules it runs: the exact commands no
+    # float layer or quadrature, the float commands no exact layer
+    names = [f"melontft.{name}" for name in MODULES] + ["heapq", "fractions", "decimal"]
+    expected = {name if name == "heapq" else f"melontft.{name}" for name in ["cli", "errors", *loads.split()]}
+    assert _loaded(code, names) == expected
 
 
 FIRST_USE = """
