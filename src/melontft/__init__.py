@@ -20,11 +20,11 @@ memoised for the life of the process by ``functools.cache`` on a private
 helper; no ``LogSeries`` is cached.  The integers k! a(n,k,m) of each
 route, closed form and recurrences, live in one column table per route,
 cached the same way, that only ever grows: it is filled bottom-up through
-the largest order asked, one order at a time.  ``a_closed`` and
-``ansatz_order`` recompute them from the cached Stirling rows.  The CLI
-builds its argument parser once per process.  Public names stay plain
-functions that check their arguments on every call and then delegate.  The
-one other memo, ``connected_2k``'s over point subsets, is a per-call
+the largest order asked, one order at a time.  ``a_closed``
+recomputes them from the cached Stirling rows.  The CLI builds its
+argument parser once per process.  Public names stay plain functions that
+check their arguments on every call and then delegate.  The one other
+memo, ``connected_2k``'s over point subsets, is a per-call
 ``functools.cache``.
 
 The value types are frozen records built from closures by one class
@@ -52,7 +52,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "combinatorics": ("a_closed", "CoeffTable"),
     "series": (
-        "LogTerm", "LogSeries", "perturbative_order", "ansatz_order", "extract_coefficients",
+        "LogTerm", "LogSeries", "perturbative_order", "extract_coefficients",
         "eval_series", "eval_partial_sum",
     ),
     "specialfn": (

@@ -181,11 +181,11 @@ def cmd_verify(args) -> int:
     from .verify import suite_coeffs, suite_greens, suite_identities, suite_lambert, suite_sde
 
     _check_abs_tol(args.tol)  # for every suite, so a bad --tol never passes unread
-    x = _parse_point(args.x) if args.x else None
+    x = None if args.x is None else _parse_point(args.x)
     # name -> suite; the key order is the order of "verify all"
     suites = {
-        "coeffs": lambda: suite_coeffs(args.max_order),
-        "identities": lambda: suite_identities(args.max_n),
+        "coeffs": suite_coeffs,
+        "identities": suite_identities,
         "lambert": suite_lambert,
         "sde": lambda: suite_sde(args.lam, x, args.tol, args.numeric or args.suite == "all"),
         "greens": suite_greens,
@@ -247,8 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("suite", choices=("coeffs", "identities", "sde", "lambert", "greens", "all"))
-    p.add_argument("--max-order", type=int, default=9)
-    p.add_argument("--max-n", type=int, default=20)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--x", default=None, help="momentum as 'x1,x2,x3'")
     p.add_argument("--tol", type=float, default=1e-8)

@@ -39,7 +39,7 @@ the sign of ``_slots`` times ``combinatorics._closed_int``, the integer k! a(n,k
 over k!; m = n gives the leading coefficient 1 at key (n, 0, n+1).
 
 Float evaluation has one body, ``_eval_columns``: each column
-(lo, x1pow, fullpow, coefficients) is Horner's rule in lg = log(1+x1^2)
+(lo, x1pow, fullpow, coefficients) is Horner's rule in lg = log1p(x1^2)
 over logpow lo, lo+1, ..., times lg^lo (1+x1^2)^(-x1pow) (1+|x|^2)^(-fullpow).
 ``_float_order(n)`` caches the kernel's columns of order n as floats, and
 ``eval_series`` groups any ``LogSeries``'s terms into the same layout, so
@@ -213,11 +213,6 @@ def _ansatz(n: int) -> Tuple[int, Tuple[Row, ...]]:
     return _reduced_rows(den, cols)
 
 
-def ansatz_order(n: int) -> LogSeries:
-    """Order-n series from the closed (Lagrange-Buermann) form."""
-    return _series(n, *_ansatz(n))
-
-
 def _extract(
     n: int, pairs: Iterable[Tuple[Key, int | Fraction]], unit: int
 ) -> Dict[Tuple[int, int], int | Fraction]:
@@ -300,14 +295,15 @@ def _float_order(n: int) -> Tuple[FloatColumn, ...]:
 
 
 def _x1_factors(x1: float) -> Tuple[float, float]:
-    a = 1.0 + x1 * x1
+    sq = x1 * x1
+    a = 1.0 + sq
     if not math.isfinite(a):
         raise ValueError(f"1+x1^2 must be finite (x1 up to about 1.34e154), got x1={x1!r}")
-    return a, math.log(a)
+    return a, math.log1p(sq)
 
 
 def _eval_columns(order: int, columns: Iterable[FloatColumn], a: float, lg: float, b: float, lam: float = 1.0):
-    # the one evaluation body: a = 1+x1^2, lg = log(a), b = 1+|x|^2; each
+    # the one evaluation body: a = 1+x1^2, lg = log1p(x1^2), b = 1+|x|^2; each
     # column is Horner's rule in lg times lg^lo * a^(-x1pow) * b^(-fullpow),
     # and the value is lam^order * (pi/2)^order * their sum (1.0 * y == y,
     # so lam = 1 is exact)

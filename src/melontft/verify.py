@@ -54,8 +54,6 @@ def coefficient_routes_agree(max_order: int) -> List[Check]:
     """
     from . import combinatorics as comb, series
 
-    if max_order < 2:
-        raise ValueError("max_order must be >= 2")
     routes = [comb._columns(max_order, row) for row in (comb._closed_row, comb._recur_row)]
     f = comb._factorials(max_order)
     checks: List[Check] = []
@@ -77,11 +75,8 @@ def coefficient_routes_agree(max_order: int) -> List[Check]:
     return checks
 
 
-def suite_coeffs(max_order: int) -> List[Check]:
-    if max_order < 2:
-        # below 2 the coefficient routes have no order to compare
-        raise ValueError(f"coefficient suite needs max_order >= 2, got {max_order}")
-    return orders_match_closed_form(max_order) + coefficient_routes_agree(max_order)
+def suite_coeffs() -> List[Check]:
+    return orders_match_closed_form(_MAX_ORDER) + coefficient_routes_agree(_MAX_ORDER)
 
 
 def _exact_check(name: str, results: Mapping[tuple, tuple]) -> Check:
@@ -98,27 +93,23 @@ def _bounded(name: str, worst: float, bound: float) -> Check:
     return Check(name, worst < bound, f"worst {worst:.2e}")
 
 
-def suite_identities(max_n: int) -> List[Check]:
+def suite_identities() -> List[Check]:
     # the sides of each identity as integers over one denominator, from its
     # core comb._*_sides, so no Fraction is made
     from . import combinatorics as comb
 
-    if max_n < 5:
-        # the first generic index is (5,2,2); below it a family would pass empty
-        raise ValueError(f"identity suite needs max_n >= 5, got {max_n}")
-    harmonics = {(n, k): comb._harmonic_sides(n, k) for n in range(1, max_n + 1) for k in range(1, n + 1)}
-    stirling = {(n, k): comb._stirling_621_sides(n, k) for n in range(4, max_n + 1) for k in range(1, n - 2)}
-    top = min(max_n, 12)
+    harmonics = {(n, k): comb._harmonic_sides(n, k) for n in range(1, _MAX_N + 1) for k in range(1, n + 1)}
+    stirling = {(n, k): comb._stirling_621_sides(n, k) for n in range(4, _MAX_N + 1) for k in range(1, n - 2)}
     big = {
         (n, k, m): comb._big_stirling_sides(n, k, m)
-        for n in range(5, top + 1)
+        for n in range(5, _MAX_N_BIG + 1)
         for k in range(2, n - 2)
         for m in range(2, k + 1)
     }
 
     checks = [
-        _exact_check(f"harmonic identity, all 1 <= k <= n <= {max_n}", harmonics),
-        _exact_check(f"Stirling sum identity (corrected form), 4 <= n <= {max_n}", stirling),
+        _exact_check(f"harmonic identity, all 1 <= k <= n <= {_MAX_N}", harmonics),
+        _exact_check(f"Stirling sum identity (corrected form), 4 <= n <= {_MAX_N}", stirling),
     ]
     printed_bad = [(index, printed) for index, (_, printed) in stirling.items() if printed[0] != printed[1]]
     if printed_bad:
@@ -131,7 +122,7 @@ def suite_identities(max_n: int) -> List[Check]:
                 f"{comb._ratio_str(lhs, den)} vs {comb._ratio_str(rhs, den)}",
             )
         )
-    checks.append(_exact_check(f"generic recurrence on coefficient values, n <= {top}", big))
+    checks.append(_exact_check(f"generic recurrence on coefficient values, n <= {_MAX_N_BIG}", big))
     printed_big = sum(lhs == rhs for _, (lhs, rhs, _) in big.values())
     checks.append(
         Check("big Stirling identity as printed", None, f"matches at {printed_big}/{len(big)} generic indices")
@@ -171,6 +162,9 @@ def suite_lambert() -> List[Check]:
     ]
 
 
+# the ranges each suite runs: orders 1..9 (coeffs), identities to n = 20
+# and the big Stirling identity to n = 12 (identities), and the sde grid
+_MAX_ORDER, _MAX_N, _MAX_N_BIG = 9, 20, 12
 _SDE_LAMBDAS = (0.01, 0.1, 1.0, 10.0)
 _SDE_X1S = (0.0, 0.5, 1.0, 2.0, 5.0)
 

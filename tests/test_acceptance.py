@@ -127,7 +127,7 @@ def test_c09_special_function_suite():
 
 
 def test_c10_identity_suite(capsys):
-    detail = _passed(verify.suite_identities(20))
+    detail = _passed(verify.suite_identities())
     # the printed sides of the Stirling sum identity, as (lhs, rhs, den)
     _, (lhs, rhs, den) = combinatorics._stirling_621_sides(5, 2)
     assert (lhs, rhs, den) == (6, 7, 24)

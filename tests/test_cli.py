@@ -351,7 +351,7 @@ class TestTabulate:
 
 class TestVerify:
     def test_coeffs_suite(self, capsys):
-        code, out, _ = run(capsys, "verify", "coeffs", "--max-order", "5")
+        code, out, _ = run(capsys, "verify", "coeffs")
         assert code == 0
         assert "[PASS]" in out and "[FAIL]" not in out
 
@@ -385,7 +385,7 @@ class TestVerify:
             assert f"[FAIL] order {bad}: extracted = closed = recurrence coefficients: order-{bad} leading" in out
 
     def test_identities_suite_reports_printed_form(self, capsys):
-        code, out, _ = run(capsys, "verify", "identities", "--max-n", "8")
+        code, out, _ = run(capsys, "verify", "identities")
         assert code == 0
         assert "[INFO]" in out
         assert "(5,2)" in out.replace(" ", "") or "7/24" in out
@@ -453,11 +453,12 @@ class TestVerify:
         ],
     )
     def test_empty_range_is_a_usage_error(self, capsys, argv):
-        # a family with no index to check would otherwise pass vacuously
+        # the suites run fixed ranges, so no range can be asked at all, an
+        # empty one included: argparse rejects both options
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ")
+        assert err.startswith("usage:") and "unrecognized arguments: --max-" in err
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tol_is_a_usage_error(self, capsys, tol):
@@ -504,6 +505,7 @@ def test_unwritable_output_is_a_usage_error(capsys, tmp_path, argv):
         ("coeffs", "--max-order", "1"),
         ("greens", "--lambda", "1", "--points", "1,2,3;1,1,1"),
         ("verify", "lambert", "--tol", "nan"),
+        ("verify", "sde", "--x", ""),
     ],
 )
 def test_domain_error_keeps_existing_output(capsys, tmp_path, argv):

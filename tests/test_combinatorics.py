@@ -180,7 +180,7 @@ class TestCoefficients:
         assert CoeffTable.from_recurrences(10) == closed
 
     def test_cold_integer_routes_agree_to_order_30(self):
-        # past the digests' order 20: both routes, and the columns ansatz_order
+        # past the digests' order 20: both routes, and the columns series._ansatz
         # puts over (n-1)!, rebuilt from empty caches
         for value in vars(combinatorics).values():
             if hasattr(value, "cache_clear"):
@@ -190,7 +190,7 @@ class TestCoefficients:
         assert len(recur.entries) == math.comb(31, 3) == 4495
         assert recur == CoeffTable.from_closed_form(30)
         for n in range(1, 31):
-            assert series.ansatz_order(n) == series.perturbative_order(n), n
+            assert series._series(n, *series._ansatz(n)) == series.perturbative_order(n), n
 
     def test_cold_routes_agree_to_order_40(self):
         # past the CLI's pinned order 30: every entry of both cold tables

@@ -2,6 +2,7 @@ import importlib
 import inspect
 import os
 import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -45,6 +46,19 @@ def test_readme_quickstart_runs():
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_commands_run(capsys):
+    # every command of the README's "Command line" block exits 0
+    from melontft import cli
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    [block] = re.findall(r"^## Command line\n\n```sh\n(.*?)^```", readme, re.S | re.M)
+    commands = [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("melontft ")]
+    assert commands
+    for argv in commands:
+        assert cli.main(argv[1:]) == 0, argv
+        capsys.readouterr()
 
 
 def test_readme_names_resolve():

@@ -12,13 +12,17 @@ from melontft.errors import ShapeMismatchError
 from melontft.series import (
     LogSeries,
     LogTerm,
-    ansatz_order,
     eval_partial_sum,
     eval_series,
     extract_coefficients,
     perturbative_order,
 )
 from melontft.specialfn import Coupling, Point3, g2_exact
+
+
+def closed_form_order(n):
+    # order n from the closed (Lagrange-Buermann) form, as a LogSeries
+    return series._series(n, *series._ansatz(n))
 
 
 def term_set(s):
@@ -94,13 +98,13 @@ def kernel_columns(n):
 
 def oracle_orders(x, n_max, mpmath):
     # (sum of the terms, sum of their magnitudes) of orders 0..n_max, (pi/2)^n
-    # included, at the rounded a = 1+x1^2, L = log(a), b = a + rho2 and pi/2 the
+    # included, at the rounded a = 1+x1^2, L = log1p(x1^2), b = a + rho2 and pi/2 the
     # evaluators use, so input rounding is excluded.  Order n is
     # (pi/2)^n / (D a^n b) * sum_m (a/b)^m sum_l num L^l; with each double
     # v = vn / 2^ev, the double sum times 2^((el + ea) n) bn^n is an exact
     # integer, rounded once to 80 digits
     a = 1.0 + x.x1 * x.x1
-    lg, b = math.log(a), a + (x.x2 * x.x2 + x.x3 * x.x3)
+    lg, b = math.log1p(x.x1 * x.x1), a + (x.x2 * x.x2 + x.x3 * x.x3)
     (an, ea), (ln, el), (bn, eb) = ((vn, vd.bit_length() - 1) for vn, vd in (v.as_integer_ratio() for v in (a, lg, b)))
     out = []
     with mpmath.workdps(80):
@@ -161,9 +165,9 @@ class TestTransverseIntegral:
 
 class TestOrders:
     def test_ansatz_low_orders(self):
-        assert term_set(ansatz_order(1)) == {(Fraction(1), 1, 0, 2)}
-        assert term_set(ansatz_order(2)) == {(Fraction(1), 2, 0, 3), (Fraction(-1), 1, 1, 2)}
-        assert term_set(ansatz_order(3)) == {
+        assert term_set(closed_form_order(1)) == {(Fraction(1), 1, 0, 2)}
+        assert term_set(closed_form_order(2)) == {(Fraction(1), 2, 0, 3), (Fraction(-1), 1, 1, 2)}
+        assert term_set(closed_form_order(3)) == {
             (Fraction(1), 3, 0, 4),
             (Fraction(-1, 2), 2, 2, 2),
             (Fraction(-2), 2, 1, 3),
@@ -219,7 +223,7 @@ class TestOrders:
         # every Fraction, whatever module name it is made under; the name
         # fractions.Fraction itself cannot be replaced, as Fraction.__new__ reads it
         monkeypatch.setattr(Fraction, "__new__", counting)
-        s = ansatz_order(12)
+        s = closed_form_order(12)
         assert len(s.terms) == len(made) == 67
 
     @pytest.mark.parametrize("w", [2, 3, 17, 64, 200])
@@ -243,7 +247,7 @@ class TestOrders:
         with pytest.raises(ValueError):
             perturbative_order(-1)
         with pytest.raises(ValueError):
-            ansatz_order(0)
+            series._ansatz(0)
 
 
 class TestExtraction:
@@ -258,14 +262,14 @@ class TestExtraction:
         from melontft.combinatorics import a_closed
 
         for n in (1, 4, 5, 7):
-            row = extract_coefficients(ansatz_order(n))
+            row = extract_coefficients(closed_form_order(n))
             expected = {
                 (k, m): a_closed(n, k, m) for k in range(1, n) for m in range(1, k + 1)
             }
             assert row == expected
 
     def test_shape_mismatch(self):
-        terms = ansatz_order(3).terms
+        terms = closed_form_order(3).terms
         assert terms[-1].key() == (3, 0, 4)
         bogus = LogSeries(3, (*terms, LogTerm(Fraction(1), 0, 0, 1)))
         with pytest.raises(ShapeMismatchError):
@@ -291,7 +295,7 @@ class TestExtraction:
 
     def test_missing_leading_term(self):
         # every other term of order 3 fits its slot; the log^3 term is gone
-        rest = tuple(t for t in ansatz_order(3).terms if t.key() != (3, 0, 4))
+        rest = tuple(t for t in closed_form_order(3).terms if t.key() != (3, 0, 4))
         assert len(rest) == 3
         with pytest.raises(ShapeMismatchError, match="leading log\\^n term has coefficient 0"):
             extract_coefficients(LogSeries(3, rest))
@@ -337,22 +341,32 @@ class TestEvaluation:
         assert orders == [3]
 
     @pytest.mark.parametrize(
-        "x1",
+        "x1, n_max, transverse",
         [
-            pytest.param(x1, marks=pytest.mark.xfail(reason=(
-                "series._x1_factors takes log(1 + x1^2), not log1p(x1^2): "
-                "a relative error of about eps/x1^2 (ROADMAP item 2)"
-            )))
-            for x1 in (1e-8, 1e-5, 1e-3)
-        ] + [1.0],
+            pytest.param(x1, 12, ((0.5, 0.5), (0.0, 0.0), (2.0, 1.0)), id=str(x1))
+            for x1 in (1e-9, 1e-8, 1e-5, 1e-3, 0.1)
+        ] + [pytest.param(1.0, 1, ((0.5, 0.5),), id="1.0")],
     )
-    def test_order1_at_small_x1(self, x1):
-        # order 1 is (pi/2)*log1p(x1^2)/(1 + |x|^2)^2; from x1 = 1e-8 on
-        # log(1 + x1^2) is 0 and the order evaluates to 0.0
-        x = Point3(x1, 0.5, 0.5)
-        want = math.pi / 2 * math.log1p(x1 * x1) / (1.0 + x.norm2) ** 2
-        got = eval_series(perturbative_order(1), x)
-        assert abs(got / want - 1.0) <= 1e-14, got
+    def test_order1_at_small_x1(self, x1, n_max, transverse):
+        # orders 1..n_max against a 60-digit sum of their exact terms, with
+        # L = log1p(x1^2) from the exact x1: every term with logpow >= 1
+        # carries L, so log(1 + x1^2) in its place would cost about eps/x1^2
+        # relative, and from x1 = 1e-8 on every order would be 0.0
+        mpmath = pytest.importorskip("mpmath")
+        for x2, x3 in transverse:
+            x = Point3(x1, x2, x3)
+            with mpmath.workdps(60):
+                x1_2 = mpmath.mpf(x1) ** 2
+                a, lg = 1 + x1_2, mpmath.log1p(x1_2)
+                b = a + mpmath.mpf(x2) ** 2 + mpmath.mpf(x3) ** 2
+                for n in range(1, n_max + 1):
+                    s = perturbative_order(n)
+                    want = (mpmath.pi / 2) ** n * mpmath.fsum(
+                        mpmath.mpf(t.coeff.numerator) / t.coeff.denominator * lg**t.logpow / (a**t.x1pow * b**t.fullpow)
+                        for t in s.terms
+                    )
+                    got = eval_series(s, x)
+                    assert abs(got / want - 1) <= 1e-14, (n, x, got)
 
     def test_within_16_eps_of_80_digit_sum(self):
         # the body against an 80-digit sum of the same columns: orders n <= 12
@@ -426,7 +440,7 @@ def test_closed_form_is_lagrange_buermann():
     # (k, n-m, m+1), with signed Stirling numbers and no closed-form code;
     # m = n adds only the leading 1, and zero coefficients have no term;
     # orders 31..40 lie past the pinned order 30, where the packing width is
-    # largest; the closed form's own columns, ansatz_order, match throughout
+    # largest; the closed form's own columns, series._ansatz, match throughout
     binom, fact = math.comb, math.factorial
 
     def s(n, k):  # the signed Stirling number of the first kind
@@ -441,4 +455,4 @@ def test_closed_form_is_lagrange_buermann():
                 if num:
                     want[(k, n - m, m + 1)] = Fraction(num, n * fact(n - m))
         assert want == {t.key(): t.coeff for t in perturbative_order(n).terms}, n
-        assert ansatz_order(n) == perturbative_order(n), n
+        assert closed_form_order(n) == perturbative_order(n), n
