@@ -1,12 +1,15 @@
 """Command-line front end.
 
-Subcommands: eval, series, coeffs, greens, tabulate, verify.  Exact
-quantities (series coefficients, identity sides) are always emitted as
-"p/q" rational strings; floats only appear for evaluated specials and
-carry 17 significant digits so records round-trip exactly.
+Subcommands: eval, series, coeffs, greens, tabulate, verify.  eval,
+coeffs and greens write one strict JSON line and tabulate writes CSV;
+only series (json or csv) and verify (text or json) take --format.
+Exact quantities (series coefficients, identity sides) are always
+emitted as "p/q" rational strings; floats only appear for evaluated
+specials and round-trip exactly (17 significant digits in CSV).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error
-(an unwritable --output included).
+(an unwritable --output included).  Run as the console script, a closed
+stdout pipe ends the process by SIGPIPE, as it does other filters.
 
 Only ``errors`` loads with this module.  The load rule of the package:
 each command imports the modules it runs when it runs, and no other.
@@ -25,7 +28,7 @@ import math
 import sys
 from contextlib import nullcontext
 from functools import cache
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional
 
 from . import __version__
 from .errors import MelonTFTError, _check_abs_tol
@@ -47,11 +50,6 @@ def _parse_floats(text: str) -> List[float]:
     return [float(p) for p in text.split(",") if p != ""]
 
 
-def _cell(v) -> str:
-    # floats carry 17 significant digits; ints and "p/q" strings print as they are
-    return format(v, ".17g") if isinstance(v, float) else str(v)
-
-
 def _sink(output: Optional[str]):
     # the one way to open --output, else stdout; called only once the output
     # is known to be valid, so a domain error leaves an existing file as it was
@@ -63,23 +61,9 @@ def _emit(text: str, output: Optional[str]) -> None:
         fh.write(text)
 
 
-def _write(args, payload, header: List[str], rows: Iterable[Sequence]) -> None:
-    """Emit payload as one JSON line, or header and rows as CSV.
-
-    ``rows`` is consumed, and so formatted, for ``--format csv`` only.  No
-    field is ever quoted: none holds a comma, a quote or a line break.
-    """
-    if args.format == "json":
-        text = json.dumps(payload, allow_nan=False) + "\n"
-    else:
-        text = "".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows])
-    _emit(text, args.output)
-
-
-def _eval_record(lam: float, x: List[float], g2: float, g: float, residual: float) -> dict:
-    # JSON has no NaN: an undefined residual is null (a CSV cell prints nan)
-    residual = None if math.isnan(residual) else residual
-    return {"lambda": lam, "x": x, "g": g, "G2": g2, "residual_algebraic": residual}
+def _json(payload, output: Optional[str]) -> None:
+    # one strict JSON line, made before the sink opens: a NaN raises, writing nothing
+    _emit(json.dumps(payload, allow_nan=False) + "\n", output)
 
 
 def cmd_eval(args) -> int:
@@ -87,9 +71,9 @@ def cmd_eval(args) -> int:
 
     x, c = _parse_point(args.x), Coupling(args.lam)
     g, g2, residual = exact_record(x, c)
-    r = _eval_record(c.lam, [x.x1, x.x2, x.x3], g2, g, residual)
-    header = ["lambda", "x1", "x2", "x3", "g", "G2", "residual_algebraic"]
-    _write(args, r, header, [(c.lam, x.x1, x.x2, x.x3, g, g2, residual)])
+    # JSON has no NaN: an undefined residual is null (a tabulate cell prints nan)
+    residual = None if math.isnan(residual) else residual
+    _json({"lambda": c.lam, "x": [x.x1, x.x2, x.x3], "g": g, "G2": g2, "residual_algebraic": residual}, args.output)
     return 0
 
 
@@ -100,13 +84,15 @@ def cmd_series(args) -> int:
 
     n = args.order
     den, cols = _order(n)
-    terms = [
-        {"coeff": _ratio_str(c, den), "logpow": logpow, "x1pow": x1pow, "fullpow": fullpow}
-        for (logpow, x1pow, fullpow), c in _terms(n, cols)
-    ]
-    payload = {"order": n, "prefactor_pi_over_2_pow": n, "terms": terms}
-    rows = ((n, t["coeff"], t["logpow"], t["x1pow"], t["fullpow"]) for t in terms)
-    _write(args, payload, ["order", "coeff", "logpow", "x1pow", "fullpow"], rows)
+    fields = ("coeff", "logpow", "x1pow", "fullpow")
+    terms = [(_ratio_str(c, den), *key) for key, c in _terms(n, cols)]  # each in the order of fields
+    if args.format == "csv":
+        # no cell is a float, and none holds a comma, a quote or a line break
+        rows = [("order", *fields), *((n, *t) for t in terms)]
+        _emit("".join(",".join(map(str, row)) + "\n" for row in rows), args.output)
+    else:
+        terms = [dict(zip(fields, t)) for t in terms]
+        _json({"order": n, "prefactor_pi_over_2_pow": n, "terms": terms}, args.output)
     return 0
 
 
@@ -118,9 +104,7 @@ def cmd_coeffs(args) -> int:
     entries = [
         {"n": n, "k": k, "m": m, "a": _ratio_str(b, f)} for (n, k, m), b, f in _entries(args.max_order, row)
     ]
-    payload = {"max_order": args.max_order, "source": args.source, "entries": entries}
-    rows = ((e["n"], e["k"], e["m"], e["a"]) for e in entries)
-    _write(args, payload, ["n", "k", "m", "a"], rows)
+    _json({"max_order": args.max_order, "source": args.source, "entries": entries}, args.output)
     return 0
 
 
@@ -133,8 +117,7 @@ def cmd_greens(args) -> int:
     if not math.isfinite(value):
         # an intermediate overflowed: the value exists but was not computed
         raise ValueError(f"the {len(points)}-point value at lambda={args.lam!r} is not finite: {value!r}")
-    payload = {"k": len(points), "lambda": args.lam, "value": value}
-    _write(args, payload, ["k", "lambda", "value"], [(len(points), args.lam, value)])
+    _json({"k": len(points), "lambda": args.lam, "value": value}, args.output)
     return 0
 
 
@@ -159,21 +142,14 @@ def cmd_tabulate(args) -> int:
     # then coupling-major rows, each [G2, g, residual] per x1 in CSV column
     # order, are solved, formatted and written one at a time
     rows = ((c, _flat_row(x1s, x2, x3, c) if i else first) for i, c in enumerate(couplings))
+    # each x1's text is formatted once; a row's lambda text joins them into
+    # a template ("%.17g" never prints a "%") that one "%" fills with the
+    # flat row.  No cell holds a comma, a quote or a line break.
+    pieces = ["", *(",%.17g,%.17g,%.17g," % (x1, x2, x3) + "%.17g,%.17g,%.17g\n" for x1 in x1s)]
     with _sink(args.output) as fh:
-        if args.format == "json":  # each row a slice of one json.dumps of every record
-            for i, (c, row) in enumerate(rows):
-                cells = zip(x1s, row[0::3], row[1::3], row[2::3])
-                records = [_eval_record(c.lam, [x1, x2, x3], g2, g, r) for x1, g2, g, r in cells]
-                fh.write((", " if i else "[") + json.dumps(records, allow_nan=False)[1:-1])
-            fh.write("]\n")
-        else:
-            # each x1's text is formatted once; a row's lambda text joins them
-            # into a template ("%.17g" prints as _cell does, never a "%") that
-            # one "%" fills with the flat row
-            pieces = ["", *(",%.17g,%.17g,%.17g," % (x1, x2, x3) + "%.17g,%.17g,%.17g\n" for x1 in x1s)]
-            fh.write("lambda,x1,x2,x3,G2,g,residual\n")
-            for c, row in rows:
-                fh.write(("%.17g" % c.lam).join(pieces) % tuple(row))
+        fh.write("lambda,x1,x2,x3,G2,g,residual\n")
+        for c, row in rows:
+            fh.write(("%.17g" % c.lam).join(pieces) % tuple(row))
     return 0
 
 
@@ -194,7 +170,7 @@ def cmd_verify(args) -> int:
     checks = [check for name in names for check in suites[name]()]
     if args.format == "json":
         # vars of a Check is its fields as a dict, in order (``errors._record``)
-        _emit(json.dumps([vars(c) for c in checks], allow_nan=False) + "\n", args.output)
+        _json([vars(c) for c in checks], args.output)
     else:
         _emit("".join(c.line() + "\n" for c in checks), args.output)
     return 1 if any(c.passed is False for c in checks) else 0
@@ -210,8 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, formats=("json", "csv"), default="json"):
-        p.add_argument("--format", choices=formats, default=default)
+    def add_common(p, formats=()):
+        # --format only where callers read two formats; the first is the default
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--output", metavar="PATH", help="write to a file instead of stdout")
 
     p = sub.add_parser("eval", help="evaluate the exact 2-point function")
@@ -222,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="emit one exact perturbative order")
     p.add_argument("--order", type=int, required=True)
-    add_common(p)
+    add_common(p, ("json", "csv"))
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("coeffs", help="emit the exact coefficient table")
@@ -242,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x1", required=True, help="comma-separated x1 values")
     p.add_argument("--x2", type=float, default=0.0)
     p.add_argument("--x3", type=float, default=0.0)
-    add_common(p, default="csv")
+    add_common(p)
     p.set_defaults(func=cmd_tabulate)
 
     p = sub.add_parser("verify", help="run verification suites")
@@ -251,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", default=None, help="momentum as 'x1,x2,x3'")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--numeric", action="store_true", help="include quadrature-based SDE checks")
-    add_common(p, ("text", "json"), "text")
+    add_common(p, ("text", "json"))
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -270,4 +248,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def entry_point() -> None:
+    import signal
+
+    # the console script: a stdout pipe closed early, as by `| head`, ends it
+    # quietly by SIGPIPE, as it ends other filters, not as a domain error
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())

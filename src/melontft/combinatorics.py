@@ -182,19 +182,11 @@ class CoeffTable:
     entries: Mapping[Index, Fraction]
 
     @classmethod
-    def _build(cls, max_order: int, row: Callable) -> "CoeffTable":
-        from fractions import Fraction
-
-        return cls(max_order, {index: Fraction(b, f) for index, b, f in _entries(max_order, row)})
-
-    @classmethod
-    def from_closed_form(cls, max_order: int) -> "CoeffTable":
-        return cls._build(max_order, _closed_row)
-
-    @classmethod
     def from_recurrences(cls, max_order: int) -> "CoeffTable":
         """The table from the recurrences alone, seeded by a(2,1,1) = 1: it never reads the closed form."""
-        return cls._build(max_order, _recur_row)
+        from fractions import Fraction
+
+        return cls(max_order, {index: Fraction(b, f) for index, b, f in _entries(max_order, _recur_row)})
 
     def row(self, n: int) -> Dict[Tuple[int, int], Fraction]:
         """All coefficients of one order, keyed by (k, m)."""

@@ -50,15 +50,6 @@ class TestEval:
         rec = json.loads(out)
         assert rec["G2"] == pytest.approx(1.0 / 6.0, rel=1e-15)
 
-    def test_csv(self, capsys):
-        code, out, _ = run(capsys, "eval", "--lambda", "0.5", "--x", "1,0,0", "--format", "csv")
-        assert code == 0
-        rows = list(csv.reader(io.StringIO(out)))
-        assert rows[0] == ["lambda", "x1", "x2", "x3", "g", "G2", "residual_algebraic"]
-        assert len(rows) == 2
-        # 17 significant digits round-trip through the text form
-        assert float(rows[1][5]) == g2_exact(Point3(1, 0, 0), Coupling(0.5))
-
     def test_domain_error_exit_code(self, capsys):
         code, _, err = run(capsys, "eval", "--lambda", "-1", "--x", "1,1,1")
         assert code == 2
@@ -91,14 +82,12 @@ class TestEval:
     @pytest.mark.parametrize("lam, x1", CANCELLING_POINTS)
     def test_cancelling_residual_is_nan(self, capsys, lam, x1):
         # 1 + x1^2 + g rounds to <= 0: g and G2 are returned, the residual is
-        # nan, which strict JSON writes as null and CSV as nan
+        # nan, which strict JSON writes as null
         code, out, err = run(capsys, "eval", "--lambda", lam, "--x", f"{x1},0,0")
         assert code == 0 and err == ""
         rec = json.loads(out, parse_constant=reject_constant)
         g, g2, _ = specialfn.exact_record(Point3(float(x1), 0.0, 0.0), Coupling(float(lam)))
         assert (rec["g"], rec["G2"]) == (g, g2) and rec["residual_algebraic"] is None
-        code, out, err = run(capsys, "eval", "--lambda", lam, "--x", f"{x1},0,0", "--format", "csv")
-        assert code == 0 and err == "" and out.splitlines()[1].endswith(",nan")
 
     def test_bad_point_exit_code(self, capsys):
         code, _, _ = run(capsys, "eval", "--lambda", "1", "--x", "1,2")
@@ -184,11 +173,10 @@ class TestGreens:
         assert code == 2
         assert out == "" and "not pairwise distinct" in err
 
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_non_finite_value_writes_nothing(self, capsys, tmp_path, fmt):
+    def test_non_finite_value_writes_nothing(self, capsys, tmp_path):
         # at lambda = 1e308 the value is about -7.2e-4 but comes out NaN; it
         # is a domain error (2), and neither stdout nor --output gets a NaN
-        argv = ["greens", "--lambda", "1e308", "--points", "1,2,3;2,1,1", "--format", fmt]
+        argv = ["greens", "--lambda", "1e308", "--points", "1,2,3;2,1,1"]
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == "" and "not finite" in err
@@ -243,24 +231,20 @@ class TestTabulate:
 
     def test_single_cell_matches_eval(self, capsys):
         _, tab, _ = run(capsys, "tabulate", "--lambda", "0.7", "--x1", "1", "--x2", "0", "--x3", "0")
-        _, ev, _ = run(capsys, "eval", "--lambda", "0.7", "--x", "1,0,0", "--format", "csv")
+        _, ev, _ = run(capsys, "eval", "--lambda", "0.7", "--x", "1,0,0")
         tab_rows = list(csv.reader(io.StringIO(tab)))
-        ev_rows = list(csv.reader(io.StringIO(ev)))
-        assert tab_rows[1][4] == ev_rows[1][5]  # G2 column
+        assert float(tab_rows[1][4]) == json.loads(ev)["G2"]  # G2 column
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_output_file_matches_stdout(self, capsys, tmp_path, fmt):
-        # the README's example: a header and 2 x 3 records, or 6 JSON records
+    def test_output_file_matches_stdout(self, capsys, tmp_path):
+        # the README's example: a header and 2 x 3 records
         argv = ("tabulate", "--lambda", "0.1,1", "--x1", "0,0.5,1", "--x2", "0.5", "--x3", "0.5")
-        argv += ("--format", fmt)
-        path = tmp_path / f"tabulate.{fmt}"
+        path = tmp_path / "tabulate.csv"
         code, out, _ = run(capsys, *argv, "--output", str(path))
         assert code == 0 and out == ""
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert path.read_bytes() == out.encode("utf-8")
-        rows = out.splitlines() if fmt == "csv" else json.loads(out)
-        assert len(rows) == (7 if fmt == "csv" else 6)
+        assert len(out.splitlines()) == 7
 
     # lambda from 1e-4 to 1e6; x1 = 0, -0.0 and up to 1e8; nonzero x2, x3
     PINNED_GRID = (
@@ -270,21 +254,13 @@ class TestTabulate:
         "--x3", "1.5",
     )
 
-    @pytest.mark.parametrize(
-        "fmt, digest",
-        [
-            ("csv", "a1e2a984d5a89bae9c604f921337b513e4881b1ef7588a666dff22fe4aed0074"),
-            ("json", "1fa49a4c962a30c87511a2bb4e1e6e0c7b99bf51a470a4ac1d61e9c9a5758e81"),
-        ],
-        ids=["csv", "json"],
-    )
-    def test_output_bytes_pinned(self, capsys, fmt, digest):
-        code, out, _ = run(capsys, "tabulate", *self.PINNED_GRID, "--format", fmt)
+    def test_output_bytes_pinned(self, capsys):
+        code, out, _ = run(capsys, "tabulate", *self.PINNED_GRID)
         assert code == 0
+        digest = "a1e2a984d5a89bae9c604f921337b513e4881b1ef7588a666dff22fe4aed0074"
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_memory_is_one_row(self, tmp_path, fmt):
+    def test_memory_is_one_row(self, tmp_path):
         # rows are written as they are solved, so the traced peak grows with
         # a row, not with the grid: four times the rows cost under 1.5 times
         rng = random.Random(23)
@@ -293,7 +269,7 @@ class TestTabulate:
 
         def peak(rows):
             argv = ["tabulate", "--lambda", ",".join(lams[:rows]), "--x1", x1s, "--x2", "0.5", "--x3", "1.5"]
-            argv += ["--format", fmt, "--output", str(tmp_path / "table")]
+            argv += ["--output", str(tmp_path / "table")]
             tracemalloc.start()
             try:
                 assert main(argv) == 0
@@ -313,14 +289,6 @@ class TestTabulate:
         assert len(rows) == 3 and rows[2][6] == "nan"
         assert all(math.isfinite(float(v)) for v in rows[2][4:6] + rows[1][4:])
 
-    @pytest.mark.parametrize("lam, x1", CANCELLING_POINTS)
-    def test_cancelling_residual_is_null_in_json(self, capsys, lam, x1):
-        code, out, err = run(capsys, "tabulate", "--lambda", lam, "--x1", f"1,{x1}", "--format", "json")
-        assert code == 0 and err == ""
-        records = json.loads(out, parse_constant=reject_constant)
-        assert [r["residual_algebraic"] is None for r in records] == [False, True]
-
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -338,13 +306,13 @@ class TestTabulate:
             (("--lambda", "1,1e-300,1e-301", "--x1", "1,1e5"), "x1=100000.0, lambda=1e-300\n"),
         ],
     )
-    def test_domain_error_writes_nothing(self, capsys, tmp_path, argv, message, fmt):
-        code, out, err = run(capsys, "tabulate", *argv, "--format", fmt)
+    def test_domain_error_writes_nothing(self, capsys, tmp_path, argv, message):
+        code, out, err = run(capsys, "tabulate", *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and message in err
         path = tmp_path / "table"
         path.write_text("kept\n", encoding="utf-8")
-        code, out, err = run(capsys, "tabulate", *argv, "--format", fmt, "--output", str(path))
+        code, out, err = run(capsys, "tabulate", *argv, "--output", str(path))
         assert code == 2 and out == "" and err.startswith("error: ")
         assert path.read_text(encoding="utf-8") == "kept\n"
 
@@ -482,6 +450,42 @@ class TestVerify:
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: abs_tol must be finite and > 0, got ")
+
+
+# the commands that write one format: eval, coeffs and greens JSON, tabulate CSV
+ONE_FORMAT = {
+    "eval": ("eval", "--lambda", "1", "--x", "1,1,1"),
+    "coeffs": ("coeffs", "--max-order", "3"),
+    "greens": ("greens", "--lambda", "1", "--points", "1,2,3;2,1,1"),
+    "tabulate": ("tabulate", "--lambda", "1", "--x1", "0,1"),
+}
+
+
+@pytest.mark.parametrize("argv", ONE_FORMAT.values(), ids=ONE_FORMAT)
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_one_format_commands_take_no_format(capsys, argv, fmt):
+    assert run(capsys, *argv)[0] == 0
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert code == 2 and out == "" and err.startswith("usage:")
+
+
+# every JSON writer; eval where its residual is undefined
+JSON_WRITERS = {
+    "series": ("series", "--order", "5"),
+    "coeffs": ("coeffs", "--max-order", "6"),
+    "greens": ("greens", "--lambda", "0.6366", "--points", "1,2,3;2,1,1"),
+    "eval": ("eval", "--lambda", CANCELLING_POINTS[0][0], "--x", f"{CANCELLING_POINTS[0][1]},0,0"),
+    "verify_all": ("verify", "all", "--format", "json"),
+}
+
+
+@pytest.mark.parametrize("argv", JSON_WRITERS.values(), ids=JSON_WRITERS)
+def test_json_writers_are_strict(capsys, argv):
+    # one line of RFC 8259 JSON: no NaN or Infinity literal
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.endswith("\n") and out.count("\n") == 1
+    json.loads(out, parse_constant=reject_constant)
 
 
 @pytest.mark.parametrize(

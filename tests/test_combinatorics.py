@@ -22,6 +22,11 @@ def stirling_first_signed(n, k):
     return -c if (n - k) % 2 else c
 
 
+def closed_form(table):
+    """The closed form a_closed at every index of a table's entries."""
+    return {i: a_closed(*i) for i in table.entries}
+
+
 def recur_a(top):
     """a(n, k, m) for n <= top, read from the recurrence table."""
     entries = CoeffTable.from_recurrences(top).entries
@@ -169,7 +174,7 @@ class TestCoefficients:
     def test_recurrence_route_never_reads_closed_form(self, monkeypatch):
         # the recurrence table lives for the process; a cold rebuild with the
         # closed form unavailable must still reproduce the closed-form table
-        closed = CoeffTable.from_closed_form(10)
+        closed = closed_form(CoeffTable.from_recurrences(10))
 
         def unavailable(*args):
             raise AssertionError("recurrence route reached the closed form")
@@ -177,7 +182,7 @@ class TestCoefficients:
         combinatorics._table.cache_clear()
         for name in ("a_closed", "_closed_int", "_closed_row"):
             monkeypatch.setattr(combinatorics, name, unavailable)
-        assert CoeffTable.from_recurrences(10) == closed
+        assert CoeffTable.from_recurrences(10).entries == closed
 
     def test_cold_integer_routes_agree_to_order_30(self):
         # past the digests' order 20: both routes, and the columns series._ansatz
@@ -188,7 +193,7 @@ class TestCoefficients:
         series._kernel.cache_clear()
         recur = CoeffTable.from_recurrences(30)
         assert len(recur.entries) == math.comb(31, 3) == 4495
-        assert recur == CoeffTable.from_closed_form(30)
+        assert recur.entries == closed_form(recur)
         for n in range(1, 31):
             assert series._series(n, *series._ansatz(n)) == series.perturbative_order(n), n
 
@@ -197,12 +202,12 @@ class TestCoefficients:
         combinatorics._table.cache_clear()
         recur = CoeffTable.from_recurrences(40)
         assert len(recur.entries) == math.comb(41, 3) == 10660
-        assert recur == CoeffTable.from_closed_form(40)
+        assert recur.entries == closed_form(recur)
 
     def test_smallest_table(self):
         combinatorics._table.cache_clear()
-        for table in (CoeffTable.from_recurrences(2), CoeffTable.from_closed_form(2)):
-            assert table.max_order == 2 and table.entries == {(2, 1, 1): 1}
+        table = CoeffTable.from_recurrences(2)
+        assert table.max_order == 2 and table.entries == closed_form(table) == {(2, 1, 1): 1}
         with pytest.raises(ValueError):
             CoeffTable.from_recurrences(1)
 
@@ -220,7 +225,8 @@ class TestCoefficients:
         # the failed order left nothing behind: with the entry restored it is built whole
         assert len(col) == 3 and all(len(c) == 4 for k in (1, 2) for c in col[k][1:])
         assert combinatorics._columns(4, combinatorics._recur_row)[2][1][4] == 3  # 2! a(4,2,1) = 2 * 3/2
-        assert CoeffTable.from_recurrences(6) == CoeffTable.from_closed_form(6)
+        table = CoeffTable.from_recurrences(6)
+        assert table.entries == closed_form(table)
 
     def test_cold_recurrence_table_makes_one_fraction_per_entry(self, monkeypatch):
         # the recurrences run on the integers k! a; a Fraction is made only per entry
@@ -240,7 +246,7 @@ class TestCoefficients:
         monkeypatch.setattr(Fraction, "__new__", counting)
         table = CoeffTable.from_recurrences(20)
         assert len(made) == len(table.entries) == 1330
-        assert table.entries == CoeffTable.from_closed_form(20).entries
+        assert table.entries == closed_form(table)
 
     def test_one_generic_body(self, monkeypatch):
         # the recurrence table and the big Stirling check run the same body
@@ -269,16 +275,13 @@ class TestCoefficients:
             assert bad not in recur
 
     def test_table(self):
-        closed = CoeffTable.from_closed_form(8)
         recur = CoeffTable.from_recurrences(8)
-        assert closed.entries == recur.entries
-        assert closed.entries[(5, 3, 2)] == 4
-        assert set(closed.row(4)) == {(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)}
-        assert (9, 1, 1) not in closed.entries and (4, 4, 1) not in closed.entries
+        assert recur.entries == closed_form(recur)
+        assert recur.entries[(5, 3, 2)] == 4
+        assert set(recur.row(4)) == {(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)}
+        assert (9, 1, 1) not in recur.entries and (4, 4, 1) not in recur.entries
         with pytest.raises(ValueError):
-            closed.row(9)
-        with pytest.raises(ValueError):
-            CoeffTable.from_closed_form(1)
+            recur.row(9)
 
 
 def pair_sum(terms):

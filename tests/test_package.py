@@ -3,6 +3,7 @@ import inspect
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -83,11 +84,15 @@ def test_private_names_in_source_resolve():
     assert not missing, missing
 
 
+def _env():
+    """The environment of a fresh interpreter that imports the package from ``PACKAGE``."""
+    home = str(PACKAGE.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [home, os.environ.get("PYTHONPATH")])))
+
+
 def _run(code):
     """The standard error of ``code`` run in a fresh interpreter on ``PACKAGE``."""
-    home = str(PACKAGE.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [home, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stderr
+    return subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True, text=True, check=True).stderr
 
 
 def _loaded(code, names):
@@ -251,3 +256,17 @@ def test_record_defaults_and_keyword_validation():
     assert verify.Check(name="a check", passed=False).detail == ""
     with pytest.raises(ValueError):  # __post_init__ runs for keyword arguments too
         specialfn.Point3(x1=-1.0, x2=0.0, x3=0.0)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_closed_stdout_pipe_ends_quietly():
+    # the console script, as in `melontft tabulate ... | head -1`: the reader
+    # takes one line and closes the pipe; the process ends by SIGPIPE with
+    # nothing on stderr, not with a message and the domain-error code 2
+    grid = ",".join(repr(0.01 * i) for i in range(1, 201))
+    argv = ["-c", "from melontft.cli import entry_point; entry_point()", "tabulate", "--lambda", grid, "--x1", grid]
+    with subprocess.Popen([sys.executable, *argv], env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"lambda,x1,x2,x3,G2,g,residual\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == -signal.SIGPIPE and err == b""
