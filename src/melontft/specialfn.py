@@ -11,7 +11,9 @@ at one coupling with z and log(z) taken once; every float result of the
 solution derives from it.  ``dressed_mass`` is its one-point view.
 ``_flat_row`` turns a row of masses into [G2, g, residual, ...] in the
 column order of ``tabulate``'s CSV; ``exact_records`` (one row of
-``exact_record``) regroups it into records.
+``exact_record``) regroups it into records.  Where M + x2^2 + x3^2
+overflows, G2 is formed scaled (``g2_from_mass``), so a subnormal G2 is
+not rounded to 0.0.
 
 All W evaluations go through the Wright omega function in log space,
 omega(t) + log(omega(t)) = t with t = (1+x1^2)/z - log(z): for small
@@ -21,9 +23,12 @@ high-precision oracle, kappa = 1 + (1+x1^2)/(M + z) being M's condition
 number in 1 + x1^2.  Real positive couplings keep the argument positive, so only the principal
 branch enters the solution; W_{-1} is provided for completeness/testing.
 
-omega and both real Lambert branches iterate in one loop, ``_fsc``:
+omega and both real Lambert branches run one iteration:
 Fritsch-Shafer-Crowley steps on log(v) + y*v = t0, whose w = y*v solves
-w*e^w = y*e^t0; they differ only in seed and (y, t0).  omega takes
+w*e^w = y*e^t0; they differ only in seed and (y, t0).  ``_fsc`` is its
+body for ``wright_omega`` and the Lambert branches; ``_masses`` writes
+out omega's seeds and the same step in its own row loop, so that a row
+makes no call per x1, and gives the bits of ``wright_omega``.  omega takes
 (1, t) above t = -2 and (e^t, 0) below; W0 goes through omega(log(y))
 above y = e^-2, takes (y, 0) on [0, e^-2], so no rounded log(y) enters,
 and (y, 0) for y < 0; W_{-1} takes (-1, log(-y)), in which e^w cannot
@@ -52,8 +57,9 @@ _TINY = sys.float_info.min
 # e^-2: below it W0(y) is solved from y itself, above it from log(y)
 _E_M2 = math.exp(-2.0)
 
-# iteration cap of the one loop, _fsc; its step test stops it within a
-# few steps, so reaching the cap means a bug, not a hard input
+# iteration cap of the omega and Lambert loop, _fsc, and of its copy in
+# _masses; the step test stops it within a few steps, so reaching the cap
+# means a bug, not a hard input
 _MAX_ITER = 100
 
 
@@ -110,7 +116,7 @@ _OMEGA_SMALL = (-0.99972369, 1.4626858, -1.8663062)
 
 
 def _fsc(y: float, v: float, t0: float) -> float:
-    # The one iteration body of omega and both real Lambert branches:
+    # The iteration body of wright_omega and both real Lambert branches:
     # Fritsch-Shafer-Crowley steps on log(v) + y*v = t0 from the seed v > 0,
     # returning w = y*v, the root of w*e^w = y*e^t0.  In w the equation is
     # w + log(w/y) = t0, whose derivative 1 + 1/w is omega's for either
@@ -232,29 +238,61 @@ def lambert_wm1(y: float) -> float:
 
 
 def _masses(x1s: Sequence[float], coupling: Coupling) -> List[float]:
-    # The one solve body: M for each x1 of one coupling row from one
-    # wright_omega(t), t = (1+x1^2)/z - log(z), with z and log(z) taken once
-    # per row.  Checks every x1 in order and raises at the first bad one.
+    # The one solve body: M for each x1 of one coupling row from omega(t),
+    # t = (1+x1^2)/z - log(z), with z and log(z) taken once per row.
+    # Checks every x1 in order and raises at the first bad one.  omega is
+    # solved inline, so that a row makes no call per x1: wright_omega's
+    # seeds and _fsc's step, cap and error, giving wright_omega's bits.
     # For t >= 0, M = z*omega(t).  For t < 0 that would carry omega's
     # relative error from t's rounding, about |t|*eps; there omega = e^(t -
     # omega) gives M = e^((1+x1^2)/z - omega), where omega < 0.57 enters
     # only absolutely.  (e^(u + log(z)) from omega = e^u would cancel.)
     z = coupling.z
     log_z = math.log(z)
-    exp = math.exp
+    exp, log = math.exp, math.log
+    q0, q1, q2 = _OMEGA_SMALL
     masses = []
+    append = masses.append
     for x1 in x1s:
         if not 0.0 <= x1 <= _HUGE:
             raise ValueError(f"x1 must be finite and >= 0, got {x1!r}")
         if x1 == 0.0:
-            masses.append(1.0)
+            append(1.0)
             continue
         ratio = (1.0 + x1 * x1) / z
         if not ratio < math.inf:
             raise ValueError(f"(1+x1^2)/z must be finite, got x1={x1!r}, lambda={coupling.lam!r}")
         t = ratio - log_z
-        omega = wright_omega(t)
-        masses.append(z * omega if t >= 0.0 else exp(ratio - omega))
+        # the seed v and (y, t0) of wright_omega, then _fsc's steps on
+        # log(v) + y*v = t0, whose root gives omega = y*v
+        if t > 50.0:
+            lt = log(t)
+            y, v, t0 = 1.0, t - lt + lt / t, t
+        elif t >= -2.0:
+            for fit in _OMEGA_FITS:
+                if t <= fit[0]:
+                    break
+            _, centre, c0, c1, c2, c3, c4, c5 = fit
+            u = t - centre
+            y, v, t0 = 1.0, c0 + u * (c1 + u * (c2 + u * (c3 + u * (c4 + u * c5)))), t
+        else:
+            y = exp(t)
+            v, t0 = 1.0 + y * (q0 + y * (q1 + y * q2)), 0.0
+        n = _MAX_ITER
+        while (n := n - 1) >= 0:
+            w = y * v
+            p = 1.0 + w
+            s = (t0 - w - log(v)) / p
+            h = s / p
+            c = 1.0 + s * (2.0 / 3.0)
+            d = s * (c - 0.5 * h) / (c - h)
+            v += v * d
+            if -1e-4 <= d <= 1e-4:
+                break
+        else:
+            raise NotConvergedError(f"w*e^w = y*e^t0 did not converge in {_MAX_ITER} steps at y={y!r}, t0={t0!r}")
+        omega = y * v
+        append(z * omega if t >= 0.0 else exp(ratio - omega))
     return masses
 
 
@@ -271,8 +309,20 @@ def dressed_mass(x1: float, coupling: Coupling) -> float:
 
 
 def g2_from_mass(mass: float, x2: float, x3: float) -> float:
-    """Exact 2-point function 1/(M + x2^2 + x3^2) at dressed mass M."""
-    return 1.0 / (mass + x2 * x2 + x3 * x3)
+    """Exact 2-point function 1/(M + x2^2 + x3^2) at dressed mass M.
+
+    Where that sum overflows binary64, the value is below 5.6e-309 but
+    may still be a nonzero subnormal.  There it is formed scaled by
+    s = max(x2, x3), as ((1/s)/(M/s/s + (x2/s)^2 + (x3/s)^2))/s, whose
+    last division alone rounds to a subnormal: within 0.7 of the smallest
+    subnormal, where the unscaled sum gives 0.0.
+    """
+    total = mass + x2 * x2 + x3 * x3
+    if total < math.inf:
+        return 1.0 / total
+    s = max(x2, x3)
+    r2, r3 = x2 / s, x3 / s
+    return 1.0 / s / (mass / s / s + r2 * r2 + r3 * r3) / s
 
 
 def g2_exact(x: Point3, coupling: Coupling) -> float:
@@ -340,7 +390,8 @@ def _flat_row(x1s: Iterable[float], x2: float, x3: float, coupling: Coupling) ->
             residual = g + z * log(1.0 + x1sq + g)
         except ValueError:  # 1 + x1^2 + g rounded to <= 0
             residual = math.nan
-        append(1.0 / (mass + x2sq + x3sq))
+        g2 = 1.0 / (mass + x2sq + x3sq)
+        append(g2 if g2 else g2_from_mass(mass, x2, x3))  # 0.0 only where the sum overflows
         append(g)
         append(residual)
     return row

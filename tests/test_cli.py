@@ -50,6 +50,12 @@ class TestEval:
         rec = json.loads(out)
         assert rec["G2"] == pytest.approx(1.0 / 6.0, rel=1e-15)
 
+    def test_subnormal_g2_is_printed(self, capsys):
+        # M + x2^2 + x3^2 overflows, but G2 = 1/(M + 2e308) is about 5.0e-309
+        code, out, _ = run(capsys, "eval", "--lambda", "1", "--x", "1,1e154,1e154")
+        assert code == 0
+        assert json.loads(out)["G2"] == pytest.approx(5.0e-309, abs=math.ulp(0.0))
+
     def test_domain_error_exit_code(self, capsys):
         code, _, err = run(capsys, "eval", "--lambda", "-1", "--x", "1,1,1")
         assert code == 2
@@ -211,17 +217,20 @@ class TestTabulate:
                 assert float(r[4]) > 1.0 / (1.0 + 1.5)
 
     def test_one_mass_solve_per_record(self, capsys, monkeypatch):
-        calls = []
-        omega = specialfn.wright_omega
+        # _masses solves omega in its own loop, so count the x1 values it
+        # solves (it returns M = 1 at x1 = 0 without a solve)
+        solved = []
+        masses = specialfn._masses
 
-        def counting(t):
-            calls.append(t)
-            return omega(t)
+        def counting(x1s, coupling):
+            x1s = tuple(x1s)
+            solved.extend(x1 for x1 in x1s if x1 != 0.0)
+            return masses(x1s, coupling)
 
-        monkeypatch.setattr(specialfn, "wright_omega", counting)
+        monkeypatch.setattr(specialfn, "_masses", counting)
         code, _, _ = run(capsys, "tabulate", "--lambda", "0.1,1,10", "--x1", "0.5,1,2,3")
         assert code == 0
-        assert len(calls) == 12
+        assert len(solved) == 12
 
     @pytest.mark.parametrize("argv", [("--lambda", ",", "--x1", "0,1"), ("--lambda", "1", "--x1", "")])
     def test_empty_grid_is_a_usage_error(self, capsys, argv):

@@ -162,17 +162,19 @@ class TestConnected:
             assert connected_2k(x, c) == plain_connected_2k(x.points, c), lam
 
     def test_one_mass_solve_per_first_component(self, monkeypatch):
-        calls = []
-        omega = specialfn.wright_omega
+        # counts the x1 values _masses solves (none at x1 = 0, where M = 1)
+        solved = []
+        masses = specialfn._masses
 
-        def counting(t):
-            calls.append(t)
-            return omega(t)
+        def counting(x1s, coupling):
+            x1s = tuple(x1s)
+            solved.extend(x1 for x1 in x1s if x1 != 0.0)
+            return masses(x1s, coupling)
 
-        monkeypatch.setattr(specialfn, "wright_omega", counting)
+        monkeypatch.setattr(specialfn, "_masses", counting)
         x = seeded_tuple(random.Random(8), 8)
         connected_2k(x, Coupling(0.7))
-        assert len(calls) == 8
+        assert len(solved) == 8
 
     def test_linear_small_coupling_scaling(self):
         x = PointTuple((A, B))

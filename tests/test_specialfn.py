@@ -17,6 +17,7 @@ from melontft.specialfn import (
     exact_record,
     exact_records,
     g2_exact,
+    g2_from_mass,
     lambert_w0,
     lambert_wm1,
     wright_omega,
@@ -72,6 +73,15 @@ def plain_exact_record(x, coupling):
     total = 1.0 + x1 * x1 + g
     residual = g + z * math.log(total) if total > 0.0 else math.nan
     return g, 1.0 / (mass + x.x2 * x.x2 + x.x3 * x.x3), residual
+
+
+def omega_seed(t):
+    """The omega seed region that ``wright_omega``, and ``_masses`` with it, takes at t."""
+    if t > 50.0:
+        return "seed t > 50"
+    if t < -2.0:
+        return "seed t < -2"
+    return f"seed fit to {next(fit[0] for fit in specialfn._OMEGA_FITS if t <= fit[0])}"
 
 
 def mp_omega(mp, t):
@@ -349,18 +359,42 @@ class TestWrightOmega:
         ts = [rng.uniform(-746.0, -37.5) for _ in range(3000)] + [rng.uniform(-746.0, -708.0) for _ in range(3000)]
         assert [t for t in ts if wright_omega(t) != math.exp(t)] == []
 
+    # (lambda, x1) whose t = (1+x1^2)/z - log(z) falls in each omega seed
+    # region: t < -2, each _OMEGA_FITS piece, and t > 50 (52.2, near the cut)
+    MASS_POINTS = ((100.0, 1.0), (3.0, 0.5), (1.0, 1.0), (0.5, 1.0), (0.2, 1.0), (0.05, 1.0), (0.026, 1.0))
+
     def test_iteration_cap_raises(self, monkeypatch):
         # seeds 1-5 % off still converge, in more than one step, so a cap
-        # of one step raises on each seed region that reads a table
+        # of one step raises on each seed region that reads a table; _masses,
+        # which runs the same seeds and step in its own loop, still gives
+        # the mass of wright_omega's omega, and raises wright_omega's error
+        # where it raises (the asymptotic seed above t = 50 needs one step)
         fits = tuple((hi, centre, 1.05 * c0, *c) for hi, centre, c0, *c in specialfn._OMEGA_FITS)
         monkeypatch.setattr(specialfn, "_OMEGA_FITS", fits)
         monkeypatch.setattr(specialfn, "_OMEGA_SMALL", (0.5, 0.0, 0.0))
         for t in (-5.0, 0.5, 3.0, 40.0):
             assert wright_omega(t) == pytest.approx(bisect_w0(math.exp(t)), rel=1e-13)
+        masses = []
+        for lam, x1 in self.MASS_POINTS:
+            c = Coupling(lam)
+            ratio = (1.0 + x1 * x1) / c.z
+            t = ratio - math.log(c.z)
+            omega = wright_omega(t)
+            assert dressed_mass(x1, c) == (c.z * omega if t >= 0.0 else math.exp(ratio - omega)), (lam, x1)
+            masses.append((x1, c, t, dressed_mass(x1, c)))
+        assert len({omega_seed(t) for _, _, t, _ in masses}) == 2 + len(fits)
         monkeypatch.setattr(specialfn, "_MAX_ITER", 1)
         for t in (-5.0, 0.5, 3.0, 40.0):
             with pytest.raises(NotConvergedError, match="did not converge in 1 steps"):
                 wright_omega(t)
+        for x1, c, t, mass in masses:
+            if t > 50.0:
+                assert dressed_mass(x1, c) == mass
+                continue
+            with pytest.raises(NotConvergedError) as want:
+                wright_omega(t)
+            with pytest.raises(NotConvergedError, match=re.escape(str(want.value))):
+                dressed_mass(x1, c)
         with pytest.raises(NotConvergedError):
             lambert_w0(-0.3)
         with pytest.raises(NotConvergedError):
@@ -413,6 +447,45 @@ class TestShiftAndSolution:
         diffs = [abs(g2_exact(x, Coupling(lam)) - free) for lam in (1e-2, 1e-4, 1e-6)]
         assert diffs[0] > diffs[1] > diffs[2]
         assert diffs[2] < 1e-6
+
+    # (lambda, x1, x2, x3) where M + x2^2 + x3^2 overflows binary64 while
+    # 1/(M + x2^2 + x3^2) is a nonzero subnormal
+    OVERFLOW_BAND = (
+        (1.0, 1.0, 1e154, 1e154),
+        (1.0, 1.0, 1.3e154, 5e153),
+        (1.0, 1.0, 1e154, 1.2e154),
+        (1e300, 1e150, 1.34e154, 1e153),
+        (0.5, 1e10, 1.0, 1.35e154),
+        (1e6, 1.3e154, 1e5, 1.3e154),
+    )
+
+    def test_g2_where_the_sum_overflows(self):
+        # within 0.7 of the smallest subnormal of a 60-digit value, where
+        # the unscaled sum gives 0.0, at the band points and at seeded
+        # (M, x2, x3) draws; g2_exact and the row agree bit for bit.  The
+        # error is scaled in mpmath: 0.7 times that subnormal rounds to 1.0
+        # times it in binary64
+        mp = pytest.importorskip("mpmath")
+        tiny = math.ulp(0.0)
+        rng = random.Random(17)
+        draws = []
+        while len(draws) < 300:
+            mass = rng.choice([1.0, 10.0 ** rng.uniform(0.0, 308.0)])
+            x2, x3 = 10.0 ** rng.uniform(153.5, 154.2), rng.choice([0.0, 10.0 ** rng.uniform(100.0, 154.2)])
+            if mass + x2 * x2 + x3 * x3 == math.inf:
+                draws.append((mass, x2, x3))
+        with mp.workdps(60):
+            for lam, x1, x2, x3 in self.OVERFLOW_BAND:
+                c = Coupling(lam)
+                mass = dressed_mass(x1, c)
+                assert mass + x2 * x2 + x3 * x3 == math.inf
+                want = 1 / (mp.mpf(mass) + mp.mpf(x2) ** 2 + mp.mpf(x3) ** 2)
+                got = g2_exact(Point3(x1, x2, x3), c)
+                assert want > tiny and abs(got - want) / tiny <= 0.7, (lam, x1, x2, x3, got)
+                assert exact_records((x1,), x2, x3, c)[0][1] == got
+            for mass, x2, x3 in draws:
+                want = 1 / (mp.mpf(mass) + mp.mpf(x2) ** 2 + mp.mpf(x3) ** 2)
+                assert abs(g2_from_mass(mass, x2, x3) - want) / tiny <= 0.7, (mass, x2, x3)
 
     def test_first_order_slope(self):
         x = Point3(1, 1, 1)
@@ -516,7 +589,9 @@ class TestExactRecords:
                 if x1 != 0.0:
                     t = (1.0 + x1 * x1) / c.z - math.log(c.z)
                     branches.add("t < 0" if t < 0.0 else "t >= 0")
+                    branches.add(omega_seed(t))
         want = {"M >= 2", "M < 2, d >= 1e-8", "M < 2, d < 1e-8", "M < 2, subnormal d", "t < 0", "t >= 0"}
+        want |= {"seed t > 50", "seed t < -2"} | {f"seed fit to {fit[0]}" for fit in specialfn._OMEGA_FITS}
         assert branches == want
 
     def test_wrappers_are_one_row(self):
