@@ -14,18 +14,19 @@ The CLI prints every "p/q" straight from those integers, and ``verify``
 compares them, so neither loads ``fractions``.
 
 Caching policy: a pure function of integer indices whose results are
-immutable (unsigned Stirling rows, factorials, H_k over k!, the integer
-columns of perturbative orders and tadpoles, and their float columns) is
-memoised for the life of the process by ``functools.cache`` on a private
-helper; no ``LogSeries`` is cached.  The integers k! a(n,k,m) of each
-route, closed form and recurrences, live in one column table per route,
-cached the same way, that only ever grows: it is filled bottom-up through
-the largest order asked, one order at a time.  ``a_closed``
-recomputes them from the cached Stirling rows.  The CLI builds its
-argument parser once per process.  Public names stay plain functions that
-check their arguments on every call and then delegate.  The one other
-memo, ``connected_2k``'s over point subsets, is a per-call
-``functools.cache``.
+immutable (unsigned Stirling rows, factorials, H_k over k!, the
+recursion's columns of orders and tadpoles, and the closed form's float
+columns) is memoised for the life of the process by ``functools.cache``
+on a private helper; no ``LogSeries`` is cached, and the closed form's
+integer columns, about 3 ms cold at order 30 and 35 ms at 90, are made
+again on each call.  The integers k! a(n,k,m) of each route, closed form
+and recurrences, live in one column table per route, cached the same
+way, that only ever grows: it is filled bottom-up through the largest
+order asked, one order at a time.  ``a_closed`` recomputes them from the
+cached Stirling rows.  The CLI builds its argument parser once per
+process.  Public names stay plain functions that check their arguments
+on every call and then delegate.  The one other memo, ``connected_2k``'s
+over point subsets, is a per-call ``functools.cache``.
 
 The value types are frozen records built from closures by one class
 decorator, ``errors._record``, which compiles no code, so no module of the

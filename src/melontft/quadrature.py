@@ -131,8 +131,8 @@ def integrate_quarter_plane(f: Callable, abs_tol: float) -> QuadResult:
     while total_err > abs_tol and heap and evals + _SPLIT_EVALS <= _MAX_EVALS:
         neg_err, _, a, b, value, halves = heapq.heappop(heap)
         total_err += neg_err  # neg_err = -err
-        if b - a < 1e-13:
-            # too thin to split; keep its error counted but stop refining it
+        if b - a < 1e-13 * b:
+            # too thin for its place in u to split; keep its error counted but stop refining it
             stuck.append((b, value))
             total_err -= neg_err
             continue
@@ -157,9 +157,12 @@ def integrate_quarter_plane(f: Callable, abs_tol: float) -> QuadResult:
 def _subtracted_integrand(mass: float) -> Callable:
     # G2(x1, q2, q3) - free(q2, q3) in p = q/sqrt(M), times the Jacobian M:
     # a rational function of rho2 = p2^2 + p3^2 whose tail, about
-    # -(M-1)/(M rho2^2), no longer grows with M
+    # -(M-1)/(M rho2^2), no longer grows with M; the free term as 1/(1/M + rho2),
+    # since M/(1 + M rho2) overflows to 0 once M rho2 passes 1.8e308
+    inv = 1.0 / mass
+
     def f(rho2):
-        return 1.0 / (1.0 + rho2) - mass / (1.0 + mass * rho2)
+        return 1.0 / (1.0 + rho2) - 1.0 / (inv + rho2)
 
     return f
 

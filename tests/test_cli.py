@@ -585,3 +585,26 @@ def test_exact_outputs_match_reference(tmp_path):
     # every p/q string the exact commands emit stays bit-identical to the
     # pinned digests the benchmark also checks
     assert not exact_digest_mismatches(tmp_path)
+
+
+def test_outputs_never_read_recursion(tmp_path, monkeypatch):
+    # the mirror of test_recurrence_route_never_reads_closed_form: with cold
+    # caches and the recursion unavailable, series prints its pinned bytes
+    # and the partial sums give the bits they gave before, both from the
+    # closed form
+    from melontft import series
+
+    x = Point3(0.7, 1.2, 0.3)
+    want = series.eval_partial_sum(20, x, 0.25)
+
+    def unavailable(*args):
+        raise AssertionError("an output reached the recursion")
+
+    for cached in (series._kernel, series._float_order):
+        cached.cache_clear()
+    monkeypatch.setattr(series, "_kernel", unavailable)
+    path = tmp_path / "series30"
+    assert main(EXACT_COMMANDS["series30"] + ["--output", str(path)]) == 0
+    digest = json.loads(REFERENCE.read_text(encoding="utf-8"))["digests"]["series30"]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert series.eval_partial_sum(20, x, 0.25).hex() == want.hex()

@@ -92,7 +92,7 @@ def ref_partial_sum(n_max, x, lam):
 def kernel_columns(n):
     # order n's kernel columns as (D, [(m, nums, |nums|) ...]): column m =
     # fullpow - 1 = n - x1pow holds the numerators at logpow m, m + 1, ...
-    den, cols, _ = series._kernel(n)[0]
+    den, cols = series._kernel(n)[0]
     return den, [(m, col, [abs(c) for c in col]) for m, col in enumerate(cols)]
 
 
@@ -134,13 +134,13 @@ class TestAlgebra:
 def tadpole(k):
     # order k integrated over the transverse momenta, as the kernel holds it:
     # entry i of its row at key (1 + i, k, 0), one pi/2 to the prefactor
-    den, row, _ = series._kernel(k)[1]
+    den, row = series._kernel(k)[1]
     return LogSeries(k + 1, tuple(LogTerm(Fraction(c, den), 1 + i, k, 0) for i, c in enumerate(row) if c))
 
 
 class TestTransverseIntegral:
     def test_free_propagator_subtraction(self):
-        assert series._kernel(0)[1][:2] == (2, (-1,))
+        assert series._kernel(0)[1] == (2, (-1,))
         assert term_set(tadpole(0)) == {(Fraction(-1, 2), 1, 0, 0)}
 
     def test_g1_tadpole(self):
@@ -182,7 +182,7 @@ class TestOrders:
         # column m < n of order n stops at logpow n - 1, and column n holds
         # the leading 1 alone
         for n in range(1, 41):
-            den, cols, _ = series._kernel(n)[0]
+            den, cols = series._kernel(n)[0]
             assert len(cols) == n + 1 and cols[0] == () and cols[n] == (den,), n
             assert [len(cols[m]) for m in range(1, n)] == list(range(n - 1, 0, -1)), n
 
@@ -225,23 +225,6 @@ class TestOrders:
         monkeypatch.setattr(Fraction, "__new__", counting)
         s = closed_form_order(12)
         assert len(s.terms) == len(made) == 67
-
-    @pytest.mark.parametrize("w", [2, 3, 17, 64, 200])
-    def test_pack_round_trip_at_slot_extremes(self, w):
-        lo, hi = -(1 << (w - 1)), (1 << (w - 1)) - 1
-        for size in (1, 2, 5, 31):
-            for digits in ((lo,) * size, (hi,) * size, tuple((lo, hi)[i % 2] for i in range(size)),
-                           tuple((hi, lo, 0)[i % 3] for i in range(size))):
-                assert series._unpack(series._pack(digits, w), w, size) == digits, (size, digits)
-
-    @pytest.mark.parametrize("w", [2, 17, 64])
-    def test_unpack_raises_on_overflowed_slot(self, w):
-        # an integer that no `size` balanced digits hold: a top slot at 2^(w-1)
-        # or below -2^(w-1), or a nonzero slot above the top
-        half = 1 << (w - 1)
-        for digits, size in (([half], 1), ([0, -half - 1], 2), ([1, 1, 1], 2)):
-            with pytest.raises(ArithmeticError, match=f"width {w} overflowed"):
-                series._unpack(series._pack(digits, w), w, size)
 
     def test_order_domain(self):
         with pytest.raises(ValueError):
@@ -329,8 +312,8 @@ class TestEvaluation:
                     assert got.hex() == want.hex(), (n, x, lam)
 
     def test_cold_partial_sum_builds_no_series(self, monkeypatch):
-        # the partial sum reads float columns made from the integer kernel;
-        # a cold order is never turned into a LogSeries of Fractions
+        # the partial sum reads float columns made from the closed form's
+        # integer columns; a cold order is never turned into a LogSeries of Fractions
         orders = []
         monkeypatch.setattr(series, "_series", recording_series(orders))
         for cached in (series._float_order, series._kernel):
@@ -439,8 +422,8 @@ def test_closed_form_is_lagrange_buermann():
     # log(1 + w/a) gives the z^n coefficient of sum_m (-g)^m / B^(m+1) at key
     # (k, n-m, m+1), with signed Stirling numbers and no closed-form code;
     # m = n adds only the leading 1, and zero coefficients have no term;
-    # orders 31..40 lie past the pinned order 30, where the packing width is
-    # largest; the closed form's own columns, series._ansatz, match throughout
+    # orders 31..40 lie past the CLI's pinned order 30; the recursion and the
+    # closed form's own columns, series._ansatz, match throughout
     binom, fact = math.comb, math.factorial
 
     def s(n, k):  # the signed Stirling number of the first kind
